@@ -37,8 +37,8 @@ type Framework interface {
 	Name() string
 	// AdversaryModel is the threat-model label of Table II.
 	AdversaryModel() string
-	// Setup distributes the model weights; called once before the
-	// measured phases.
+	// Setup distributes the model weights, before the measured phases;
+	// calling it again deals them afresh.
 	Setup(w nn.PaperWeights) error
 	// TrainStep runs one single-image training iteration.
 	TrainStep(img mnist.Image, lr float64) error

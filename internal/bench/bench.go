@@ -32,6 +32,14 @@ type Table2Row struct {
 	// process reports its own directions, so the split shows where the
 	// traffic actually lands.
 	RecvMB float64
+	// SteadySec and SteadyMB, on inference rows, price a repeat pass on
+	// unchanged weights. The paper's experiment — TimeSec and CommMB —
+	// is the first pass after the weights were dealt, which runs the
+	// whole protocol; TrustDDL opens a weight's mask once per weight
+	// epoch, so its later passes cost less. For the baselines every
+	// pass is the same pass.
+	SteadySec float64
+	SteadyMB  float64
 }
 
 // Table2Config parameterizes the Table II reproduction.
@@ -168,6 +176,30 @@ func measureFramework(fw baselines.Framework, w nn.PaperWeights, images []mnist.
 	trainMB := trainStats.MegaBytes() / float64(iters)
 	trainRecvMB := trainStats.RecvMegaBytes() / float64(iters)
 
+	// The paper's inference row is the protocol's full cost, every
+	// mask opened in the pass: the first pass after the weights are
+	// dealt. So each measured pass gets freshly dealt weights, with the
+	// dealing outside the measurement.
+	base := Table2Row{Framework: fw.Name(), Model: fw.AdversaryModel()}
+	train, infer = base, base
+	train.Task, train.TimeSec, train.CommMB, train.RecvMB = "Training", trainTime, trainMB, trainRecvMB
+	infer.Task = "Inference"
+	for i := 0; i < iters; i++ {
+		if err = fw.Setup(w); err != nil {
+			return train, infer, err
+		}
+		fw.ResetStats()
+		start = time.Now()
+		if _, err = fw.Infer(images[i%len(images)]); err != nil {
+			return train, infer, err
+		}
+		infer.TimeSec += time.Since(start).Seconds() / float64(iters)
+		st := fw.Stats()
+		infer.CommMB += st.MegaBytes() / float64(iters)
+		infer.RecvMB += st.RecvMegaBytes() / float64(iters)
+	}
+
+	// Steady state: the passes that follow on the same weights.
 	fw.ResetStats()
 	start = time.Now()
 	for i := 0; i < iters; i++ {
@@ -175,28 +207,26 @@ func measureFramework(fw baselines.Framework, w nn.PaperWeights, images []mnist.
 			return train, infer, err
 		}
 	}
-	inferTime := time.Since(start).Seconds() / float64(iters)
-	inferStats := fw.Stats()
-	inferMB := inferStats.MegaBytes() / float64(iters)
-	inferRecvMB := inferStats.RecvMegaBytes() / float64(iters)
-
-	base := Table2Row{Framework: fw.Name(), Model: fw.AdversaryModel()}
-	train, infer = base, base
-	train.Task, train.TimeSec, train.CommMB, train.RecvMB = "Training", trainTime, trainMB, trainRecvMB
-	infer.Task, infer.TimeSec, infer.CommMB, infer.RecvMB = "Inference", inferTime, inferMB, inferRecvMB
+	infer.SteadySec = time.Since(start).Seconds() / float64(iters)
+	infer.SteadyMB = fw.Stats().MegaBytes() / float64(iters)
 	return train, infer, nil
 }
 
 // FormatTable2 renders rows in the paper's layout, with the byte
 // meter's per-direction split appended ("Comm. (MB)" is the sent
 // volume, as in the paper; "Recv (MB)" mirrors it on single-process
-// transports).
+// transports) and, on inference rows, the steady-state cost of a
+// repeat pass on unchanged weights.
 func FormatTable2(rows []Table2Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %-20s %-10s %12s %12s %12s\n", "Framework", "Model", "Task", "Time (s)", "Comm. (MB)", "Recv (MB)")
-	fmt.Fprintln(&b, strings.Repeat("-", 83))
+	fmt.Fprintf(&b, "%-12s %-20s %-10s %12s %12s %12s %12s %12s\n", "Framework", "Model", "Task", "Time (s)", "Comm. (MB)", "Recv (MB)", "Steady (s)", "Steady (MB)")
+	fmt.Fprintln(&b, strings.Repeat("-", 109))
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %-20s %-10s %12.4f %12.4f %12.4f\n", r.Framework, r.Model, r.Task, r.TimeSec, r.CommMB, r.RecvMB)
+		fmt.Fprintf(&b, "%-12s %-20s %-10s %12.4f %12.4f %12.4f", r.Framework, r.Model, r.Task, r.TimeSec, r.CommMB, r.RecvMB)
+		if r.Task == "Inference" {
+			fmt.Fprintf(&b, " %12.4f %12.4f", r.SteadySec, r.SteadyMB)
+		}
+		fmt.Fprintln(&b)
 	}
 	return b.String()
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/trustddl/trustddl/internal/fixed"
@@ -139,6 +140,10 @@ type Cluster struct {
 	dataDealer *sharing.Dealer
 
 	ledger *suspicion.Ledger
+
+	// maskEpochs is the last mask epoch handed to a Run
+	// (Run.renewMaskEpoch).
+	maskEpochs atomic.Uint64
 
 	mu             sync.Mutex
 	opCounter      int

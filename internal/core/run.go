@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/trustddl/trustddl/internal/mnist"
@@ -23,7 +24,23 @@ type Run struct {
 	c    *Cluster
 	arch nn.Arch
 	nets [sharing.NumParties]*nn.SecureNetwork
+
+	// maskEpoch labels this run's inference sessions
+	// (nn.WithMaskEpoch): while it stands, every party's layers reuse
+	// the weight masks opened under it. The pass driver is the one
+	// place that knows when a party's weights or cached masks may have
+	// changed or been lost, so it renews the epoch there: at
+	// provisioning (a fresh run, a rejoin, a resume), before every
+	// training step, and after any inference pass that failed, was
+	// abandoned by its deadline, or was decided without all three
+	// parties. The next pass then names masks the owner has never
+	// seen and is dealt full triples. Epochs come from one counter
+	// per cluster, so two runs never share one.
+	maskEpoch atomic.Uint64
 }
+
+// renewMaskEpoch makes the next inference pass of r a cold one.
+func (r *Run) renewMaskEpoch() { r.maskEpoch.Store(r.c.maskEpochs.Add(1)) }
 
 // NewRun distributes the paper's Table I network (§III-A: the model
 // owner creates and distributes parameter shares).
@@ -91,6 +108,7 @@ func (c *Cluster) provision(arch nn.Arch, weights, velocities []nn.Mat64, moment
 	}
 
 	run := &Run{c: c, arch: arch}
+	run.renewMaskEpoch()
 	err = c.runParties(func(i int) error {
 		ctx := c.ctxs[i]
 		// Parties consume the broadcast spec (and could cross-check it
@@ -197,8 +215,12 @@ func (r *Run) TrainBatch(images []mnist.Image, lr float64) error {
 	if err != nil {
 		return err
 	}
+	// The step moves the weights (and a failed one may move them on
+	// some parties only): no mask opened so far may be used again.
+	r.renewMaskEpoch()
 	// The learning rate travels in the session label so remote served
-	// parties need no side channel.
+	// parties need no side channel. No mask epoch does: a training
+	// step's forward pass takes single-use triples.
 	session := sessionWithLR(r.c.nextSession("train"), lr)
 	if err := r.c.distribute(session, "x", x); err != nil {
 		return err
@@ -266,7 +288,17 @@ func (r *Run) logitsFor(ctx context.Context, images []mnist.Image) (protocol.Mat
 	if err != nil {
 		return protocol.Mat{}, err
 	}
-	session := r.c.nextSession("infer")
+	// The mask epoch travels in the session label, like the learning
+	// rate of a training step. A pass that does not complete on all
+	// three parties may leave them with different masks cached, so it
+	// ends the epoch.
+	session := nn.WithMaskEpoch(r.c.nextSession("infer"), r.maskEpoch.Load())
+	complete := false
+	defer func() {
+		if !complete {
+			r.renewMaskEpoch()
+		}
+	}()
 	if err := r.c.distribute(session, "x", x); err != nil {
 		return protocol.Mat{}, err
 	}
@@ -293,13 +325,15 @@ func (r *Run) logitsFor(ctx context.Context, images []mnist.Image) (protocol.Mat
 	if err != nil {
 		return protocol.Mat{}, err
 	}
-	return r.c.decideAtDataOwner(ctx, session, "logits")
+	logits, delivered, err := r.c.decideAtDataOwner(ctx, session, "logits")
+	complete = err == nil && delivered == sharing.NumParties
+	return logits, err
 }
 
 // decideAtDataOwner gathers one bundle per party at the data owner and
 // applies the reconstruction decision rule, zero-filling and flagging
-// parties that fail to deliver.
-func (c *Cluster) decideAtDataOwner(ctx context.Context, session, step string) (protocol.Mat, error) {
+// parties that fail to deliver; it also reports how many delivered.
+func (c *Cluster) decideAtDataOwner(ctx context.Context, session, step string) (protocol.Mat, int, error) {
 	parties := []int{1, 2, 3}
 	msgs, gerr := c.patientGatherCtx(ctx, parties, session, step)
 	if gerr != nil && !isGatherTimeout(gerr) {
@@ -307,7 +341,7 @@ func (c *Cluster) decideAtDataOwner(ctx context.Context, session, step string) (
 		// the transport rejected) is a real fault even when enough
 		// parties delivered: the decision rule only papers over missing
 		// messages, not a broken channel.
-		return protocol.Mat{}, fmt.Errorf("core: gather %q: %w", step, gerr)
+		return protocol.Mat{}, 0, fmt.Errorf("core: gather %q: %w", step, gerr)
 	}
 	var per [sharing.NumParties]sharing.Bundle
 	var missing []int
@@ -327,7 +361,7 @@ func (c *Cluster) decideAtDataOwner(ctx context.Context, session, step string) (
 		shape = b
 	}
 	if len(missing) > 1 {
-		return protocol.Mat{}, fmt.Errorf("core: %d parties failed to deliver %q (%v)", len(missing), step, gerr)
+		return protocol.Mat{}, 0, fmt.Errorf("core: %d parties failed to deliver %q (%v)", len(missing), step, gerr)
 	}
 	for _, p := range missing {
 		per[p-1] = sharing.Bundle{
@@ -338,11 +372,11 @@ func (c *Cluster) decideAtDataOwner(ctx context.Context, session, step string) (
 	}
 	sets, err := sharing.CollectSets(per)
 	if err != nil {
-		return protocol.Mat{}, err
+		return protocol.Mat{}, 0, err
 	}
 	rec, err := sharing.ReconstructSix(sets)
 	if err != nil {
-		return protocol.Mat{}, err
+		return protocol.Mat{}, 0, err
 	}
 	for _, p := range missing {
 		rec.FlagParty(p)
@@ -374,7 +408,7 @@ func (c *Cluster) decideAtDataOwner(ctx context.Context, session, step string) (
 			c.ledger.Record(suspect, suspicion.KindDecisionDeviation, session, step)
 		}
 	}
-	return value, err
+	return value, len(parties) - len(missing), err
 }
 
 // isGatherTimeout reports whether a Gather error only says some peers'

@@ -13,7 +13,10 @@ import (
 // the layer walk of Logits/TrainBatch without touching shares,
 // minting the same session strings the layers mint, and return the
 // ordered request list that a protocol.PrefetchSource pipelines ahead
-// of the consuming layers (the offline/online split of §III-A).
+// of the consuming layers (the offline/online split of §III-A). A
+// parameterised layer's forward request names its weight mask exactly
+// as the layer will; whether the dealer answers with a full triple or
+// with a pair against the retained mask is the dealer's to say.
 
 // LogitsPlan enumerates the triple requests one Logits call will
 // issue, in consumption order, for a batch of the given size and
@@ -70,7 +73,7 @@ func (n *SecureNetwork) forwardPlan(plan *[]protocol.TripleRequest, session stri
 			if width != l.in {
 				return 0, fmt.Errorf("nn: plan layer %d: dense input width %d, want %d", i, width, l.in)
 			}
-			*plan = append(*plan, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: s + "/t", M: batch, N: l.in, P: l.out})
+			*plan = append(*plan, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: s + "/t", M: batch, N: l.in, P: l.out, Mask: maskName(s)})
 			width = l.out
 		case *SecureReLU:
 			*plan = append(*plan,
@@ -81,7 +84,7 @@ func (n *SecureNetwork) forwardPlan(plan *[]protocol.TripleRequest, session stri
 				return 0, fmt.Errorf("nn: plan layer %d: conv input width %d, want %d", i, width, in)
 			}
 			positions := l.Shape.OutHeight() * l.Shape.OutWidth()
-			*plan = append(*plan, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: s + "/t", M: batch * positions, N: l.Shape.PatchSize(), P: l.OutChannels})
+			*plan = append(*plan, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: s + "/t", M: batch * positions, N: l.Shape.PatchSize(), P: l.OutChannels, Mask: maskName(s)})
 			width = l.OutSize()
 		case *SecureMaxPool:
 			if width != l.Shape.InSize() {

@@ -17,9 +17,9 @@ type recordingSource struct {
 	reqs  []protocol.TripleRequest
 }
 
-func (r *recordingSource) MatMulTriple(session string, m, n, p int) (sharing.TripleBundle, error) {
-	r.reqs = append(r.reqs, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: session, M: m, N: n, P: p})
-	return r.inner.MatMulTriple(session, m, n, p)
+func (r *recordingSource) MatMulTriple(session, mask string, m, n, p int) (sharing.TripleBundle, error) {
+	r.reqs = append(r.reqs, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: session, M: m, N: n, P: p, Mask: mask})
+	return r.inner.MatMulTriple(session, mask, m, n, p)
 }
 
 func (r *recordingSource) HadamardTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
@@ -86,9 +86,15 @@ func TestPlanMatchesRecordedRequests(t *testing.T) {
 	env := newSecureEnv(t)
 	nets, batch, width := planTestNet(t, env)
 
-	logitsPlan, err := nets[0].LogitsPlan("fwd", batch, width)
+	// An inference session carries a mask epoch, so its parameterised
+	// layers name their weight masks; a training session does not.
+	fwd := WithMaskEpoch("fwd", 3)
+	logitsPlan, err := nets[0].LogitsPlan(fwd, batch, width)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := logitsPlan[0].Mask; got != "me=3/l0" {
+		t.Fatalf("first layer's request names mask %q, want %q", got, "me=3/l0")
 	}
 	trainPlan, err := nets[0].TrainPlan("train", batch, width)
 	if err != nil {
@@ -114,7 +120,7 @@ func TestPlanMatchesRecordedRequests(t *testing.T) {
 		recorders[i] = &recordingSource{inner: env.views[i]}
 	}
 	runSecure(t, env, func(i int) (struct{}, error) {
-		_, err := nets[i].Logits(env.ctxs[i], recorders[i], "fwd", bx[i])
+		_, err := nets[i].Logits(env.ctxs[i], recorders[i], fwd, bx[i])
 		return struct{}{}, err
 	})
 	for i, rec := range recorders {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/trustddl/trustddl/internal/fixed"
@@ -21,9 +22,13 @@ type Mat = tensor.Matrix[int64]
 // demand over the network, §III-A) and PreDealer views (offline
 // precomputation, used to separate offline from online cost).
 type TripleSource interface {
-	// MatMulTriple returns this party's share of a fresh m×n × n×p
-	// Beaver triple for the given session.
-	MatMulTriple(session string, m, n, p int) (sharing.TripleBundle, error)
+	// MatMulTriple returns this party's share of an m×n × n×p Beaver
+	// triple for the given session. mask names the weight-side mask b
+	// the triple is dealt against ("" = a fresh single-use one): the
+	// deal that first sees a name draws b, and while the dealer holds
+	// it later deals under that name return only A and C = A·b, with B
+	// empty — the caller kept its share of b from the first deal.
+	MatMulTriple(session, mask string, m, n, p int) (sharing.TripleBundle, error)
 	// HadamardTriple returns an element-wise triple of shape rows×cols.
 	HadamardTriple(session string, rows, cols int) (sharing.TripleBundle, error)
 	// AuxPositive returns shares of a random positive matrix.
@@ -40,8 +45,8 @@ type OwnerSource struct {
 var _ TripleSource = OwnerSource{}
 
 // MatMulTriple implements TripleSource.
-func (s OwnerSource) MatMulTriple(session string, m, n, p int) (sharing.TripleBundle, error) {
-	return protocol.RequestMatMulTriple(s.Ctx, session, m, n, p)
+func (s OwnerSource) MatMulTriple(session, mask string, m, n, p int) (sharing.TripleBundle, error) {
+	return protocol.RequestMatMulTriple(s.Ctx, session, mask, m, n, p)
 }
 
 // HadamardTriple implements TripleSource.
@@ -131,6 +136,79 @@ func zeroBundle(rows, cols int) sharing.Bundle {
 	return sharing.Bundle{Primary: mk(), Hat: mk(), Second: mk()}
 }
 
+// maskEpochLabel introduces the mask epoch in a pass's session label,
+// the way "?lr=" introduces a training step's learning rate.
+const maskEpochLabel = "?me="
+
+// WithMaskEpoch labels a pass's session with the mask epoch its
+// parameterised layers deal their weight masks under. The pass driver
+// picks the epoch and must change it whenever a party's weights or
+// cached masks may have changed or been lost — after a training step,
+// a (re-)provisioning, or any pass that did not complete on all three
+// parties — so that every party, in process or served, derives the
+// same mask names and the dealer sees a name exactly as long as every
+// party holds the mask that goes with it.
+func WithMaskEpoch(session string, epoch uint64) string {
+	return fmt.Sprintf("%s%s%d", session, maskEpochLabel, epoch)
+}
+
+// maskName derives the name a layer's weight mask is dealt under from
+// the layer's forward session: the epoch label and the layer's path
+// below it, without the per-pass prefix — "infer/17?me=3/l2" and
+// "infer/18?me=3/l2" both name "me=3/l2". A session without the label
+// (a training step, a bare protocol test) names no mask, and the layer
+// gets a fresh single-use triple.
+func maskName(session string) string {
+	i := strings.LastIndex(session, maskEpochLabel)
+	if i < 0 {
+		return ""
+	}
+	return session[i+1:]
+}
+
+// weightMask is what a parameterised layer keeps of the pass that
+// opened its weights: this party's share of the mask b, and the public
+// f = W − b every party decided. While the weights are unchanged and
+// the dealer still holds b under the same name, a forward pass needs
+// only an input-side pair against b and opens only e = X − A (a warm
+// pass). The zero value holds nothing, which makes the next pass cold.
+//
+// Invalidation is a privacy requirement, not a tuning choice: a second
+// weight value opened under the same b would reveal W′ − W. Every
+// assignment to a layer's W therefore zeroes its weightMask.
+type weightMask struct {
+	name string
+	b    sharing.Bundle
+	f    Mat
+}
+
+// matMul computes this party's bundle of x·w for a layer whose weights
+// are w, dealing the triple under the mask name the session implies
+// and opening w's mask only when the dealer sent a new one.
+func (wm *weightMask) matMul(ctx *protocol.Ctx, ts TripleSource, session string, x, w sharing.Bundle) (sharing.Bundle, error) {
+	name := maskName(session)
+	triple, err := ts.MatMulTriple(session+"/t", name, x.Rows(), w.Rows(), w.Cols())
+	if err != nil {
+		return sharing.Bundle{}, err
+	}
+	var f Mat
+	if triple.B.Primary.IsZeroShape() {
+		// Only (A, C): the dealer holds the mask of that name.
+		if name == "" || wm.name != name {
+			return sharing.Bundle{}, fmt.Errorf("nn: triple for %q dealt against mask %q, which this party does not hold", session, name)
+		}
+		triple.B, f = wm.b, wm.f
+	}
+	y, opened, err := protocol.SecMatMulWeightBT(ctx, session, x, w, triple, f)
+	if err != nil {
+		return sharing.Bundle{}, err
+	}
+	if name != "" && f.IsZeroShape() {
+		*wm = weightMask{name: name, b: triple.B, f: opened}
+	}
+	return y, nil
+}
+
 // SecureDense mirrors Dense over share bundles: y = x·W via
 // SecMatMul-BT.
 type SecureDense struct {
@@ -145,6 +223,7 @@ type SecureDense struct {
 	x       sharing.Bundle
 	dW      sharing.Bundle
 	vel     sharing.Bundle
+	mask    weightMask
 }
 
 var _ SecureLayer = (*SecureDense)(nil)
@@ -160,11 +239,7 @@ func NewSecureDense(w sharing.Bundle) (*SecureDense, error) {
 // Forward implements SecureLayer.
 func (d *SecureDense) Forward(ctx *protocol.Ctx, ts TripleSource, session string, x sharing.Bundle) (sharing.Bundle, error) {
 	d.x = x
-	triple, err := ts.MatMulTriple(session+"/t", x.Rows(), d.in, d.out)
-	if err != nil {
-		return sharing.Bundle{}, err
-	}
-	return protocol.SecMatMulBT(ctx, session, x, d.W, triple)
+	return d.mask.matMul(ctx, ts, session, x, d.W)
 }
 
 // Backward implements SecureLayer.
@@ -174,7 +249,7 @@ func (d *SecureDense) Backward(ctx *protocol.Ctx, ts TripleSource, session strin
 		return sharing.Bundle{}, err
 	}
 	defer releaseBundle(xt)
-	tw, err := ts.MatMulTriple(session+"/dw/t", d.in, dy.Rows(), d.out)
+	tw, err := ts.MatMulTriple(session+"/dw/t", "", d.in, dy.Rows(), d.out)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
@@ -188,7 +263,7 @@ func (d *SecureDense) Backward(ctx *protocol.Ctx, ts TripleSource, session strin
 		return sharing.Bundle{}, err
 	}
 	defer releaseBundle(wt)
-	tx, err := ts.MatMulTriple(session+"/dx/t", dy.Rows(), d.out, d.in)
+	tx, err := ts.MatMulTriple(session+"/dx/t", "", dy.Rows(), d.out, d.in)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
@@ -209,7 +284,7 @@ func (d *SecureDense) Update(params fixed.Params, lr float64) error {
 	if err != nil {
 		return fmt.Errorf("nn: secure dense update: %w", err)
 	}
-	d.W = w
+	d.W, d.mask = w, weightMask{}
 	return nil
 }
 
@@ -297,6 +372,7 @@ type SecureConv struct {
 	cols sharing.Bundle // stacked patch bundle of the last forward
 	dW   sharing.Bundle
 	vel  sharing.Bundle
+	mask weightMask
 }
 
 var _ SecureLayer = (*SecureConv)(nil)
@@ -329,11 +405,7 @@ func (c *SecureConv) Forward(ctx *protocol.Ctx, ts TripleSource, session string,
 	}
 	c.cols = cols
 	positions := c.Shape.OutHeight() * c.Shape.OutWidth()
-	triple, err := ts.MatMulTriple(session+"/t", batch*positions, c.Shape.PatchSize(), c.OutChannels)
-	if err != nil {
-		return sharing.Bundle{}, err
-	}
-	y, err := protocol.SecMatMulBT(ctx, session, cols, c.W, triple)
+	y, err := c.mask.matMul(ctx, ts, session, cols, c.W)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
@@ -357,7 +429,7 @@ func (c *SecureConv) Backward(ctx *protocol.Ctx, ts TripleSource, session string
 		return sharing.Bundle{}, err
 	}
 	defer releaseBundle(colsT)
-	tw, err := ts.MatMulTriple(session+"/dw/t", c.Shape.PatchSize(), batch*positions, c.OutChannels)
+	tw, err := ts.MatMulTriple(session+"/dw/t", "", c.Shape.PatchSize(), batch*positions, c.OutChannels)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
@@ -371,7 +443,7 @@ func (c *SecureConv) Backward(ctx *protocol.Ctx, ts TripleSource, session string
 		return sharing.Bundle{}, err
 	}
 	defer releaseBundle(wt)
-	tx, err := ts.MatMulTriple(session+"/dx/t", batch*positions, c.OutChannels, c.Shape.PatchSize())
+	tx, err := ts.MatMulTriple(session+"/dx/t", "", batch*positions, c.OutChannels, c.Shape.PatchSize())
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
@@ -396,7 +468,7 @@ func (c *SecureConv) Update(params fixed.Params, lr float64) error {
 	if err != nil {
 		return fmt.Errorf("nn: secure conv update: %w", err)
 	}
-	c.W = w
+	c.W, c.mask = w, weightMask{}
 	return nil
 }
 

@@ -14,8 +14,9 @@ import (
 // frame must round-trip to the identical bytes.
 
 // fuzzBatchReqs is a representative plan segment: every kind, both
-// dim arities, repeated keys.
+// dim arities, a named weight mask, repeated keys.
 var fuzzBatchReqs = []TripleRequest{
+	{Kind: ReqMatMul, Session: "infer/0?me=1/l0/t", M: 784, N: 25, P: 5, Mask: "me=1/l0"},
 	{Kind: ReqMatMul, Session: "train/0/fc1", M: 8, N: 784, P: 128},
 	{Kind: ReqHadamard, Session: "train/0/relu", M: 8, N: 128},
 	{Kind: ReqAux, Session: "train/0/relu", M: 8, N: 128},
@@ -45,12 +46,16 @@ func FuzzDecodeTripleBatch(f *testing.F) {
 	binary.LittleEndian.PutUint16(bad[5:], uint16(maxBatchSessionLen+1))
 	f.Add(bad)
 	// Zero dimension inside an otherwise valid item.
-	one, err := EncodeTripleBatch(fuzzBatchReqs[1:2])
+	one, err := EncodeTripleBatch(fuzzBatchReqs[2:3])
 	if err != nil {
 		f.Fatal(err)
 	}
 	bad = append([]byte(nil), one...)
 	binary.LittleEndian.PutUint32(bad[len(bad)-4:], 0)
+	f.Add(bad)
+	// Mask length beyond the cap, on the last (unnamed MatMul) item.
+	bad = append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint16(bad[len(bad)-2:], uint16(maxMaskLen+1))
 	f.Add(bad)
 	// Trailing garbage after a complete frame.
 	f.Add(append(append([]byte(nil), valid...), 0x01))
@@ -70,10 +75,10 @@ func FuzzDecodeTripleBatch(f *testing.F) {
 				t.Fatalf("accepted item %d has invalid kind: %v", i, err)
 			}
 			// (The individual path carries the session in the message
-			// envelope, so compare kind and dims only.)
+			// envelope, so compare kind, dims and mask only.)
 			noSession := r
 			noSession.Session = ""
-			if rt, err := reqFromWire(mustStep(t, r), r.dims()); err != nil || rt != noSession {
+			if rt, err := reqFromWire(mustStep(t, r), r.payload()); err != nil || rt != noSession {
 				t.Fatalf("accepted item %d does not survive the individual wire path: %+v vs %+v (%v)", i, rt, noSession, err)
 			}
 		}
@@ -136,12 +141,15 @@ func FuzzDecodeBatchPayloads(f *testing.F) {
 // request list, and anything out of spec must be rejected at encode
 // time rather than shipped malformed.
 func FuzzTripleBatchRoundTrip(f *testing.F) {
-	f.Add(byte(ReqMatMul), "s", 1, 2, 3)
-	f.Add(byte(ReqHadamard), "train/1/relu", 8, 128, 0)
-	f.Add(byte(ReqAux), string(make([]byte, maxBatchSessionLen)), 1<<24, 1, 0)
-	f.Add(byte(0), "", -1, 0, 1<<25)
-	f.Fuzz(func(t *testing.T, kind byte, session string, m, n, p int) {
-		req := TripleRequest{Kind: TripleReqKind(kind), Session: session, M: m, N: n, P: p}
+	f.Add(byte(ReqMatMul), "s", 1, 2, 3, "")
+	f.Add(byte(ReqMatMul), "infer/7?me=2/l2/t", 4, 980, 100, "me=2/l2")
+	f.Add(byte(ReqMatMul), "s", 1, 2, 3, string(make([]byte, maxMaskLen+1)))
+	f.Add(byte(ReqHadamard), "train/1/relu", 8, 128, 0, "")
+	f.Add(byte(ReqHadamard), "train/1/relu", 8, 128, 0, "m")
+	f.Add(byte(ReqAux), string(make([]byte, maxBatchSessionLen)), 1<<24, 1, 0, "")
+	f.Add(byte(0), "", -1, 0, 1<<25, "")
+	f.Fuzz(func(t *testing.T, kind byte, session string, m, n, p int, mask string) {
+		req := TripleRequest{Kind: TripleReqKind(kind), Session: session, M: m, N: n, P: p, Mask: mask}
 		buf, err := EncodeTripleBatch([]TripleRequest{req})
 		if err != nil {
 			return

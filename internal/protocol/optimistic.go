@@ -6,6 +6,7 @@ import (
 
 	"github.com/trustddl/trustddl/internal/commit"
 	"github.com/trustddl/trustddl/internal/sharing"
+	"github.com/trustddl/trustddl/internal/suspicion"
 	"github.com/trustddl/trustddl/internal/transport"
 )
 
@@ -73,6 +74,18 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 		return out
 	}
 
+	// flag excludes p for the rest of this exchange and records why, with
+	// the kinds exchangeBundles records at the same sites. Only a peer
+	// still in good standing earns evidence: one convicted earlier, or
+	// flagged earlier in this exchange, was not waited for again, and
+	// its absence is no new observation.
+	flag := func(p int, kind suspicion.Kind, at string) {
+		if !ctx.Flagged[p] && !res.flagged[p] {
+			ctx.Ledger.Record(p, kind, session, at)
+		}
+		res.flagged[p] = true
+	}
+
 	commitStep := step + "/commit"
 	partialStep := step + "/open-partial"
 	voteStep := step + "/vote"
@@ -96,7 +109,7 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 		for _, p := range peers {
 			msg, ok := msgs[p]
 			if !ok || len(msg.Payload) != 2*commit.Size {
-				res.flagged[p] = true
+				flag(p, suspicion.KindOpenTimeout, commitStep)
 				continue
 			}
 			copy(digests[p][0][:], msg.Payload[:commit.Size])
@@ -128,7 +141,7 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 	for _, p := range peers {
 		msg, ok := msgs[p]
 		if !ok {
-			res.flagged[p] = true
+			flag(p, suspicion.KindOpenTimeout, partialStep)
 			partials[p] = partialPairs(zeroBundlesLike(own))
 			continue
 		}
@@ -137,12 +150,15 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 		// frame buffer can recycle regardless of the verdict below.
 		msg.Release()
 		if err != nil || len(ms) != 2*len(own) {
-			res.flagged[p] = true
+			// Delivered but malformed: the opener shapes its own payload.
+			flag(p, suspicion.KindCommitViolation, partialStep)
 			partials[p] = partialPairs(zeroBundlesLike(own))
 			continue
 		}
+		// A peer whose digests never arrived was flagged in round 1 and
+		// not waited for here, so a failed check is a violation.
 		if ctx.Commitment && (!haveDigest[p] || !commit.Verify(digests[p][0], ms...)) {
-			res.flagged[p] = true
+			flag(p, suspicion.KindCommitViolation, partialStep)
 		}
 		pairs := make([][2]Mat, len(own))
 		shapeOK := true
@@ -153,7 +169,7 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 			}
 		}
 		if !shapeOK {
-			res.flagged[p] = true
+			flag(p, suspicion.KindCommitViolation, partialStep)
 			partials[p] = partialPairs(zeroBundlesLike(own))
 			continue
 		}
@@ -255,19 +271,19 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 	for _, p := range peers {
 		msg, ok := hatMsgs[p]
 		if !ok {
-			res.flagged[p] = true
+			flag(p, suspicion.KindOpenTimeout, hatStep)
 			hats[p] = hatMats(zeroBundlesLike(own))
 			continue
 		}
 		ms, err := transport.DecodeMatrices(msg.Payload)
 		msg.Release() // decoded hat copies own their storage
 		if err != nil || len(ms) != len(own) {
-			res.flagged[p] = true
+			flag(p, suspicion.KindCommitViolation, hatStep)
 			hats[p] = hatMats(zeroBundlesLike(own))
 			continue
 		}
 		if ctx.Commitment && (!haveDigest[p] || !commit.Verify(digests[p][1], ms...)) {
-			res.flagged[p] = true
+			flag(p, suspicion.KindCommitViolation, hatStep)
 		}
 		shapeOK := true
 		for k := range own {
@@ -276,7 +292,7 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 			}
 		}
 		if !shapeOK {
-			res.flagged[p] = true
+			flag(p, suspicion.KindCommitViolation, hatStep)
 			hats[p] = hatMats(zeroBundlesLike(own))
 			continue
 		}

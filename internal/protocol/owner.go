@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"time"
@@ -98,12 +99,25 @@ type OwnerService struct {
 	stats   OwnerStats
 	triples map[string]*tripleEntry
 	gathers map[string]*gatherEntry
+	// masks holds the weight-side masks that named MatMul requests are
+	// dealt against (TripleRequest.Mask). A name enters only once two
+	// parties collected the deal that drew its mask, and leaves only by
+	// the table's oldest-first eviction, which no single party's
+	// requests drive: one Byzantine party can neither bind a name the
+	// honest parties will use nor unbind one they hold.
+	masks sharing.MaskTable
 }
 
 type tripleEntry struct {
 	bundles [sharing.NumParties]sharing.TripleBundle
 	aux     [sharing.NumParties]sharing.Bundle
 	isAux   bool
+	// maskName is the mask the request named. mask is the plaintext b
+	// this deal drew under that name, kept until a second party
+	// collects the entry and the name is retained; it is empty for an
+	// unnamed deal and for one dealt against a mask already retained.
+	maskName string
+	mask     Mat
 	// served is the bitmask of parties already given their share. A
 	// bit, not a counter: a party re-requesting the same item (or
 	// listing it twice in a batch) must not retire the entry early —
@@ -114,12 +128,17 @@ type tripleEntry struct {
 }
 
 // payloadFor encodes one party's share of the entry, byte-identical
-// between the individual and the batched response paths.
+// between the individual and the batched response paths. A triple
+// dealt against a retained mask has no B to send: its two bundles
+// (A, C) tell the requester to use the B it kept.
 func (e *tripleEntry) payloadFor(party int) []byte {
 	if e.isAux {
 		return transport.EncodeBundle(e.aux[party-1])
 	}
 	t := e.bundles[party-1]
+	if t.B.Primary.IsZeroShape() {
+		return transport.EncodeBundles(t.A, t.C)
+	}
 	return transport.EncodeBundles(t.A, t.B, t.C)
 }
 
@@ -253,13 +272,9 @@ func (s *OwnerService) handleDeal(msg transport.Message) error {
 	if from < 1 || from > sharing.NumParties {
 		return nil // only computing parties may request triples
 	}
-	dims, err := decodeDims(msg.Payload)
+	req, err := reqFromWire(msg.Step, msg.Payload)
 	if err != nil {
-		return nil // malformed dims from a (possibly Byzantine) party: ignore
-	}
-	req, err := reqFromWire(msg.Step, dims)
-	if err != nil {
-		return nil
+		return nil // malformed request from a (possibly Byzantine) party: ignore
 	}
 	req.Session = msg.Session
 	reqs := []TripleRequest{req}
@@ -307,15 +322,19 @@ func (s *OwnerService) handleBatchDeal(msg transport.Message) error {
 
 // ensureDealt returns one dealt entry per request, dealing all missing
 // items in a single dealer batch (independent products run
-// concurrently there). Entries are keyed by (kind, session, dims) —
-// not session alone — so a Byzantine first-requester announcing wrong
-// dims for a session gets its own useless entry instead of poisoning
-// the honest parties' triple, and so batched and individual requests
-// for the same item converge on the same entry regardless of each
-// party's prefetch depth.
+// concurrently there). Entries are keyed by (kind, session, dims,
+// mask) — not session alone — so a Byzantine first-requester announcing
+// wrong dims or another mask for a session gets its own useless entry
+// instead of poisoning the honest parties' triple, and so batched and
+// individual requests for the same item converge on the same entry
+// regardless of each party's prefetch depth. Whether a named request
+// is dealt against a retained mask or draws a new one is decided here,
+// once per key: every party that collects the entry gets the same
+// answer.
 func (s *OwnerService) ensureDealt(reqs []TripleRequest) ([]*tripleEntry, error) {
 	entries := make([]*tripleEntry, len(reqs))
 	var missing []int
+	var orders []sharing.BatchOrder
 	seen := make(map[string]bool, len(reqs))
 	s.mu.Lock()
 	for i, r := range reqs {
@@ -325,15 +344,14 @@ func (s *OwnerService) ensureDealt(reqs []TripleRequest) ([]*tripleEntry, error)
 		} else if !seen[key] {
 			seen[key] = true
 			missing = append(missing, i)
+			order := r.order()
+			order.Against = s.masks.Get(r.Mask, r.N, r.P)
+			orders = append(orders, order)
 		}
 		// Duplicate keys inside one batch resolve below, after dealing.
 	}
 	s.mu.Unlock()
 	if len(missing) > 0 {
-		orders := make([]sharing.BatchOrder, len(missing))
-		for oi, i := range missing {
-			orders[oi] = reqs[i].order()
-		}
 		items, err := s.dealer.DealBatch(orders)
 		if err != nil {
 			return nil, err
@@ -347,6 +365,9 @@ func (s *OwnerService) ensureDealt(reqs []TripleRequest) ([]*tripleEntry, error)
 				continue
 			}
 			e := &tripleEntry{bundles: items[oi].Triple, aux: items[oi].Aux, isAux: items[oi].IsAux, dealtAt: now}
+			if e.maskName = reqs[i].Mask; e.maskName != "" {
+				e.mask = items[oi].Mask
+			}
 			s.triples[key] = e
 			s.stats.TriplesDealt++
 			s.Obs.Counter("owner.triples.dealt").Inc()
@@ -370,7 +391,10 @@ func (s *OwnerService) ensureDealt(reqs []TripleRequest) ([]*tripleEntry, error)
 }
 
 // markServed records that party `from` received its share of each
-// request, retiring entries once every party collected theirs.
+// request, retiring entries once every party collected theirs. The
+// second collector of a deal that drew a named mask retains the mask:
+// at least one of the two is honest, so the name is one the honest
+// parties cache under too.
 func (s *OwnerService) markServed(reqs []TripleRequest, from int) {
 	bit := uint8(1) << uint(from-1)
 	const all = uint8(1<<sharing.NumParties) - 1
@@ -383,7 +407,28 @@ func (s *OwnerService) markServed(reqs []TripleRequest, from int) {
 			continue
 		}
 		e.served |= bit
+		if !e.mask.IsZeroShape() && bits.OnesCount8(e.served) >= 2 {
+			s.retainMask(e.maskName, e.mask)
+			e.mask = Mat{}
+		}
 		if e.served == all {
+			delete(s.triples, key)
+		}
+	}
+}
+
+// retainMask binds name to b and drops every pending pair dealt
+// against a mask this unbinds (the evicted oldest name's, or name's own
+// earlier one): no later request under that name will be told of that
+// mask, and whoever collected the pair would combine it with shares of
+// another. Called with s.mu held.
+func (s *OwnerService) retainMask(name string, b Mat) {
+	unbound := s.masks.Put(name, b)
+	if unbound == "" {
+		return
+	}
+	for key, e := range s.triples {
+		if e.maskName == unbound && e.bundles[0].B.Primary.IsZeroShape() {
 			delete(s.triples, key)
 		}
 	}
@@ -577,9 +622,11 @@ func RequestHadamardTriple(ctx *Ctx, session string, rows, cols int) (sharing.Tr
 }
 
 // RequestMatMulTriple asks the model owner for a matrix-product Beaver
-// triple with a m×n and b n×p.
-func RequestMatMulTriple(ctx *Ctx, session string, m, n, p int) (sharing.TripleBundle, error) {
-	payload := encodeDims(m, n, p)
+// triple with a m×n and b n×p, dealt against the named mask (empty: a
+// single-use b). The returned B is empty when the owner still held the
+// named mask and dealt only (A, C = A·b).
+func RequestMatMulTriple(ctx *Ctx, session, mask string, m, n, p int) (sharing.TripleBundle, error) {
+	payload := TripleRequest{Kind: ReqMatMul, M: m, N: n, P: p, Mask: mask}.payload()
 	if err := ctx.Router.Send(transport.ModelOwner, session, stepTripleMatMul, payload); err != nil {
 		return sharing.TripleBundle{}, err
 	}
@@ -646,10 +693,19 @@ func AnnounceRejoin(ctx *Ctx) error {
 	return ctx.Router.Send(transport.ModelOwner, "", stepRejoin, nil)
 }
 
+// decodeTriple parses a deal response: three bundles (A, B, C), or two
+// (A, C) for a triple dealt against a mask the owner retained.
 func decodeTriple(payload []byte) (sharing.TripleBundle, error) {
-	bs, err := transport.DecodeBundles(payload, 3)
+	want := 3
+	if len(payload) >= 8 && binary.LittleEndian.Uint64(payload) == 6 { // the matrix count of two bundles
+		want = 2
+	}
+	bs, err := transport.DecodeBundles(payload, want)
 	if err != nil {
 		return sharing.TripleBundle{}, err
+	}
+	if want == 2 {
+		return sharing.TripleBundle{A: bs[0], C: bs[1]}, nil
 	}
 	return sharing.TripleBundle{A: bs[0], B: bs[1], C: bs[2]}, nil
 }

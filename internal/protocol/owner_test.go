@@ -80,7 +80,7 @@ func TestOwnerDealsMatMulTripleAndAux(t *testing.T) {
 	y, _ := tensor.FromSlice(2, 1, []float64{2, 4})
 	bx, by := shareFloats(t, env.partyEnv, x), shareFloats(t, env.partyEnv, y)
 	outs := runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.Bundle, error) {
-		triple, err := RequestMatMulTriple(ctx, "mm9", 1, 2, 1)
+		triple, err := RequestMatMulTriple(ctx, "mm9", "", 1, 2, 1)
 		if err != nil {
 			return sharing.Bundle{}, err
 		}

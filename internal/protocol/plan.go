@@ -36,25 +36,32 @@ func (k TripleReqKind) String() string {
 }
 
 // TripleRequest is one correlated-randomness requirement: the exact
-// (kind, session, dims) tuple a secure operation will request. The
-// secure network architecture is static, so the ordered list of these
-// per forward pass or training step — a triple plan — is known before
-// the first protocol round; the prefetch pipeline issues plan
+// (kind, session, dims, mask) tuple a secure operation will request.
+// The secure network architecture is static, so the ordered list of
+// these per forward pass or training step — a triple plan — is known
+// before the first protocol round; the prefetch pipeline issues plan
 // segments ahead of the layers that consume them. Hadamard and Aux
 // requests use the M×N shape with P zero; MatMul requests describe a
-// (M×N)·(N×P) product.
+// (M×N)·(N×P) product and may name the weight-side mask it is dealt
+// against.
 type TripleRequest struct {
 	Kind    TripleReqKind
 	Session string
 	M, N, P int
+	// Mask, on a MatMul request, names the N×P mask b of the right
+	// operand. While the owner retains a mask under that name it deals
+	// only the input-side pair (A, C = A·b); the first request for a
+	// name it does not hold draws b, and the reply carries B. Empty
+	// asks for a single-use triple.
+	Mask string
 }
 
-// Key is the canonical identity of a request: kind, session and dims.
-// Two requests with equal keys are interchangeable — the owner deals
-// one entry per key, and the prefetch cache matches deliveries to
-// consumers by it.
+// Key is the canonical identity of a request: kind, session, dims and
+// mask name. Two requests with equal keys are interchangeable — the
+// owner deals one entry per key, and the prefetch cache matches
+// deliveries to consumers by it.
 func (r TripleRequest) Key() string {
-	return fmt.Sprintf("%d|%s|%dx%dx%d", r.Kind, r.Session, r.M, r.N, r.P)
+	return fmt.Sprintf("%d|%s|%dx%dx%d|%s", r.Kind, r.Session, r.M, r.N, r.P, r.Mask)
 }
 
 // step maps the kind onto the owner wire-protocol step label.
@@ -80,7 +87,15 @@ func (r TripleRequest) dims() []int {
 	return []int{r.M, r.N}
 }
 
-// order converts the request into a dealer batch order.
+// payload is the body of an individual deal message: the dims as LE
+// u32s, then the mask name as the remaining bytes — none for a request
+// that names no mask.
+func (r TripleRequest) payload() []byte {
+	return append(encodeDims(r.dims()...), r.Mask...)
+}
+
+// order converts the request into a dealer batch order; the owner
+// fills in the retained mask a named request is dealt against.
 func (r TripleRequest) order() sharing.BatchOrder {
 	switch r.Kind {
 	case ReqHadamard:
@@ -92,8 +107,9 @@ func (r TripleRequest) order() sharing.BatchOrder {
 	}
 }
 
-// reqFromWire reassembles a request from an individual deal message.
-func reqFromWire(step string, dims []int) (TripleRequest, error) {
+// reqFromWire reassembles a request from an individual deal message
+// (TripleRequest.payload; the session travels in the message header).
+func reqFromWire(step string, payload []byte) (TripleRequest, error) {
 	var r TripleRequest
 	switch step {
 	case stepTripleHadamard:
@@ -105,33 +121,44 @@ func reqFromWire(step string, dims []int) (TripleRequest, error) {
 	default:
 		return TripleRequest{}, fmt.Errorf("protocol: unknown deal step %q", step)
 	}
-	want := 2
+	nd := 2
 	if r.Kind == ReqMatMul {
-		want = 3
+		nd = 3
 	}
-	if len(dims) != want {
-		return TripleRequest{}, fmt.Errorf("protocol: %s deal needs %d dims, got %d", step, want, len(dims))
+	if len(payload) < 4*nd {
+		return TripleRequest{}, fmt.Errorf("protocol: %s deal needs %d dims, got %d bytes", step, nd, len(payload))
+	}
+	dims, err := decodeDims(payload[:4*nd])
+	if err != nil {
+		return TripleRequest{}, err
+	}
+	mask := payload[4*nd:]
+	if len(mask) > maxMaskLen || (r.Kind != ReqMatMul && len(mask) != 0) {
+		return TripleRequest{}, fmt.Errorf("protocol: %s deal carries %d bytes after its dims", step, len(mask))
 	}
 	r.M, r.N = dims[0], dims[1]
 	if r.Kind == ReqMatMul {
 		r.P = dims[2]
+		r.Mask = string(mask)
 	}
 	return r, nil
 }
 
 // Wire format of the batch deal step: a request frame carries
 // `count · (kind byte, u16 session length, session bytes, dims as LE
-// u32s — 2 for Hadamard/Aux, 3 for MatMul)` after a LE u32 count; the
-// response frame carries, in request order, one length-prefixed item
-// payload each (the identical bytes an individual deal response would
-// carry). Caps keep a Byzantine requester from ballooning the owner's
-// decode work.
+// u32s — 2 for Hadamard/Aux, 3 for MatMul — and, for MatMul, u16 mask
+// length, mask bytes)` after a LE u32 count; the response frame
+// carries, in request order, one length-prefixed item payload each
+// (the identical bytes an individual deal response would carry). Caps
+// keep a Byzantine requester from ballooning the owner's decode work.
 const (
 	// maxBatchItems bounds one batch deal message. Far above any real
 	// plan segment (a Table I training step plans 13 items).
 	maxBatchItems = 1024
 	// maxBatchSessionLen bounds one item's session string.
 	maxBatchSessionLen = 512
+	// maxMaskLen bounds a mask name, in both request formats.
+	maxMaskLen = 128
 )
 
 // EncodeTripleBatch serializes a batch dealing request.
@@ -147,6 +174,9 @@ func EncodeTripleBatch(reqs []TripleRequest) ([]byte, error) {
 		if len(r.Session) == 0 || len(r.Session) > maxBatchSessionLen {
 			return nil, fmt.Errorf("protocol: batch session length %d out of range", len(r.Session))
 		}
+		if len(r.Mask) > maxMaskLen || (r.Kind != ReqMatMul && r.Mask != "") {
+			return nil, fmt.Errorf("protocol: batch %s item names mask %q", r.Kind, r.Mask)
+		}
 		buf = append(buf, byte(r.Kind))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Session)))
 		buf = append(buf, r.Session...)
@@ -155,6 +185,10 @@ func EncodeTripleBatch(reqs []TripleRequest) ([]byte, error) {
 				return nil, fmt.Errorf("protocol: implausible batch dimension %d", d)
 			}
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
+		}
+		if r.Kind == ReqMatMul {
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Mask)))
+			buf = append(buf, r.Mask...)
 		}
 	}
 	return buf, nil
@@ -208,6 +242,16 @@ func DecodeTripleBatch(buf []byte) ([]TripleRequest, error) {
 		r.M, r.N = dims[0], dims[1]
 		if nd == 3 {
 			r.P = dims[2]
+			if len(buf) < 2 {
+				return nil, fmt.Errorf("protocol: batch item %d mask length truncated", i)
+			}
+			mlen := int(binary.LittleEndian.Uint16(buf))
+			buf = buf[2:]
+			if mlen > maxMaskLen || len(buf) < mlen {
+				return nil, fmt.Errorf("protocol: batch item %d mask length %d invalid", i, mlen)
+			}
+			r.Mask = string(buf[:mlen])
+			buf = buf[mlen:]
 		}
 		out = append(out, r)
 	}

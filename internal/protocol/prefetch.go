@@ -202,11 +202,11 @@ func (p *PrefetchSource) recvSegment() error {
 }
 
 // MatMulTriple implements the TripleSource contract of internal/nn.
-func (p *PrefetchSource) MatMulTriple(session string, m, n, pp int) (sharing.TripleBundle, error) {
-	req := TripleRequest{Kind: ReqMatMul, Session: session, M: m, N: n, P: pp}
+func (p *PrefetchSource) MatMulTriple(session, mask string, m, n, pp int) (sharing.TripleBundle, error) {
+	req := TripleRequest{Kind: ReqMatMul, Session: session, M: m, N: n, P: pp, Mask: mask}
 	payload, err := p.next(req)
 	if err == errUnplanned {
-		return RequestMatMulTriple(p.ctx, session, m, n, pp)
+		return RequestMatMulTriple(p.ctx, session, mask, m, n, pp)
 	}
 	if err != nil {
 		return sharing.TripleBundle{}, err

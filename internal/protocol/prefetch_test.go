@@ -32,7 +32,7 @@ func TestPrefetchSourceDeliversPlan(t *testing.T) {
 				t.Errorf("close: %v", err)
 			}
 		}()
-		mt, err := ps.MatMulTriple("pf/l0/t", 1, 2, 1)
+		mt, err := ps.MatMulTriple("pf/l0/t", "", 1, 2, 1)
 		if err != nil {
 			return sharing.Bundle{}, err
 		}

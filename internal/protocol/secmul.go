@@ -24,87 +24,106 @@ const (
 // The Beaver triple must be fresh (single use) and of the operands'
 // shape; the model owner deals it (§III-A).
 func SecMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.TripleBundle) (sharing.Bundle, error) {
-	return secMulBT(ctx, session, x, y, triple, mulHadamard, true)
+	z, _, err := secMulBT(ctx, session, x, y, triple, Mat{}, mulHadamard, true)
+	return z, err
 }
 
 // SecMatMulBT is the adapted SecMatMul-BT protocol: identical to
 // SecMulBT with matrix products substituted for element-wise products.
 // x is m×n, y is n×p and the triple must have matching shapes.
 func SecMatMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.TripleBundle) (sharing.Bundle, error) {
-	return secMulBT(ctx, session, x, y, triple, mulMatrix, true)
+	z, _, err := secMulBT(ctx, session, x, y, triple, Mat{}, mulMatrix, true)
+	return z, err
+}
+
+// SecMatMulWeightBT is SecMatMulBT for a right operand w that stays
+// fixed over many calls (a layer's weights): the opened f = w − b is
+// returned beside z, and a caller that passes it back — with the same
+// triple.B, against which the dealer then deals only (A, C = A·b) —
+// has only e = x − A opened. An empty f opens both, exactly as
+// SecMatMulBT does. The caller must drop f and B the moment w changes:
+// opening a second w under the same b would reveal their difference.
+func SecMatMulWeightBT(ctx *Ctx, session string, x, w sharing.Bundle, triple sharing.TripleBundle, f Mat) (sharing.Bundle, Mat, error) {
+	return secMulBT(ctx, session, x, w, triple, f, mulMatrix, true)
 }
 
 // secMulBTRaw is the untruncated variant used by SecComp-BT, where the
 // product is only ever inspected for its sign and skipping the local
 // truncation avoids collapsing sub-ulp differences to zero.
 func secMulBTRaw(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.TripleBundle, kind mulKind) (sharing.Bundle, error) {
-	return secMulBT(ctx, session, x, y, triple, kind, false)
+	z, _, err := secMulBT(ctx, session, x, y, triple, Mat{}, kind, false)
+	return z, err
 }
 
-func secMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.TripleBundle, kind mulKind, truncate bool) (sharing.Bundle, error) {
+// secMulBT opens whichever of e = x − a and f = y − b is not public
+// yet (f is, when the caller passes it) in one commit-and-open
+// exchange, and returns z with the f it used.
+func secMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.TripleBundle, f Mat, kind mulKind, truncate bool) (sharing.Bundle, Mat, error) {
 	if err := x.Validate(); err != nil {
-		return sharing.Bundle{}, fmt.Errorf("protocol: SecMulBT x: %w", err)
+		return sharing.Bundle{}, Mat{}, fmt.Errorf("protocol: SecMulBT x: %w", err)
 	}
 	if err := y.Validate(); err != nil {
-		return sharing.Bundle{}, fmt.Errorf("protocol: SecMulBT y: %w", err)
+		return sharing.Bundle{}, Mat{}, fmt.Errorf("protocol: SecMulBT y: %w", err)
 	}
 
 	// Lines 1–2: mask the operands with the triple.
 	e, err := x.Sub(triple.A)
 	if err != nil {
-		return sharing.Bundle{}, fmt.Errorf("protocol: SecMulBT mask e: %w", err)
+		return sharing.Bundle{}, Mat{}, fmt.Errorf("protocol: SecMulBT mask e: %w", err)
 	}
-	f, err := y.Sub(triple.B)
-	if err != nil {
-		return sharing.Bundle{}, fmt.Errorf("protocol: SecMulBT mask f: %w", err)
+	step, opening := "e", []sharing.Bundle{e}
+	if f.IsZeroShape() {
+		fShares, err := y.Sub(triple.B)
+		if err != nil {
+			return sharing.Bundle{}, Mat{}, fmt.Errorf("protocol: SecMulBT mask f: %w", err)
+		}
+		step, opening = "ef", append(opening, fShares)
 	}
 
 	// Lines 3–14: commitment phase and share exchange for [e] and [f].
-	res, err := ctx.exchangeBundles(session, "ef", []sharing.Bundle{e, f})
+	res, err := ctx.exchangeBundles(session, step, opening)
 	if err != nil {
-		return sharing.Bundle{}, err
+		return sharing.Bundle{}, Mat{}, err
 	}
 
-	var eVal, fVal Mat
-	if res.decided != nil {
-		// Optimistic fast path: the exchange already agreed on the
-		// masked values without shipping the hat copies.
-		eVal, fVal = res.decided[0], res.decided[1]
-	} else {
-		// Lines 15–19: the six reconstructions for e and for f.
+	// The optimistic fast path already agreed on the masked values
+	// without shipping the hat copies; otherwise decide them here.
+	vals := res.decided
+	if vals == nil {
+		// Lines 15–19: the six reconstructions of each opened value.
 		recStart := ctx.obsStart()
-		recE, err := ctx.reconstructionsFor(res, 0)
-		if err != nil {
-			return sharing.Bundle{}, err
-		}
-		recF, err := ctx.reconstructionsFor(res, 1)
-		if err != nil {
-			return sharing.Bundle{}, err
+		recs := make([]*sharing.Reconstructions, len(opening))
+		for k := range opening {
+			if recs[k], err = ctx.reconstructionsFor(res, k); err != nil {
+				return sharing.Bundle{}, Mat{}, err
+			}
 		}
 		ctx.obsPhase(ctx.obsReconstruct, recStart)
-		// Line 20: joint minimum-distance decision for (e, f).
+		// Line 20: joint minimum-distance decision.
 		decideStart := ctx.obsStart()
-		vals, _, err := decideJoint(recE, recF)
+		vals, _, err = decideJoint(recs...)
 		if err != nil {
-			return sharing.Bundle{}, fmt.Errorf("protocol: SecMulBT decide: %w", err)
+			return sharing.Bundle{}, Mat{}, fmt.Errorf("protocol: SecMulBT decide: %w", err)
 		}
 		ctx.obsPhase(ctx.obsDecide, decideStart)
-		eVal, fVal = vals[0], vals[1]
-		ctx.recordDeviations(session, "ef", res, []*sharing.Reconstructions{recE, recF}, vals)
+		ctx.recordDeviations(session, step, res, recs, vals)
+	}
+	if len(vals) == 2 {
+		f = vals[1]
 	}
 
 	// Lines 21–24: local share computation z = c + e·b + a·f, with the
 	// public e·f term folded into the second share of each set (r = 2).
-	z, err := beaverCombine(triple, eVal, fVal, kind)
+	z, err := beaverCombine(triple, vals[0], f, kind)
 	if err != nil {
-		return sharing.Bundle{}, err
+		return sharing.Bundle{}, Mat{}, err
 	}
 	if truncate {
 		// z is freshly combined and exclusively ours: truncate in place
 		// instead of cloning all three shares.
 		z.TruncateInPlace(ctx.Params.FracBits)
 	}
-	return z, nil
+	return z, f, nil
 }
 
 // beaverCombine evaluates c + e∘b + a∘f on each bundle component and

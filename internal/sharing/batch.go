@@ -18,6 +18,11 @@ type BatchOrder struct {
 	M    int
 	N    int
 	P    int
+	// Against, when set on a MatMul order, is a weight-side mask b
+	// (N×P) the dealer drew earlier and still holds: the item is then
+	// the input-side pair (A, C = A·b) with B left empty — the
+	// requester kept its share of b from the deal that drew it.
+	Against Mat
 }
 
 // BatchItem is one dealt item of a batch: the per-party triple bundles
@@ -26,6 +31,10 @@ type BatchItem struct {
 	Triple [NumParties]TripleBundle
 	Aux    [NumParties]Bundle
 	IsAux  bool
+	// Mask is the plaintext b of a freshly drawn MatMul triple, for a
+	// dealer-side caller that retains it to deal later input-side
+	// pairs against (BatchOrder.Against). It never leaves the dealer.
+	Mask Mat
 }
 
 // DealBatch deals all items of one batch, drawing from the dealer's
@@ -40,7 +49,9 @@ type BatchItem struct {
 // CPU-bound triple products c = a·b / a⊙b, which consume no
 // randomness, run concurrently across items (each additionally fanning
 // out over the parallel tensor kernels). The c share sets are
-// assembled afterwards from masks pre-drawn in phase 1.
+// assembled afterwards from masks pre-drawn in phase 1. An order dealt
+// Against a retained mask skips exactly the draws of b and of b's
+// shares, so a stream with no such order is the stream it always was.
 func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 	type pending struct {
 		a, b   Mat // triple operands
@@ -79,19 +90,32 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 			return nil, fmt.Errorf("sharing: batch item %d: unknown triple kind %d", i, o.Kind)
 		}
 		var err error
+		fresh := o.Against.IsZeroShape()
+		if !fresh && (o.Kind != TripleMatMul || o.Against.Rows != o.N || o.Against.Cols != o.P) {
+			return nil, fmt.Errorf("sharing: batch item %d: %dx%d mask for a (%dx%d)·(%dx%d) order",
+				i, o.Against.Rows, o.Against.Cols, o.M, o.N, bShape[0], bShape[1])
+		}
 		if ops[i].a, err = d.uniform(o.M, o.N); err != nil {
 			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
 		}
-		if ops[i].b, err = d.uniform(bShape[0], bShape[1]); err != nil {
-			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
+		ops[i].b = o.Against
+		if fresh {
+			if ops[i].b, err = d.uniform(bShape[0], bShape[1]); err != nil {
+				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
+			}
 		}
 		// The individual path computes c here (no draws) and then shares
 		// a, b, c in that order; mirror its mask draws exactly.
 		if ops[i].as, err = d.Share(ops[i].a); err != nil {
 			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
 		}
-		if ops[i].bs, err = d.Share(ops[i].b); err != nil {
-			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
+		if fresh {
+			if ops[i].bs, err = d.Share(ops[i].b); err != nil {
+				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
+			}
+			if o.Kind == TripleMatMul {
+				out[i].Mask = ops[i].b
+			}
 		}
 		for j := 0; j < NumParties; j++ {
 			if ops[i].cMasks[j], err = d.uniform(cShape[0], cShape[1]); err != nil {

@@ -12,12 +12,17 @@ import (
 // PreDealer; the first request for a session deals, later requests
 // for the same session return the matching party slots.
 //
+// A matrix triple requested against a named weight mask follows the
+// reuse rule of the online owner: the first deal under a name draws and
+// retains b, later ones deal only the input-side pair against it.
+//
 // PreDealer is safe for concurrent use by the three party goroutines.
 type PreDealer struct {
 	mu      sync.Mutex
 	dealer  *Dealer
 	triples map[string]*preTriple
 	auxes   map[string]*preAux
+	masks   MaskTable
 }
 
 type preTriple struct {
@@ -48,18 +53,23 @@ func (p *PreDealer) View(party int) (*PreView, error) {
 	return &PreView{dealer: p, party: party}, nil
 }
 
-func (p *PreDealer) matMul(session string, m, n, q int) (*preTriple, error) {
+func (p *PreDealer) matMul(session, mask string, m, n, q int) (*preTriple, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	key := fmt.Sprintf("%s|mm|%dx%dx%d", session, m, n, q)
 	if e, ok := p.triples[key]; ok {
 		return e, nil
 	}
-	bs, err := p.dealer.MatMulTriple(m, n, q)
+	// A one-order batch draws exactly what MatMulTriple would.
+	order := BatchOrder{Kind: TripleMatMul, M: m, N: n, P: q, Against: p.masks.Get(mask, n, q)}
+	items, err := p.dealer.DealBatch([]BatchOrder{order})
 	if err != nil {
 		return nil, err
 	}
-	e := &preTriple{bundles: bs}
+	if mask != "" && order.Against.IsZeroShape() {
+		p.masks.Put(mask, items[0].Mask)
+	}
+	e := &preTriple{bundles: items[0].Triple}
 	p.triples[key] = e
 	return e, nil
 }
@@ -120,9 +130,10 @@ type PreView struct {
 }
 
 // MatMulTriple returns this party's share of the session's matrix
-// Beaver triple.
-func (v *PreView) MatMulTriple(session string, m, n, q int) (TripleBundle, error) {
-	e, err := v.dealer.matMul(session, m, n, q)
+// Beaver triple; B is empty when the triple was dealt against a mask
+// the dealer already held under that name.
+func (v *PreView) MatMulTriple(session, mask string, m, n, q int) (TripleBundle, error) {
+	e, err := v.dealer.matMul(session, mask, m, n, q)
 	if err != nil {
 		return TripleBundle{}, err
 	}

@@ -88,10 +88,12 @@ func StackBundles(parts []Bundle) (Bundle, error) {
 // triple and Rows[r] the single-row triple of row r, with Batch.A and
 // Batch.C the share-level row-stacks of the row slices and Batch.B the
 // common weight-side mask (for matrix triples) or the row-stack (for
-// Hadamard triples).
+// Hadamard triples). Mask is the plaintext of that common mask when
+// this dealing drew it, for the dealer-side caller that retains it.
 type RowTriples struct {
 	Batch [NumParties]TripleBundle
 	Rows  [][NumParties]TripleBundle
+	Mask  Mat
 }
 
 // RowAux is a row-decomposable auxiliary-positive family.
@@ -113,18 +115,31 @@ func (d *Dealer) RowMatMulTriples(m, n, p int) (RowTriples, error) {
 // several rows per image (the im2col-lowered convolution: positions
 // rows per image) decompose per image at this granularity.
 func (d *Dealer) BlockMatMulTriples(blocks, unit, n, p int) (RowTriples, error) {
+	return d.blockMatMul(blocks, unit, n, p, Mat{})
+}
+
+// blockMatMul is BlockMatMulTriples, or — given a retained n×p mask to
+// deal against — only its input side: the blocks' (aᵣ, cᵣ = aᵣ·b) with
+// every B left empty, as in BatchOrder.Against.
+func (d *Dealer) blockMatMul(blocks, unit, n, p int, against Mat) (RowTriples, error) {
 	if blocks < 1 || unit < 1 {
 		return RowTriples{}, fmt.Errorf("sharing: block triple %d×%d", blocks, unit)
 	}
-	b, err := d.uniform(n, p)
-	if err != nil {
-		return RowTriples{}, err
-	}
-	bShares, err := d.Share(b)
-	if err != nil {
-		return RowTriples{}, err
-	}
 	out := RowTriples{Rows: make([][NumParties]TripleBundle, blocks)}
+	b := against
+	var bShares [NumParties]Bundle
+	if b.IsZeroShape() {
+		var err error
+		if b, err = d.uniform(n, p); err != nil {
+			return RowTriples{}, err
+		}
+		if bShares, err = d.Share(b); err != nil {
+			return RowTriples{}, err
+		}
+		out.Mask = b
+	} else if b.Rows != n || b.Cols != p {
+		return RowTriples{}, fmt.Errorf("sharing: %dx%d mask for a block triple over %dx%d", b.Rows, b.Cols, n, p)
+	}
 	aParts := make([][]Bundle, NumParties)
 	cParts := make([][]Bundle, NumParties)
 	for r := 0; r < blocks; r++ {
@@ -255,6 +270,7 @@ type RowPreDealer struct {
 	mu      sync.Mutex
 	dealer  *Dealer
 	rows    int
+	masks   MaskTable
 	mats    map[string]*RowTriples
 	hads    map[string]*RowTriples
 	auxes   map[string]*RowAux
@@ -299,16 +315,20 @@ func (p *RowPreDealer) RowView(party, row int) (*RowView, error) {
 	return &RowView{dealer: p, party: party, row: row}, nil
 }
 
-func (p *RowPreDealer) matFamily(session string, unit, n, q int) (*RowTriples, error) {
+func (p *RowPreDealer) matFamily(session, mask string, unit, n, q int) (*RowTriples, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	key := fmt.Sprintf("%s|mm|%d|%dx%d", session, unit, n, q)
 	if e, ok := p.mats[key]; ok {
 		return e, nil
 	}
-	rt, err := p.dealer.BlockMatMulTriples(p.rows, unit, n, q)
+	against := p.masks.Get(mask, n, q)
+	rt, err := p.dealer.blockMatMul(p.rows, unit, n, q, against)
 	if err != nil {
 		return nil, err
+	}
+	if mask != "" && against.IsZeroShape() {
+		p.masks.Put(mask, rt.Mask)
 	}
 	p.mats[key] = &rt
 	return &rt, nil
@@ -413,8 +433,10 @@ func (v *RowView) unitFor(m int) int {
 
 // MatMulTriple serves the session's row-stable matrix triple slice
 // when the leading dimension decomposes over the batch, and a shared
-// flat dealing otherwise.
-func (v *RowView) MatMulTriple(session string, m, n, q int) (TripleBundle, error) {
+// flat dealing otherwise. A family requested against a named weight
+// mask is dealt against the one the dealer retains under that name (B
+// comes back empty); the flat fallback always deals a fresh mask.
+func (v *RowView) MatMulTriple(session, mask string, m, n, q int) (TripleBundle, error) {
 	unit := v.unitFor(m)
 	if unit == 0 {
 		bs, err := v.dealer.flatMat(session, m, n, q)
@@ -423,7 +445,7 @@ func (v *RowView) MatMulTriple(session string, m, n, q int) (TripleBundle, error
 		}
 		return bs[v.party-1], nil
 	}
-	fam, err := v.dealer.matFamily(session, unit, n, q)
+	fam, err := v.dealer.matFamily(session, mask, unit, n, q)
 	if err != nil {
 		return TripleBundle{}, err
 	}

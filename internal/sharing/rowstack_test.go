@@ -165,7 +165,7 @@ func TestRowPreDealerViews(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := bv.MatMulTriple("s1", 3, 4, 2)
+		batch, err := bv.MatMulTriple("s1", "", 3, 4, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestRowPreDealerViews(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			row, err := rv.MatMulTriple("s1", 1, 4, 2)
+			row, err := rv.MatMulTriple("s1", "", 1, 4, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,11 +187,11 @@ func TestRowPreDealerViews(t *testing.T) {
 	// A batch-view request whose leading dimension does not divide the
 	// batch falls back to a flat dealing; repeated requests are stable.
 	bv, _ := p.BatchView(1)
-	f1, err := bv.MatMulTriple("dw", 4, 3, 2) // 4 does not divide over batch 3
+	f1, err := bv.MatMulTriple("dw", "", 4, 3, 2) // 4 does not divide over batch 3
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1again, err := bv.MatMulTriple("dw", 4, 3, 2)
+	f1again, err := bv.MatMulTriple("dw", "", 4, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestRowPreDealerViews(t *testing.T) {
 	// A divisible leading dimension decomposes at block granularity:
 	// a 6-row batch request over batch 3 serves 2-row blocks, and the
 	// row view's 2-row request resolves to block r.
-	blockBatch, err := bv.MatMulTriple("conv", 6, 4, 2)
+	blockBatch, err := bv.MatMulTriple("conv", "", 6, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRowPreDealerViews(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blk, err := rv.MatMulTriple("conv", 2, 4, 2)
+		blk, err := rv.MatMulTriple("conv", "", 2, 4, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
