@@ -2,9 +2,7 @@
 // through the full deployment (data owner sharing, three parties,
 // model-owner dealing and reveal) must agree with N sequential
 // single-image passes, stay deterministic across identical
-// deployments, survive a consistent liar, and consume a prefetched
-// triple stream that does not drift when the batch size varies
-// mid-session.
+// deployments, and survive a consistent liar.
 package trustddl_test
 
 import (
@@ -13,7 +11,6 @@ import (
 	"testing"
 
 	trustddl "github.com/trustddl/trustddl"
-	"github.com/trustddl/trustddl/internal/nn"
 )
 
 // batchCluster builds a fresh malicious-mode cluster with Table I
@@ -154,102 +151,6 @@ func TestBatchInferUnderConsistentLiar(t *testing.T) {
 	for i := range wantLabels {
 		if gotLabels[i] != wantLabels[i] {
 			t.Fatalf("image %d: label %d under liar vs %d honest", i, gotLabels[i], wantLabels[i])
-		}
-	}
-}
-
-// mixedBatchRun drives a session whose batch size changes between
-// steps — the shape every serving deployment produces under dynamic
-// batching — on a fresh cluster with the given prefetch depth, and
-// returns the final weights plus all predicted labels.
-func mixedBatchRun(t *testing.T, depth int) ([]nn.Mat64, []int) {
-	t.Helper()
-	cluster, err := trustddl.New(trustddl.Config{
-		Mode:          trustddl.HonestButCurious,
-		Triples:       trustddl.OnlineDealing,
-		Seed:          29,
-		PrefetchDepth: depth,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cluster.Close() }()
-	w, err := trustddl.InitPaperWeights(29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := cluster.NewRun(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := trustddl.SyntheticDataset(29, 10)
-	var labels []int
-	step := func(op func() ([]int, error)) {
-		t.Helper()
-		got, err := op()
-		if err != nil {
-			t.Fatal(err)
-		}
-		labels = append(labels, got...)
-	}
-	// Train and infer with four different batch sizes, interleaved, so
-	// every step's triple plan has different shapes than its neighbors'.
-	if err := run.TrainBatch(ds.Images[:2], 0.1); err != nil {
-		t.Fatal(err)
-	}
-	step(func() ([]int, error) { return run.InferBatch(context.Background(), ds.Images[2:5]) })
-	if err := run.TrainBatch(ds.Images[5:6], 0.1); err != nil {
-		t.Fatal(err)
-	}
-	step(func() ([]int, error) { return run.InferBatch(context.Background(), ds.Images[6:10]) })
-	step(func() ([]int, error) {
-		label, err := run.Infer(ds.Images[0])
-		return []int{label}, err
-	})
-	weights, err := run.WeightMatrices()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return weights, labels
-}
-
-// TestBatchedPrefetchStableAcrossBatchSizes is the prefetch pinning for
-// batched plans: when the batch size varies mid-session, the pipelined
-// triple stream must stay bit-identical to on-demand dealing at every
-// depth — a depth that straddles step boundaries must not let one
-// step's plan segments bleed into the next step's dealing order.
-func TestBatchedPrefetchStableAcrossBatchSizes(t *testing.T) {
-	type outcome struct {
-		depth   int
-		weights []nn.Mat64
-		labels  []int
-	}
-	ref := outcome{depth: -1}
-	ref.weights, ref.labels = mixedBatchRun(t, -1) // forced on-demand dealing
-	for _, depth := range []int{3, 32} {
-		weights, labels := mixedBatchRun(t, depth)
-		if len(labels) != len(ref.labels) {
-			t.Fatalf("depth %d: %d labels, on-demand %d", depth, len(labels), len(ref.labels))
-		}
-		for i := range labels {
-			if labels[i] != ref.labels[i] {
-				t.Fatalf("depth %d image %d: label %d, on-demand %d", depth, i, labels[i], ref.labels[i])
-			}
-		}
-		if len(weights) != len(ref.weights) {
-			t.Fatalf("depth %d: %d weight matrices, on-demand %d", depth, len(weights), len(ref.weights))
-		}
-		for wi := range weights {
-			a, b := weights[wi], ref.weights[wi]
-			if a.Rows != b.Rows || a.Cols != b.Cols {
-				t.Fatalf("depth %d weight %d: shape %dx%d vs %dx%d", depth, wi, a.Rows, a.Cols, b.Rows, b.Cols)
-			}
-			for i := range a.Data {
-				if a.Data[i] != b.Data[i] {
-					t.Fatalf("depth %d weight %d element %d: %v, on-demand %v (triple stream drifted)",
-						depth, wi, i, a.Data[i], b.Data[i])
-				}
-			}
 		}
 	}
 }

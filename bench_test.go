@@ -281,66 +281,6 @@ func BenchmarkAblation_WANLatency5ms(b *testing.B) {
 	})
 }
 
-// benchTriples measures a single-image secure step over an
-// injected-latency transport at one prefetch pipeline depth — the
-// offline-phase experiment behind BENCH_triples.json. Depth -1 is
-// today's on-demand dealing (~one owner round-trip per secure layer,
-// serialized with the online rounds); positive depths fetch the triple
-// plan in batched segments whose round-trips overlap layer compute.
-func benchTriples(b *testing.B, depth int, task string) {
-	b.Helper()
-	base := trustddl.NewChanNetwork()
-	defer base.Close()
-	cluster, err := trustddl.New(trustddl.Config{
-		Mode:          trustddl.HonestButCurious,
-		Triples:       trustddl.OnlineDealing,
-		Net:           trustddl.WithLatency(base, 2*time.Millisecond),
-		Seed:          7,
-		PrefetchDepth: depth,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cluster.Close()
-	w, err := trustddl.InitPaperWeights(7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run, err := cluster.NewRun(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := trustddl.SyntheticDataset(7, 1).Images[0]
-	if _, err := run.Infer(img); err != nil { // warm-up
-		b.Fatal(err)
-	}
-	cluster.ResetStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		switch task {
-		case "train":
-			if err := run.TrainBatch([]mnist.Image{img}, 0.05); err != nil {
-				b.Fatal(err)
-			}
-		case "infer":
-			if _, err := run.Infer(img); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	st := cluster.Stats()
-	b.ReportMetric(st.MegaBytes()/float64(b.N), "MB/op")
-	b.ReportMetric(float64(st.PerActor[trustddl.ModelOwner].RecvMessages)/float64(b.N), "ownermsgs/op")
-}
-
-func BenchmarkTriples_Inference_OnDemand(b *testing.B) { benchTriples(b, -1, "infer") }
-func BenchmarkTriples_Inference_Depth4(b *testing.B)   { benchTriples(b, 4, "infer") }
-func BenchmarkTriples_Inference_Depth32(b *testing.B)  { benchTriples(b, 32, "infer") }
-func BenchmarkTriples_Training_OnDemand(b *testing.B)  { benchTriples(b, -1, "train") }
-func BenchmarkTriples_Training_Depth4(b *testing.B)    { benchTriples(b, 4, "train") }
-func BenchmarkTriples_Training_Depth32(b *testing.B)   { benchTriples(b, 32, "train") }
-
 // benchBatchInference measures a batched secure forward pass,
 // reporting per-image communication (the amortization the paper's
 // single-image microbenchmarks deliberately exclude).

@@ -36,28 +36,6 @@ func Fig2(cfg Fig2Config) (Fig2Result, error) { return bench.Fig2(cfg) }
 // FormatFig2 renders the accuracy table corresponding to Fig. 2.
 func FormatFig2(res Fig2Result) string { return bench.FormatFig2(res) }
 
-// TriplesConfig parameterizes the offline-phase triple pipeline
-// measurement: single-image steps over a latency-injected transport,
-// once per prefetch depth.
-type TriplesConfig = bench.TriplesConfig
-
-// TriplesRow is one measured prefetch depth.
-type TriplesRow = bench.TriplesRow
-
-// Triples measures how much online latency and owner-bound traffic
-// the prefetched, batch-dealt correlated randomness removes.
-func Triples(cfg TriplesConfig) ([]TriplesRow, error) { return bench.Triples(cfg) }
-
-// WriteTriplesJSON persists a Triples measurement (BENCH_triples.json).
-func WriteTriplesJSON(path string, cfg TriplesConfig, rows []TriplesRow) error {
-	return bench.WriteTriplesJSON(path, cfg, rows)
-}
-
-// FormatTriples renders a Triples measurement as a table.
-func FormatTriples(cfg TriplesConfig, rows []TriplesRow) string {
-	return bench.FormatTriples(cfg, rows)
-}
-
 // ServeConfig parameterizes the serving measurement: the Table I
 // network behind the trustddl-serve gateway, measured once per
 // dynamic-batch limit.

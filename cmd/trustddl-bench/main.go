@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	trustddl-bench [-iters N] [-seed S] [-frameworks a,b,...] [-parallelism P] [-prefetch-depth N]
+//	trustddl-bench [-iters N] [-seed S] [-frameworks a,b,...] [-parallelism P]
 //	               [-pooling=true] [-bulk-codec=true]
 //	               [-obs] [-obs-json PATH] [-metrics-addr HOST:PORT]
 //	               [-serve] [-serve-batches 1,2,4,8] [-serve-json PATH]
@@ -66,7 +66,6 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 1, "deterministic seed for weights, data and shares")
 	frameworks := fs.String("frameworks", "", "comma-separated framework filter (SecureNN, Falcon, SafeML, TrustDDL); empty runs all")
 	parallelism := fs.Int("parallelism", 0, "tensor-kernel worker goroutines (0 = NumCPU, 1 = serial)")
-	prefetchDepth := fs.Int("prefetch-depth", 0, "triple prefetch pipeline depth for the TrustDDL rows (0 = on-demand dealing)")
 	obsRun := fs.Bool("obs", false, "run the observability benchmark (per-phase latency histograms + instrumentation overhead) instead of Table II")
 	obsJSON := fs.String("obs-json", "", "with -obs, also write the report to this file (e.g. BENCH_obs.json)")
 	metricsAddr := fs.String("metrics-addr", "", "with -obs, serve the live registry on this address while the benchmark runs")
@@ -103,10 +102,10 @@ func run(args []string) error {
 		return runServe(*seed, *serveBatches, *serveJSON)
 	}
 	if *obsRun || *obsJSON != "" {
-		return runObs(*iters, *seed, *parallelism, *prefetchDepth, *obsJSON, *metricsAddr)
+		return runObs(*iters, *seed, *parallelism, *obsJSON, *metricsAddr)
 	}
 
-	cfg := trustddl.Table2Config{Iterations: *iters, Seed: *seed, Parallelism: *parallelism, PrefetchDepth: *prefetchDepth}
+	cfg := trustddl.Table2Config{Iterations: *iters, Seed: *seed, Parallelism: *parallelism}
 	if *frameworks != "" {
 		cfg.Frameworks = strings.Split(*frameworks, ",")
 	}
@@ -224,12 +223,11 @@ func runServe(seed uint64, batches, jsonPath string) error {
 
 // runObs drives the observability benchmark, optionally serving the
 // live registry while it runs and persisting the report.
-func runObs(iters int, seed uint64, parallelism, prefetchDepth int, jsonPath, metricsAddr string) error {
+func runObs(iters int, seed uint64, parallelism int, jsonPath, metricsAddr string) error {
 	cfg := trustddl.ObsConfig{
-		Iterations:    iters,
-		Seed:          seed,
-		Parallelism:   parallelism,
-		PrefetchDepth: prefetchDepth,
+		Iterations:  iters,
+		Seed:        seed,
+		Parallelism: parallelism,
 	}
 	if metricsAddr != "" {
 		cfg.Registry = trustddl.NewObsRegistry("bench")

@@ -11,7 +11,7 @@
 //	  -addrs "1=10.0.0.1:7001,2=10.0.0.2:7001,3=10.0.0.3:7001,4=10.0.0.4:7001,5=10.0.0.5:7001" \
 //	  -key <seed-hex> -peer-keys "1=<pub>,2=<pub>,3=<pub>,4=<pub>,5=<pub>" \
 //	  [-hbc] [-timeout 5s] [-send-timeout 2s] [-dial-timeout 2s] \
-//	  [-send-retries 3] [-retry-backoff 50ms] [-prefetch-depth N] \
+//	  [-send-retries 3] [-retry-backoff 50ms] \
 //	  [-pooling=true] [-bulk-codec=true]
 //
 // The actor IDs are: 1..3 computing parties, 4 model owner, 5 data
@@ -66,7 +66,6 @@ func run(args []string) error {
 	dialTimeout := fs.Duration("dial-timeout", 0, "per-attempt dial+handshake deadline (0 = transport default)")
 	sendRetries := fs.Int("send-retries", 0, "send attempts incl. redials per message (0 = transport default)")
 	retryBackoff := fs.Duration("retry-backoff", 0, "initial redial backoff, doubled per retry (0 = transport default)")
-	prefetchDepth := fs.Int("prefetch-depth", 0, "triple prefetch pipeline depth (0 = off, n = batched segments of n requests)")
 	rejoin := fs.Bool("rejoin", false, "announce this party as a restarted member so the driver re-provisions it from the latest checkpoint")
 	metricsAddr := fs.String("metrics-addr", "", "serve live metrics on this address (/metrics JSON snapshot, /debug/vars, /debug/pprof); empty disables")
 	genKey := fs.Bool("genkey", false, "generate a fresh ed25519 identity (seed + public key) and exit")
@@ -156,7 +155,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("trustddl-party: P%d serving at %s (%s mode, F=%d)\n",
 		*partyID, addrMap[*partyID], mode, *fracBits)
-	err = core.ServePartyOpts(ctx, nn.OwnerSource{Ctx: ctx}, core.ServeOptions{PrefetchDepth: *prefetchDepth, Rejoin: *rejoin})
+	err = core.ServePartyOpts(ctx, nn.OwnerSource{Ctx: ctx}, core.ServeOptions{Rejoin: *rejoin})
 	// Unblock the signal goroutine on normal exit.
 	signal.Stop(sigs)
 	close(sigs)

@@ -33,7 +33,7 @@
 //
 //	trustddl-serve [-addr 127.0.0.1:8088] [-max-batch 8] [-max-delay 2ms]
 //	               [-queue 256] [-metrics-addr :9090] [-model FILE]
-//	               [-seed 1] [-hbc] [-optimistic] [-prefetch-depth 0]
+//	               [-seed 1] [-hbc] [-optimistic]
 //	               [-committees 1] [-parallelism P]
 //	               [-request-timeout 30s] [-retry-budget 1] [-probe-every 1s]
 //	               [-chaos-stall-committee 0] [-chaos-stall-after 5s] [-chaos-stall-for 10s]
@@ -81,7 +81,6 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 1, "deterministic seed")
 	hbc := fs.Bool("hbc", false, "honest-but-curious mode (no commitment phase)")
 	optimistic := fs.Bool("optimistic", false, "reduced-redundancy opening (§V future work)")
-	prefetch := fs.Int("prefetch-depth", 0, "triple pipeline depth (0 = default, -1 = on-demand dealing)")
 	committees := fs.Int("committees", 1, "independent 3-party committees serving in parallel (one gateway dispatcher each)")
 	requestTimeout := fs.Duration("request-timeout", 30*time.Second, "per-pass deadline; an expired batch is retried on another engine (negative: no deadline)")
 	retryBudget := fs.Int("retry-budget", 1, "re-dispatches allowed per request after a failed or expired pass (negative: none)")
@@ -142,12 +141,11 @@ func run(args []string) error {
 	var gw *serve.Gateway
 	if *committees > 1 {
 		ccfg := trustddl.CommitteeConfig{
-			Committees:    *committees,
-			Mode:          mode,
-			Seed:          *seed,
-			Optimistic:    *optimistic,
-			PrefetchDepth: *prefetch,
-			Obs:           reg,
+			Committees: *committees,
+			Mode:       mode,
+			Seed:       *seed,
+			Optimistic: *optimistic,
+			Obs:        reg,
 		}
 		// The chaos window wires a gated stalled-writer interceptor into
 		// the target committee at construction; the schedule below opens
@@ -200,11 +198,10 @@ func run(args []string) error {
 		}(gw)
 	} else {
 		cluster, err := trustddl.New(trustddl.Config{
-			Mode:          mode,
-			Seed:          *seed,
-			Optimistic:    *optimistic,
-			PrefetchDepth: *prefetch,
-			Obs:           reg,
+			Mode:       mode,
+			Seed:       *seed,
+			Optimistic: *optimistic,
+			Obs:        reg,
 		})
 		if err != nil {
 			return err

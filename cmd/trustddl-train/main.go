@@ -13,7 +13,7 @@
 //
 //	trustddl-train [-epochs 5] [-train 300] [-test 100] [-batch 10]
 //	               [-lr 0.1] [-seed 1] [-data DIR] [-print-config]
-//	               [-parallelism P] [-prefetch-depth N]
+//	               [-parallelism P]
 //	               [-checkpoint-dir DIR] [-checkpoint-every N] [-resume]
 //	               [-suspicion-tol T] [-committees N] [-aggregate RULE]
 //	               [-poison-committee ID] [-pooling=true] [-bulk-codec=true]
@@ -67,7 +67,6 @@ func run(args []string) error {
 	sweep := fs.Bool("sweep-precision", false, "sweep fixed-point precisions instead of running Fig. 2")
 	savePath := fs.String("save", "", "after training, save the secure-trained model to this file")
 	parallelism := fs.Int("parallelism", 0, "tensor-kernel worker goroutines (0 = NumCPU, 1 = serial)")
-	prefetchDepth := fs.Int("prefetch-depth", 0, "triple prefetch pipeline depth for online dealing (0 = on-demand)")
 	ckptDir := fs.String("checkpoint-dir", "", "run the secure engine as a fault-tolerant session, checkpointing to this directory")
 	ckptEvery := fs.Int("checkpoint-every", 0, "mid-epoch checkpoint cadence in batches (0 = end of epoch only)")
 	resume := fs.Bool("resume", false, "continue from the checkpoint in -checkpoint-dir instead of starting fresh")
@@ -85,9 +84,6 @@ func run(args []string) error {
 		// Applies process-wide, so -sweep-precision and -save paths pick
 		// it up too.
 		trustddl.SetParallelism(*parallelism)
-	}
-	if *prefetchDepth > 0 {
-		trustddl.SetPrefetchDepth(*prefetchDepth)
 	}
 	trustddl.SetPooling(*pooling)
 	trustddl.SetBulkCodec(*bulkCodec)

@@ -15,7 +15,6 @@ import (
 	"github.com/trustddl/trustddl/internal/mnist"
 	"github.com/trustddl/trustddl/internal/nn"
 	"github.com/trustddl/trustddl/internal/obs"
-	"github.com/trustddl/trustddl/internal/protocol"
 	"github.com/trustddl/trustddl/internal/tensor"
 )
 
@@ -55,10 +54,6 @@ type Table2Config struct {
 	// kernels every framework's local linear algebra runs on
 	// (0 = leave the process-wide setting, 1 = serial).
 	Parallelism int
-	// PrefetchDepth sets the process-wide triple prefetch pipeline
-	// depth for the TrustDDL rows (0 = leave the process-wide
-	// setting; on-demand dealing unless configured otherwise).
-	PrefetchDepth int
 }
 
 // frameworkFactory builds one Table II system under test.
@@ -96,9 +91,6 @@ func factories() []frameworkFactory {
 func Table2(cfg Table2Config) ([]Table2Row, error) {
 	if cfg.Parallelism > 0 {
 		tensor.SetParallelism(cfg.Parallelism)
-	}
-	if cfg.PrefetchDepth > 0 {
-		protocol.SetDefaultPrefetchDepth(cfg.PrefetchDepth)
 	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 3

@@ -12,7 +12,6 @@ import (
 	"github.com/trustddl/trustddl/internal/mnist"
 	"github.com/trustddl/trustddl/internal/nn"
 	"github.com/trustddl/trustddl/internal/obs"
-	"github.com/trustddl/trustddl/internal/protocol"
 	"github.com/trustddl/trustddl/internal/tensor"
 )
 
@@ -31,9 +30,6 @@ type ObsConfig struct {
 	// Parallelism sets the tensor-kernel worker count
 	// (0 = process-wide setting).
 	Parallelism int
-	// PrefetchDepth sets the triple prefetch pipeline depth
-	// (0 = process-wide setting).
-	PrefetchDepth int
 	// Registry, when non-nil, is the registry the instrumented cluster
 	// reports into (so a -metrics-addr listener can watch the benchmark
 	// live). Nil creates a private one.
@@ -85,9 +81,6 @@ type ObsResult struct {
 func MeasureObs(cfg ObsConfig) (ObsResult, error) {
 	if cfg.Parallelism > 0 {
 		tensor.SetParallelism(cfg.Parallelism)
-	}
-	if cfg.PrefetchDepth > 0 {
-		protocol.SetDefaultPrefetchDepth(cfg.PrefetchDepth)
 	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 3

@@ -61,9 +61,6 @@ type Config struct {
 	Seed uint64
 	// Timeout is each committee's per-message receive timer.
 	Timeout time.Duration
-	// PrefetchDepth is passed through to each committee (see
-	// core.Config).
-	PrefetchDepth int
 	// Optimistic enables the reduced-redundancy opening per committee.
 	Optimistic bool
 	// SuspicionThreshold configures both each committee's internal
@@ -256,7 +253,6 @@ func (c *Coordinator) startMember(id int) (*member, error) {
 		Adversaries:        c.cfg.Adversaries[id],
 		Interceptors:       c.cfg.Interceptors[id],
 		Optimistic:         c.cfg.Optimistic,
-		PrefetchDepth:      c.cfg.PrefetchDepth,
 		SuspicionThreshold: c.cfg.SuspicionThreshold,
 		SuspicionTolerance: c.cfg.SuspicionTolerance,
 		Obs:                c.cfg.Obs,

@@ -90,13 +90,6 @@ type Config struct {
 	// partial reconstructions disagree, trading one vote round for one
 	// third of the opening volume in the honest case.
 	Optimistic bool
-	// PrefetchDepth pipelines online triple dealing: each party derives
-	// the pass's triple plan and fetches it in batched segments of this
-	// many requests, overlapping owner round-trips with the layer
-	// compute/exchange rounds. 0 selects the process-wide default
-	// (protocol.SetDefaultPrefetchDepth, normally off), negative forces
-	// the on-demand path. Only effective with OnlineDealing.
-	PrefetchDepth int
 	// RemoteParties indicates the computing parties run in other
 	// processes (cmd/trustddl-party with ServeParty); the cluster then
 	// acts purely as the owners' driver and does not attach the party
@@ -252,10 +245,9 @@ func New(cfg Config) (*Cluster, error) {
 	c.ownerEP = ownerEP
 	c.ownerSvc = protocol.NewOwnerService(ownerEP, c.modelDlr)
 	// Delegated-function results draw from their own stream so the
-	// triple stream depends only on the deal order — the prefetch
-	// pipeline's depth-N outputs stay bit-identical to on-demand
-	// dealing regardless of how its round-trips interleave with
-	// softmax calls.
+	// triple stream depends only on the deal order — the pipelined
+	// source's outputs stay bit-identical to on-demand dealing however
+	// its round trips interleave with softmax calls.
 	c.ownerSvc.Resharer = sharing.NewDealer(newSource(4), cfg.Params)
 	if cfg.Timeout > 0 {
 		// The owner's gather expiry must undercut the parties' receive

@@ -17,8 +17,12 @@ type passCost struct {
 	PartyBytes int64 // sent by the three computing parties
 	OwnerBytes int64 // sent by the model owner and the data owner
 	Messages   int64 // frames, all actors
-	Exchanges  int64 // commit-and-open rounds, summed over the parties
-	Triples    int   // triples, pairs and auxiliary matrices dealt
+	// OwnerRequests are the frames the model owner received: the
+	// parties' deal requests (one per plan segment, DESIGN.md §9) and
+	// delegated softmax calls.
+	OwnerRequests int64
+	Exchanges     int64 // commit-and-open rounds, summed over the parties
+	Triples       int   // triples, pairs and auxiliary matrices dealt
 }
 
 // TestCostModelGolden pins the exact cost of the four operations the
@@ -50,9 +54,10 @@ func TestCostModelGolden(t *testing.T) {
 		}
 		after := c.Stats()
 		cost := passCost{
-			Messages:  after.Messages - wire.Messages,
-			Exchanges: reg.Counter("protocol.exchanges").Value() - exchanges,
-			Triples:   c.OwnerStats().TriplesDealt - owner.TriplesDealt,
+			Messages:      after.Messages - wire.Messages,
+			OwnerRequests: after.PerActor[transport.ModelOwner].RecvMessages - wire.PerActor[transport.ModelOwner].RecvMessages,
+			Exchanges:     reg.Counter("protocol.exchanges").Value() - exchanges,
+			Triples:       c.OwnerStats().TriplesDealt - owner.TriplesDealt,
 		}
 		for actor := 1; actor <= transport.NumActors; actor++ {
 			sent := after.PerActor[actor].Bytes - wire.PerActor[actor].Bytes
@@ -76,10 +81,10 @@ func TestCostModelGolden(t *testing.T) {
 		op   func() error
 		want passCost
 	}{
-		{"cold b1 pass", infer(1), passCost{PartyBytes: 15609942, OwnerBytes: 8015961, Messages: 132, Exchanges: 21, Triples: 7}},
-		{"warm b1 pass", infer(1), passCost{PartyBytes: 1335474, OwnerBytes: 878745, Messages: 132, Exchanges: 21, Triples: 7}},
-		{"warm b4 pass", infer(4), passCost{PartyBytes: 5320674, OwnerBytes: 3508329, Messages: 132, Exchanges: 21, Triples: 7}},
-		{"b8 training step", func() error { return run.TrainBatch(images, 0.05) }, passCost{PartyBytes: 48590508, OwnerBytes: 36584640, Messages: 246, Exchanges: 39, Triples: 13}},
+		{"cold b1 pass", infer(1), passCost{PartyBytes: 15609903, OwnerBytes: 8015481, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 7}},
+		{"warm b1 pass", infer(1), passCost{PartyBytes: 1335435, OwnerBytes: 878265, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 7}},
+		{"warm b4 pass", infer(4), passCost{PartyBytes: 5320635, OwnerBytes: 3507849, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 7}},
+		{"b8 training step", func() error { return run.TrainBatch(images, 0.05) }, passCost{PartyBytes: 48590529, OwnerBytes: 36583626, Messages: 192, OwnerRequests: 15, Exchanges: 39, Triples: 13}},
 	} {
 		if got := measure(step.op); got != step.want {
 			t.Errorf("%s: cost %+v, pinned %+v", step.name, got, step.want)

@@ -180,24 +180,6 @@ func (c *Cluster) distribute(session, step string, m nn.Mat64) error {
 	return nil
 }
 
-// sourceFor returns the triple source party i should use for a pass
-// with the given plan: a prefetch pipeline over the on-demand owner
-// path when prefetching is enabled and the plan resolved, otherwise
-// the configured source unchanged. The returned cleanup must run when
-// the pass ends (it drains in-flight batch responses).
-func (r *Run) sourceFor(i int, plan []protocol.TripleRequest, planErr error) (nn.TripleSource, func()) {
-	base := r.c.sources[i]
-	none := func() {}
-	if r.c.cfg.Triples != OnlineDealing || r.c.cfg.PrefetchDepth < 0 || planErr != nil {
-		return base, none
-	}
-	ps := protocol.NewPrefetchSource(r.c.ctxs[i], plan, r.c.cfg.PrefetchDepth)
-	if ps == nil {
-		return base, none
-	}
-	return ps, func() { _ = ps.Close() }
-}
-
 // TrainBatch performs one secure SGD step over the given images
 // (Fig. 2 training; Table II uses a single-image batch).
 func (r *Run) TrainBatch(images []mnist.Image, lr float64) error {
@@ -257,7 +239,7 @@ func (r *Run) TrainBatch(images []mnist.Image, lr float64) error {
 			return err
 		}
 		plan, planErr := r.nets[i].TrainPlan(session, len(images), mnist.NumPixels)
-		ts, done := r.sourceFor(i, plan, planErr)
+		ts, done := passSource(ctx, r.c.sources[i], plan, planErr)
 		defer done()
 		return r.nets[i].TrainBatch(ctx, ts, session, bx, by, lr)
 	})
@@ -309,7 +291,7 @@ func (r *Run) logitsFor(ctx context.Context, images []mnist.Image) (protocol.Mat
 			return err
 		}
 		plan, planErr := r.nets[i].LogitsPlan(session, len(images), mnist.NumPixels)
-		ts, done := r.sourceFor(i, plan, planErr)
+		ts, done := passSource(ctx, r.c.sources[i], plan, planErr)
 		defer done()
 		logits, err := r.nets[i].Logits(ctx, ts, session, bx)
 		if err != nil {

@@ -55,12 +55,6 @@ func ServeParty(ctx *protocol.Ctx, ts nn.TripleSource) error {
 
 // ServeOptions tunes a served computing party.
 type ServeOptions struct {
-	// PrefetchDepth pipelines online triple dealing exactly like
-	// Config.PrefetchDepth: > 0 sets the segment size, 0 selects the
-	// process default, negative forces the on-demand path. It only
-	// takes effect when ts is the owner-backed source (a served party
-	// with a local precomputed pool has no round-trips to hide).
-	PrefetchDepth int
 	// Rejoin announces this party as a restarted member before serving:
 	// the model owner is told to re-provision it (architecture + weight
 	// shares from the latest checkpoint) so the session can continue
@@ -122,7 +116,7 @@ func ServePartyOpts(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) er
 				log.Printf("core: serve party %d: ignoring train %q before weight distribution", ctx.Index, msg.Session)
 				continue
 			}
-			if err := serveTrain(ctx, ts, net, msg, opts); err != nil {
+			if err := serveTrain(ctx, ts, net, msg); err != nil {
 				if transientServeErr(err) {
 					log.Printf("core: serve party %d: train %q aborted: %v (still serving)", ctx.Index, msg.Session, err)
 					continue
@@ -137,7 +131,7 @@ func ServePartyOpts(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) er
 				log.Printf("core: serve party %d: ignoring infer %q before weight distribution", ctx.Index, msg.Session)
 				continue
 			}
-			if err := serveInfer(ctx, ts, net, msg, opts); err != nil {
+			if err := serveInfer(ctx, ts, net, msg); err != nil {
 				if transientServeErr(err) {
 					log.Printf("core: serve party %d: infer %q aborted: %v (still serving)", ctx.Index, msg.Session, err)
 					continue
@@ -232,25 +226,22 @@ func recvNetwork(ctx *protocol.Ctx, first transport.Message) (nn.Arch, *nn.Secur
 	return arch, net, nil
 }
 
-// servedSource wraps ts in a prefetch pipeline for one pass when
-// enabled, the source is owner-backed, and the plan resolved. The
-// cleanup drains in-flight batch responses when the pass ends.
-func servedSource(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions, plan []protocol.TripleRequest, planErr error) (nn.TripleSource, func()) {
-	none := func() {}
-	if opts.PrefetchDepth < 0 || planErr != nil {
-		return ts, none
-	}
+// passSource returns the triple source one pass of a party draws from:
+// the pipelined owner source over the pass's plan when ts is the
+// owner-backed source, ts itself otherwise (a pre-dealt pool has no
+// round trips to hide). The returned func must run when the pass ends.
+func passSource(ctx *protocol.Ctx, ts nn.TripleSource, plan []protocol.TripleRequest, planErr error) (nn.TripleSource, func()) {
 	if _, ok := ts.(nn.OwnerSource); !ok {
-		return ts, none
+		return ts, func() {}
 	}
-	ps := protocol.NewPrefetchSource(ctx, plan, opts.PrefetchDepth)
-	if ps == nil {
-		return ts, none
+	if planErr != nil {
+		plan = nil // the layers reject the same shapes; deal what they ask on demand
 	}
-	return ps, func() { _ = ps.Close() }
+	ps := protocol.NewPrefetchSource(ctx, plan)
+	return ps, ps.Close
 }
 
-func serveTrain(ctx *protocol.Ctx, ts nn.TripleSource, net *nn.SecureNetwork, first transport.Message, opts ServeOptions) error {
+func serveTrain(ctx *protocol.Ctx, ts nn.TripleSource, net *nn.SecureNetwork, first transport.Message) error {
 	bx, err := transport.DecodeBundle(first.Payload)
 	if err != nil {
 		return err
@@ -264,7 +255,7 @@ func serveTrain(ctx *protocol.Ctx, ts nn.TripleSource, net *nn.SecureNetwork, fi
 		return err
 	}
 	plan, planErr := net.TrainPlan(first.Session, bx.Rows(), bx.Cols())
-	src, done := servedSource(ctx, ts, opts, plan, planErr)
+	src, done := passSource(ctx, ts, plan, planErr)
 	defer done()
 	if err := net.TrainBatch(ctx, src, first.Session, bx, by, lr); err != nil {
 		return err
@@ -273,13 +264,13 @@ func serveTrain(ctx *protocol.Ctx, ts nn.TripleSource, net *nn.SecureNetwork, fi
 	return ctx.Router.Send(transport.DataOwner, first.Session, "ack", nil)
 }
 
-func serveInfer(ctx *protocol.Ctx, ts nn.TripleSource, net *nn.SecureNetwork, first transport.Message, opts ServeOptions) error {
+func serveInfer(ctx *protocol.Ctx, ts nn.TripleSource, net *nn.SecureNetwork, first transport.Message) error {
 	bx, err := transport.DecodeBundle(first.Payload)
 	if err != nil {
 		return err
 	}
 	plan, planErr := net.LogitsPlan(first.Session, bx.Rows(), bx.Cols())
-	src, done := servedSource(ctx, ts, opts, plan, planErr)
+	src, done := passSource(ctx, ts, plan, planErr)
 	defer done()
 	logits, err := net.Logits(ctx, src, first.Session, bx)
 	if err != nil {

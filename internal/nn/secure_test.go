@@ -59,6 +59,9 @@ func newSecureEnv(t *testing.T) *secureEnv {
 		t.Fatal(err)
 	}
 	env.svc = protocol.NewOwnerService(ownerEP, env.dealer)
+	// As in core: softmax results draw from their own stream, so the
+	// deal stream depends only on the order of the deals.
+	env.svc.Resharer = sharing.NewDealer(sharing.NewSeededSource(2025), env.params)
 	env.svc.RegisterUnary(SoftmaxName, SoftmaxDelegate(env.params))
 	go func() { env.svcDone <- env.svc.Run() }()
 	t.Cleanup(func() {

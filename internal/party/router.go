@@ -104,6 +104,8 @@ type Router struct {
 	timeout time.Duration
 	pending []transport.Message // buffered arrivals, oldest first
 	spoofs  []*SpoofError
+	// discard holds the keys of arrivals to drop unread (Discard).
+	discard map[msgKey]bool
 
 	// deadline, when nonzero (unix nanos), caps every receive wait: a
 	// wait that would outlive it is shortened, and once it has passed
@@ -213,6 +215,34 @@ func (r *Router) takePending(key msgKey) (transport.Message, bool) {
 	return transport.Message{}, false
 }
 
+// Discard drops the message with the given coordinates, whether it is
+// already buffered or still to arrive: the reply to a request whose
+// caller has stopped waiting for it (a pass abandoned with a deal in
+// flight), which would otherwise stay in the buffer for good. It never
+// blocks.
+func (r *Router) Discard(from int, session, step string) {
+	key := msgKey{from: from, session: session, step: step}
+	if msg, ok := r.takePending(key); ok {
+		msg.Release()
+		return
+	}
+	if r.discard == nil {
+		r.discard = make(map[msgKey]bool)
+	}
+	r.discard[key] = true
+}
+
+// dropped reports, and consumes, a pending Discard for msg.
+func (r *Router) dropped(msg transport.Message) bool {
+	key := keyOf(msg)
+	if !r.discard[key] {
+		return false
+	}
+	delete(r.discard, key)
+	msg.Release()
+	return true
+}
+
 // Expect blocks until a message with the given coordinates arrives,
 // buffering unrelated traffic. On expiry of the receive timer it
 // returns a *TimeoutError.
@@ -248,6 +278,9 @@ func (r *Router) Expect(from int, session, step string) (transport.Message, erro
 			return transport.Message{}, err
 		}
 		r.note(msg)
+		if r.dropped(msg) {
+			continue
+		}
 		if keyOf(msg) == key {
 			return msg, nil
 		}
@@ -288,12 +321,16 @@ func (r *Router) Next(timeout time.Duration) (transport.Message, error) {
 		r.pending = r.pending[1:]
 		return msg, nil
 	}
-	msg, err := r.ep.Recv(timeout)
-	if err != nil {
-		return transport.Message{}, err
+	for {
+		msg, err := r.ep.Recv(timeout)
+		if err != nil {
+			return transport.Message{}, err
+		}
+		r.note(msg)
+		if !r.dropped(msg) {
+			return msg, nil
+		}
 	}
-	r.note(msg)
-	return msg, nil
 }
 
 // Drain discards buffered messages (between experiments).

@@ -245,3 +245,45 @@ func TestRouterRecordsSpoofs(t *testing.T) {
 		t.Fatalf("re-attributed message lost: %v %+v", err, msg)
 	}
 }
+
+// TestDiscardDropsBufferedAndLateArrivals: Discard removes a reply that
+// is already buffered, and drops one that arrives after it was called —
+// through Expect and Next alike — without touching other traffic.
+func TestDiscardDropsBufferedAndLateArrivals(t *testing.T) {
+	r1, r2 := twoParties(t)
+	send := func(session, step string) {
+		t.Helper()
+		if err := r1.Send(transport.Party2, session, step, []byte(session+step)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send("early", "resp")
+	send("s", "want")
+	if _, err := r2.Expect(transport.Party1, "s", "want"); err != nil {
+		t.Fatal(err)
+	}
+	if len(r2.pending) != 1 {
+		t.Fatal("the early reply was not buffered")
+	}
+	r2.Discard(transport.Party1, "early", "resp")
+	if len(r2.pending) != 0 {
+		t.Fatal("Discard left the buffered reply in place")
+	}
+
+	r2.Discard(transport.Party1, "late", "resp")
+	r2.Discard(transport.Party1, "late2", "resp")
+	send("late", "resp")
+	send("s", "next")
+	send("late2", "resp")
+	send("s", "last")
+	if _, err := r2.Expect(transport.Party1, "s", "next"); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := r2.Next(time.Second)
+	if err != nil || msg.Step != "last" {
+		t.Fatalf("Next returned %q (%v), want the message after the discarded one", msg.Step, err)
+	}
+	if len(r2.pending) != 0 || len(r2.discard) != 0 {
+		t.Fatalf("late replies left state behind: %d buffered, %d pending discards", len(r2.pending), len(r2.discard))
+	}
+}

@@ -102,6 +102,17 @@ func mustStep(t *testing.T, r TripleRequest) string {
 	return s
 }
 
+// encodeBatchPayloads frames raw item payloads the way
+// encodeBatchResponse frames encoded bundles.
+func encodeBatchPayloads(items [][]byte) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(items)))
+	for _, it := range items {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(it)))
+		buf = append(buf, it...)
+	}
+	return buf
+}
+
 func FuzzDecodeBatchPayloads(f *testing.F) {
 	valid := encodeBatchPayloads([][]byte{{1, 2, 3}, {}, {0xff}})
 	f.Add(valid)

@@ -127,19 +127,19 @@ type tripleEntry struct {
 	dealtAt time.Time
 }
 
-// payloadFor encodes one party's share of the entry, byte-identical
-// between the individual and the batched response paths. A triple
-// dealt against a retained mask has no B to send: its two bundles
-// (A, C) tell the requester to use the B it kept.
-func (e *tripleEntry) payloadFor(party int) []byte {
+// bundlesFor lists one party's share of the entry, encoded alike by
+// the individual and the batched response paths. A triple dealt
+// against a retained mask has no B to send: its two bundles (A, C)
+// tell the requester to use the B it kept.
+func (e *tripleEntry) bundlesFor(party int) []sharing.Bundle {
 	if e.isAux {
-		return transport.EncodeBundle(e.aux[party-1])
+		return []sharing.Bundle{e.aux[party-1]}
 	}
 	t := e.bundles[party-1]
 	if t.B.Primary.IsZeroShape() {
-		return transport.EncodeBundles(t.A, t.C)
+		return []sharing.Bundle{t.A, t.C}
 	}
-	return transport.EncodeBundles(t.A, t.B, t.C)
+	return []sharing.Bundle{t.A, t.B, t.C}
 }
 
 type gatherEntry struct {
@@ -282,7 +282,7 @@ func (s *OwnerService) handleDeal(msg transport.Message) error {
 	if err != nil {
 		return nil
 	}
-	err = s.ep.Send(transport.Message{To: from, Session: msg.Session, Step: msg.Step + respSuffix, Payload: entries[0].payloadFor(from)})
+	err = s.ep.Send(transport.Message{To: from, Session: msg.Session, Step: msg.Step + respSuffix, Payload: transport.EncodeBundles(entries[0].bundlesFor(from)...)})
 	if err != nil {
 		return err
 	}
@@ -308,11 +308,11 @@ func (s *OwnerService) handleBatchDeal(msg transport.Message) error {
 	if err != nil {
 		return nil
 	}
-	items := make([][]byte, len(entries))
+	items := make([][]sharing.Bundle, len(entries))
 	for i, e := range entries {
-		items[i] = e.payloadFor(from)
+		items[i] = e.bundlesFor(from)
 	}
-	err = s.ep.Send(transport.Message{To: from, Session: msg.Session, Step: stepTripleBatch + respSuffix, Payload: encodeBatchPayloads(items)})
+	err = s.ep.Send(transport.Message{To: from, Session: msg.Session, Step: stepTripleBatch + respSuffix, Payload: encodeBatchResponse(items)})
 	if err != nil {
 		return err
 	}
@@ -326,11 +326,11 @@ func (s *OwnerService) handleBatchDeal(msg transport.Message) error {
 // mask) — not session alone — so a Byzantine first-requester announcing
 // wrong dims or another mask for a session gets its own useless entry
 // instead of poisoning the honest parties' triple, and so batched and
-// individual requests for the same item converge on the same entry
-// regardless of each party's prefetch depth. Whether a named request
-// is dealt against a retained mask or draws a new one is decided here,
-// once per key: every party that collects the entry gets the same
-// answer.
+// individual requests for the same item converge on the same entry (a
+// party whose layers leave the plan asks individually). Whether a
+// named request is dealt against a retained mask or draws a new one is
+// decided here, once per key: every party that collects the entry gets
+// the same answer.
 func (s *OwnerService) ensureDealt(reqs []TripleRequest) ([]*tripleEntry, error) {
 	entries := make([]*tripleEntry, len(reqs))
 	var missing []int

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/trustddl/trustddl/internal/sharing"
+	"github.com/trustddl/trustddl/internal/transport"
 )
 
 // TripleReqKind enumerates the correlated-randomness kinds a computing
@@ -58,8 +59,7 @@ type TripleRequest struct {
 
 // Key is the canonical identity of a request: kind, session, dims and
 // mask name. Two requests with equal keys are interchangeable — the
-// owner deals one entry per key, and the prefetch cache matches
-// deliveries to consumers by it.
+// owner deals one entry per key, however each party asks for it.
 func (r TripleRequest) Key() string {
 	return fmt.Sprintf("%d|%s|%dx%dx%d|%s", r.Kind, r.Session, r.M, r.N, r.P, r.Mask)
 }
@@ -261,12 +261,18 @@ func DecodeTripleBatch(buf []byte) ([]TripleRequest, error) {
 	return out, nil
 }
 
-// encodeBatchPayloads frames the per-item response payloads.
-func encodeBatchPayloads(items [][]byte) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(items)))
+// encodeBatchResponse frames, in request order, each item's bundles as
+// an individual deal response would encode them, writing every
+// encoding straight into the one frame.
+func encodeBatchResponse(items [][]sharing.Bundle) []byte {
+	size := 4
 	for _, it := range items {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(it)))
-		buf = append(buf, it...)
+		size += 4 + transport.BundlesSize(it...)
+	}
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(items)))
+	for _, it := range items {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(transport.BundlesSize(it...)))
+		buf = transport.AppendBundles(buf, it...)
 	}
 	return buf
 }

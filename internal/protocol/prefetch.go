@@ -2,267 +2,162 @@ package protocol
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/trustddl/trustddl/internal/sharing"
 	"github.com/trustddl/trustddl/internal/transport"
 )
 
-// defaultPrefetchDepth is the process-wide pipeline depth applied when
-// a caller passes depth 0 to NewPrefetchSource. 0 keeps prefetching
-// off by default; cmd flags and the root trustddl knob change it.
-var defaultPrefetchDepth atomic.Int64
+// segmentSize is the number of plan requests one batched owner message
+// carries. The first segment must arrive before the first layer can
+// run, so it is kept small; every later one is requested as its
+// predecessor arrives and has until the layers reach it to come back.
+// At 4, the Table I inference plan (7 requests) is two owner messages
+// per party, the second hidden behind the conv, ReLU and fc1 rounds,
+// and a training step (13) is four. One whole-plan message was slower
+// (DESIGN.md §9): the first layer then waits for every layer's deal.
+const segmentSize = 4
 
-// SetDefaultPrefetchDepth sets the process-wide prefetch pipeline
-// depth used when no explicit depth is configured and returns the
-// value actually applied. Negative values are treated as 0 (off).
-func SetDefaultPrefetchDepth(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	defaultPrefetchDepth.Store(int64(n))
-	return n
-}
-
-// DefaultPrefetchDepth returns the process-wide prefetch depth.
-func DefaultPrefetchDepth() int {
-	return int(defaultPrefetchDepth.Load())
-}
-
-// errUnplanned marks a request that the prefetch plan does not cover;
-// the source falls back to the on-demand dealing path for it.
-var errUnplanned = fmt.Errorf("protocol: triple request not in prefetch plan")
-
-// PrefetchSource decorates the on-demand owner dealing path with a
-// plan-driven pipeline: the ordered triple plan of the upcoming
-// forward pass or training step is cut into segments of `depth`
-// requests, each fetched with one batched owner round-trip, and the
-// segment after the one being consumed is requested in the background
-// while the current layers compute and exchange. The owner RTTs thus
-// overlap the online rounds instead of serializing with them — the
-// offline/online split of the preprocessing model (§III-A), realised
-// as a pipeline. Requests outside the plan fall back to on-demand
-// dealing; consumption must follow plan order (the layer walk that
-// produced the plan guarantees this).
+// PrefetchSource is a party's online dealing path for one pass: it
+// walks the pass's triple plan (nn.LogitsPlan / nn.TrainPlan) in
+// segments of segmentSize requests, each dealt by one batched owner
+// round trip, and keeps one segment in flight — segment k+1 is
+// requested the moment segment k arrives — so the owner's round trips
+// overlap the online rounds instead of serialising with them (the
+// offline/online split of §III-A, realised as a pipeline). The layers
+// consume the plan in order; a request that is not the plan's next one
+// is dealt on demand instead.
 //
-// A PrefetchSource serves one protocol session and is not safe for
-// concurrent use, matching the layer code that consumes it. Close
-// must be called when the pass ends (normally or on error) so
-// in-flight responses do not linger in the router's pending buffer.
+// A PrefetchSource serves one protocol session on the party's
+// goroutine and is not safe for concurrent use. Close must be called
+// when the pass ends, normally or not.
 type PrefetchSource struct {
 	ctx  *Ctx
-	segs [][]TripleRequest
-	// envBase namespaces the batch envelope sessions of this plan.
-	envBase string
-	// planned counts, per request key, deliveries not yet consumed.
-	planned map[string]int
-	// cache holds delivered payloads not yet consumed, FIFO per key.
-	cache map[string][][]byte
-	// nextRecv is the next segment index to receive (consumer-side).
-	nextRecv int
-
-	sendCh chan int
-	wg     sync.WaitGroup
-	closed bool
-
-	mu       sync.Mutex
-	sendErr  error
-	numSent  int
-	enqueued int
+	plan []TripleRequest
+	// next is the plan cursor: the request the layers make next.
+	next int
+	// sent and recvd count the segments requested and received.
+	sent, recvd int
+	sendErr     error
+	// msg is the segment in hand and items its per-request payloads,
+	// which alias msg's frame.
+	msg   transport.Message
+	items [][]byte
 }
 
-// NewPrefetchSource builds a pipeline over plan with the given segment
-// depth and immediately requests the first segment. depth 0 selects
-// the process default; if the resolved depth or the plan is empty, it
-// returns nil and the caller should use the undecorated source.
-func NewPrefetchSource(ctx *Ctx, plan []TripleRequest, depth int) *PrefetchSource {
-	if depth == 0 {
-		depth = DefaultPrefetchDepth()
-	}
-	if depth <= 0 || len(plan) == 0 {
-		return nil
-	}
-	var segs [][]TripleRequest
-	for len(plan) > 0 {
-		n := depth
-		if n > len(plan) {
-			n = len(plan)
-		}
-		segs = append(segs, plan[:n])
-		plan = plan[n:]
-	}
-	p := &PrefetchSource{
-		ctx:     ctx,
-		segs:    segs,
-		envBase: segs[0][0].Session,
-		planned: make(map[string]int),
-		cache:   make(map[string][][]byte),
-		sendCh:  make(chan int, len(segs)),
-	}
-	for _, seg := range segs {
-		for _, r := range seg {
-			p.planned[r.Key()]++
-		}
-	}
-	p.wg.Add(1)
-	go p.sender()
-	p.enqueue() // segment 0 goes out before the first layer runs
+// NewPrefetchSource requests the first segment of plan and returns the
+// source the pass's layers draw from. An empty plan deals everything on
+// demand.
+func NewPrefetchSource(ctx *Ctx, plan []TripleRequest) *PrefetchSource {
+	p := &PrefetchSource{ctx: ctx, plan: plan}
+	p.send() // segment 0 goes out before the first layer runs
 	return p
+}
+
+// segment returns the requests of segment k.
+func (p *PrefetchSource) segment(k int) []TripleRequest {
+	return p.plan[k*segmentSize : min((k+1)*segmentSize, len(p.plan))]
 }
 
 // envSession names the batch envelope of segment k. The '#' suffix
 // cannot collide with layer-minted sessions (they extend the prefix
 // with '/' path elements only).
 func (p *PrefetchSource) envSession(k int) string {
-	return fmt.Sprintf("%s#pf%d", p.envBase, k)
+	return fmt.Sprintf("%s#pf%d", p.plan[0].Session, k)
 }
 
-// sender issues batched requests in segment order on its own
-// goroutine, off the protocol critical path.
-func (p *PrefetchSource) sender() {
-	defer p.wg.Done()
-	for k := range p.sendCh {
-		payload, err := EncodeTripleBatch(p.segs[k])
-		if err == nil {
-			err = p.ctx.Router.Send(transport.ModelOwner, p.envSession(k), stepTripleBatch, payload)
-		}
-		p.mu.Lock()
-		if err != nil {
-			p.sendErr = err
-			p.mu.Unlock()
-			return
-		}
-		p.numSent++
-		p.mu.Unlock()
+// send requests the next segment, if one is left. A failed send is
+// reported when the layers reach that segment.
+func (p *PrefetchSource) send() {
+	if p.sent*segmentSize >= len(p.plan) || p.sendErr != nil {
+		return
 	}
-}
-
-// enqueue hands the next unsent segment to the sender, if any.
-func (p *PrefetchSource) enqueue() {
-	if p.enqueued < len(p.segs) {
-		p.sendCh <- p.enqueued
-		p.enqueued++
+	payload, err := EncodeTripleBatch(p.segment(p.sent))
+	if err == nil {
+		err = p.ctx.Router.Send(transport.ModelOwner, p.envSession(p.sent), stepTripleBatch, payload)
 	}
-}
-
-// next returns the delivered payload for req, receiving segments in
-// order until it shows up. Only the consuming protocol goroutine
-// calls this (the router is single-consumer).
-func (p *PrefetchSource) next(req TripleRequest) ([]byte, error) {
-	key := req.Key()
-	if p.planned[key] == 0 {
-		return nil, errUnplanned
-	}
-	p.planned[key]--
-	for {
-		if q := p.cache[key]; len(q) > 0 {
-			payload := q[0]
-			q[0] = nil
-			p.cache[key] = q[1:]
-			return payload, nil
-		}
-		if p.nextRecv >= len(p.segs) {
-			return nil, fmt.Errorf("protocol: prefetch plan exhausted before %s", key)
-		}
-		if err := p.recvSegment(); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// recvSegment blocks for the next segment's batch response, caches its
-// items and pipelines the following segment's request.
-func (p *PrefetchSource) recvSegment() error {
-	p.mu.Lock()
-	err := p.sendErr
-	p.mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("protocol: prefetch send failed: %w", err)
+		p.sendErr = err
+		return
 	}
-	k := p.nextRecv
-	msg, err := p.ctx.Router.Expect(transport.ModelOwner, p.envSession(k), stepTripleBatch+respSuffix)
+	p.sent++
+}
+
+// recv waits for the segment the cursor has reached and requests the
+// one after it.
+func (p *PrefetchSource) recv() error {
+	if p.recvd == p.sent {
+		return fmt.Errorf("protocol: prefetch send failed: %w", p.sendErr)
+	}
+	msg, err := p.ctx.Router.Expect(transport.ModelOwner, p.envSession(p.recvd), stepTripleBatch+respSuffix)
 	if err != nil {
 		return err
 	}
 	items, err := decodeBatchPayloads(msg.Payload)
+	if err == nil && len(items) != len(p.segment(p.recvd)) {
+		err = fmt.Errorf("protocol: prefetch segment %d: got %d items, planned %d", p.recvd, len(items), len(p.segment(p.recvd)))
+	}
 	if err != nil {
+		msg.Release()
 		return err
 	}
-	if len(items) != len(p.segs[k]) {
-		return fmt.Errorf("protocol: prefetch segment %d: got %d items, planned %d", k, len(items), len(p.segs[k]))
-	}
-	p.nextRecv++
-	for i, r := range p.segs[k] {
-		key := r.Key()
-		p.cache[key] = append(p.cache[key], items[i])
-	}
-	p.enqueue() // keep the pipeline one segment ahead
+	p.msg, p.items = msg, items
+	p.recvd++
+	p.send()
 	return nil
+}
+
+// take deals req from the segment in hand when req is the plan's next
+// request, and on demand otherwise. A segment's frame is released as
+// soon as its last item is decoded.
+func take[T any](p *PrefetchSource, req TripleRequest, decode func([]byte) (T, error), onDemand func() (T, error)) (T, error) {
+	if p.next >= len(p.plan) || p.plan[p.next] != req {
+		return onDemand()
+	}
+	if p.next/segmentSize == p.recvd {
+		if err := p.recv(); err != nil {
+			var zero T
+			return zero, err
+		}
+	}
+	v, err := decode(p.items[p.next%segmentSize])
+	p.next++
+	if p.next%segmentSize == 0 || p.next == len(p.plan) {
+		p.release()
+	}
+	return v, err
+}
+
+// release returns the frame of the segment in hand.
+func (p *PrefetchSource) release() {
+	p.msg.Release()
+	p.msg, p.items = transport.Message{}, nil
 }
 
 // MatMulTriple implements the TripleSource contract of internal/nn.
 func (p *PrefetchSource) MatMulTriple(session, mask string, m, n, pp int) (sharing.TripleBundle, error) {
-	req := TripleRequest{Kind: ReqMatMul, Session: session, M: m, N: n, P: pp, Mask: mask}
-	payload, err := p.next(req)
-	if err == errUnplanned {
-		return RequestMatMulTriple(p.ctx, session, mask, m, n, pp)
-	}
-	if err != nil {
-		return sharing.TripleBundle{}, err
-	}
-	return decodeTriple(payload)
+	return take(p, TripleRequest{Kind: ReqMatMul, Session: session, M: m, N: n, P: pp, Mask: mask}, decodeTriple,
+		func() (sharing.TripleBundle, error) { return RequestMatMulTriple(p.ctx, session, mask, m, n, pp) })
 }
 
 // HadamardTriple implements the TripleSource contract of internal/nn.
 func (p *PrefetchSource) HadamardTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
-	req := TripleRequest{Kind: ReqHadamard, Session: session, M: rows, N: cols}
-	payload, err := p.next(req)
-	if err == errUnplanned {
-		return RequestHadamardTriple(p.ctx, session, rows, cols)
-	}
-	if err != nil {
-		return sharing.TripleBundle{}, err
-	}
-	return decodeTriple(payload)
+	return take(p, TripleRequest{Kind: ReqHadamard, Session: session, M: rows, N: cols}, decodeTriple,
+		func() (sharing.TripleBundle, error) { return RequestHadamardTriple(p.ctx, session, rows, cols) })
 }
 
 // AuxPositive implements the TripleSource contract of internal/nn.
 func (p *PrefetchSource) AuxPositive(session string, rows, cols int) (sharing.Bundle, error) {
-	req := TripleRequest{Kind: ReqAux, Session: session, M: rows, N: cols}
-	payload, err := p.next(req)
-	if err == errUnplanned {
-		return RequestAuxPositive(p.ctx, session, rows, cols)
-	}
-	if err != nil {
-		return sharing.Bundle{}, err
-	}
-	return transport.DecodeBundle(payload)
+	return take(p, TripleRequest{Kind: ReqAux, Session: session, M: rows, N: cols}, transport.DecodeBundle,
+		func() (sharing.Bundle, error) { return RequestAuxPositive(p.ctx, session, rows, cols) })
 }
 
-// Close stops the sender and drains responses of segments already
-// requested but not yet received, so they do not sit in the router's
-// pending buffer and confuse a later pass. Best effort: on transport
-// errors (including a dead owner) it returns after the first failure.
-func (p *PrefetchSource) Close() error {
-	if p.closed {
-		return nil
+// Close ends the pass. A segment still in flight — the pass failed or
+// hit its deadline before reaching it — is discarded by the router when
+// it arrives, so it neither blocks Close nor lingers in the router's
+// buffer behind later passes.
+func (p *PrefetchSource) Close() {
+	for ; p.recvd < p.sent; p.recvd++ {
+		p.ctx.Router.Discard(transport.ModelOwner, p.envSession(p.recvd), stepTripleBatch+respSuffix)
 	}
-	p.closed = true
-	close(p.sendCh)
-	p.wg.Wait()
-	p.mu.Lock()
-	sent := p.numSent
-	sendErr := p.sendErr
-	p.mu.Unlock()
-	if sendErr != nil {
-		return nil // the request never left; nothing to drain
-	}
-	for k := p.nextRecv; k < sent; k++ {
-		if _, err := p.ctx.Router.Expect(transport.ModelOwner, p.envSession(k), stepTripleBatch+respSuffix); err != nil {
-			return err
-		}
-	}
-	p.nextRecv = sent
-	return nil
+	p.release()
 }

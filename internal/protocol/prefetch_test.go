@@ -3,35 +3,39 @@ package protocol
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/trustddl/trustddl/internal/sharing"
 	"github.com/trustddl/trustddl/internal/tensor"
+	"github.com/trustddl/trustddl/internal/transport"
 )
 
-// TestPrefetchSourceDeliversPlan pushes a three-request plan through
-// the pipeline on all parties (depth 2 → two segments) and feeds the
-// delivered randomness into a real SecMulBT, proving the batch-dealt
-// shares are cross-party consistent and arrive in plan order.
+// ownerRequests counts the messages the model owner has received.
+func ownerRequests(env *ownerEnv) int64 {
+	return env.net.Stats().PerActor[transport.ModelOwner].RecvMessages
+}
+
+// TestPrefetchSourceDeliversPlan pushes a six-request plan — two
+// segments — through the pipeline on all parties and feeds randomness
+// from the second segment into a real SecMulBT, proving the batch-dealt
+// shares are cross-party consistent and arrive in plan order, one owner
+// message per segment per party.
 func TestPrefetchSourceDeliversPlan(t *testing.T) {
 	env := newOwnerEnv(t)
 	plan := []TripleRequest{
 		{Kind: ReqMatMul, Session: "pf/l0/t", M: 1, N: 2, P: 1},
 		{Kind: ReqAux, Session: "pf/l1/aux", M: 2, N: 2},
 		{Kind: ReqHadamard, Session: "pf/l1/t", M: 2, N: 2},
+		{Kind: ReqHadamard, Session: "pf/l2/t", M: 1, N: 1},
+		{Kind: ReqHadamard, Session: "pf/l3/t", M: 1, N: 1},
+		{Kind: ReqHadamard, Session: "pf/l4/t", M: 2, N: 2},
 	}
 	x, _ := tensor.FromSlice(2, 2, []float64{1, 2, 3, 4})
 	y, _ := tensor.FromSlice(2, 2, []float64{5, 6, 7, 8})
 	bx, by := shareFloats(t, env.partyEnv, x), shareFloats(t, env.partyEnv, y)
 	outs := runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.Bundle, error) {
-		ps := NewPrefetchSource(ctx, plan, 2)
-		if ps == nil {
-			return sharing.Bundle{}, fmt.Errorf("prefetch source unexpectedly disabled")
-		}
-		defer func() {
-			if err := ps.Close(); err != nil {
-				t.Errorf("close: %v", err)
-			}
-		}()
+		ps := NewPrefetchSource(ctx, plan)
+		defer ps.Close()
 		mt, err := ps.MatMulTriple("pf/l0/t", "", 1, 2, 1)
 		if err != nil {
 			return sharing.Bundle{}, err
@@ -46,16 +50,24 @@ func TestPrefetchSourceDeliversPlan(t *testing.T) {
 		if aux.Primary.Size() != 4 {
 			return sharing.Bundle{}, fmt.Errorf("aux shape wrong: %d elements", aux.Primary.Size())
 		}
-		triple, err := ps.HadamardTriple("pf/l1/t", 2, 2)
+		for _, r := range plan[2:5] {
+			if _, err := ps.HadamardTriple(r.Session, r.M, r.N); err != nil {
+				return sharing.Bundle{}, err
+			}
+		}
+		triple, err := ps.HadamardTriple("pf/l4/t", 2, 2)
 		if err != nil {
 			return sharing.Bundle{}, err
 		}
-		return SecMulBT(ctx, "pf/l1/t", bx[ctx.Index-1], by[ctx.Index-1], triple)
+		return SecMulBT(ctx, "pf/l4/t", bx[ctx.Index-1], by[ctx.Index-1], triple)
 	})
 	want, _ := x.Hadamard(y)
 	floatsClose(t, env.params, decideBundles(t, outs, nil), want, 8)
-	if st := env.svc.Stats(); st.TriplesDealt != 3 {
-		t.Fatalf("triples dealt = %d, want 3 (one per plan entry, shared across parties)", st.TriplesDealt)
+	if st := env.svc.Stats(); st.TriplesDealt != len(plan) {
+		t.Fatalf("triples dealt = %d, want %d (one per plan entry, shared across parties)", st.TriplesDealt, len(plan))
+	}
+	if got := ownerRequests(env); got != 2*sharing.NumParties {
+		t.Fatalf("owner received %d messages, want %d (two segments per party)", got, 2*sharing.NumParties)
 	}
 }
 
@@ -65,15 +77,8 @@ func TestPrefetchSourceFallsBackOffPlan(t *testing.T) {
 	env := newOwnerEnv(t)
 	plan := []TripleRequest{{Kind: ReqHadamard, Session: "fb/t", M: 1, N: 2}}
 	outs := runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.TripleBundle, error) {
-		ps := NewPrefetchSource(ctx, plan, 4)
-		if ps == nil {
-			return sharing.TripleBundle{}, fmt.Errorf("prefetch source unexpectedly disabled")
-		}
-		defer func() {
-			if err := ps.Close(); err != nil {
-				t.Errorf("close: %v", err)
-			}
-		}()
+		ps := NewPrefetchSource(ctx, plan)
+		defer ps.Close()
 		if _, err := ps.HadamardTriple("fb/t", 1, 2); err != nil {
 			return sharing.TripleBundle{}, err
 		}
@@ -87,34 +92,33 @@ func TestPrefetchSourceFallsBackOffPlan(t *testing.T) {
 	}
 }
 
-// TestPrefetchSourceCloseDrains abandons a plan after one of four
-// segments; Close must drain the in-flight responses so the router
-// stays clean for whatever the party does next.
+// TestPrefetchSourceCloseDrains abandons a two-segment plan after its
+// first request, with the second segment in flight. Close must not
+// block on it, and the router must drop it when it arrives: the
+// party's next request is served, and no batch response is left in the
+// buffer to confuse a later pass.
 func TestPrefetchSourceCloseDrains(t *testing.T) {
 	env := newOwnerEnv(t)
-	plan := []TripleRequest{
-		{Kind: ReqHadamard, Session: "dr/a", M: 1, N: 1},
-		{Kind: ReqHadamard, Session: "dr/b", M: 1, N: 1},
-		{Kind: ReqHadamard, Session: "dr/c", M: 1, N: 1},
-		{Kind: ReqHadamard, Session: "dr/d", M: 1, N: 1},
+	var plan []TripleRequest
+	for k := 0; k < segmentSize+1; k++ {
+		plan = append(plan, TripleRequest{Kind: ReqHadamard, Session: fmt.Sprintf("dr/%d", k), M: 1, N: 1})
 	}
 	outs := runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.TripleBundle, error) {
-		ps := NewPrefetchSource(ctx, plan, 1)
-		if ps == nil {
-			return sharing.TripleBundle{}, fmt.Errorf("prefetch source unexpectedly disabled")
-		}
-		if _, err := ps.HadamardTriple("dr/a", 1, 1); err != nil {
+		ps := NewPrefetchSource(ctx, plan)
+		if _, err := ps.HadamardTriple("dr/0", 1, 1); err != nil {
 			return sharing.TripleBundle{}, err
 		}
-		if err := ps.Close(); err != nil {
-			return sharing.TripleBundle{}, err
+		ps.Close()
+		ps.Close() // idempotent
+		triple, err := RequestHadamardTriple(ctx, "dr/after", 1, 1)
+		for err == nil {
+			msg, nerr := ctx.Router.Next(10 * time.Millisecond)
+			if nerr != nil {
+				break // nothing left, buffered or in flight
+			}
+			err = fmt.Errorf("an abandoned segment's %q reached the party", msg.Step)
 		}
-		if err := ps.Close(); err != nil { // idempotent
-			return sharing.TripleBundle{}, err
-		}
-		// The drained router must serve fresh traffic with no stale
-		// batch responses in the way.
-		return RequestHadamardTriple(ctx, "dr/after", 1, 1)
+		return triple, err
 	})
 	for p := 0; p < sharing.NumParties; p++ {
 		if outs[p].A.Primary.Size() != 1 {
@@ -123,35 +127,16 @@ func TestPrefetchSourceCloseDrains(t *testing.T) {
 	}
 }
 
-// TestPrefetchSourceDepthGating pins the constructor contract: nil for
-// empty plans or non-positive resolved depth, and depth 0 deferring to
-// the process-wide default.
-func TestPrefetchSourceDepthGating(t *testing.T) {
+// TestPrefetchSourceEmptyPlan: with no plan (the layer walk could not
+// be planned) every request is dealt on demand, and nothing is batched.
+func TestPrefetchSourceEmptyPlan(t *testing.T) {
 	env := newOwnerEnv(t)
-	ctx := env.ctxs[0]
-	plan := []TripleRequest{{Kind: ReqHadamard, Session: "dg/t", M: 1, N: 1}}
-	if ps := NewPrefetchSource(ctx, nil, 8); ps != nil {
-		t.Fatal("empty plan must disable prefetching")
-	}
-	if ps := NewPrefetchSource(ctx, plan, 0); ps != nil {
-		t.Fatal("depth 0 with process default 0 must disable prefetching")
-	}
-	prev := SetDefaultPrefetchDepth(2)
-	defer SetDefaultPrefetchDepth(0)
-	if prev != 2 {
-		t.Fatalf("SetDefaultPrefetchDepth returned %d, want 2", prev)
-	}
-	ps := NewPrefetchSource(ctx, plan, 0)
-	if ps == nil {
-		t.Fatal("depth 0 must pick up the process default")
-	}
-	if _, err := ps.HadamardTriple("dg/t", 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := SetDefaultPrefetchDepth(-5); got != 0 {
-		t.Fatalf("negative default depth resolved to %d, want 0", got)
+	runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.TripleBundle, error) {
+		ps := NewPrefetchSource(ctx, nil)
+		defer ps.Close()
+		return ps.HadamardTriple("ep/t", 1, 1)
+	})
+	if got := ownerRequests(env); got != sharing.NumParties {
+		t.Fatalf("owner received %d messages, want %d (one on-demand deal per party)", got, sharing.NumParties)
 	}
 }

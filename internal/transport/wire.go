@@ -167,11 +167,26 @@ func DecodeBundle(buf []byte) (sharing.Bundle, error) {
 // EncodeBundles serializes several bundles (e.g. the e and f vectors of
 // SecMul-BT in one message).
 func EncodeBundles(bs ...sharing.Bundle) []byte {
-	ms := make([]tensor.Matrix[int64], 0, 3*len(bs))
+	return AppendBundles(make([]byte, 0, BundlesSize(bs...)), bs...)
+}
+
+// AppendBundles appends the EncodeBundles form of bs to buf, so a
+// frame carrying several encodings is built without copying each one.
+func AppendBundles(buf []byte, bs ...sharing.Bundle) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(3*len(bs)))
 	for _, b := range bs {
-		ms = append(ms, b.Primary, b.Hat, b.Second)
+		buf = AppendMatrix(AppendMatrix(AppendMatrix(buf, b.Primary), b.Hat), b.Second)
 	}
-	return EncodeMatrices(ms...)
+	return buf
+}
+
+// BundlesSize is the length of EncodeBundles(bs...).
+func BundlesSize(bs ...sharing.Bundle) int {
+	size := 8
+	for _, b := range bs {
+		size += 3*matrixHeaderLen + 8*(b.Primary.Size()+b.Hat.Size()+b.Second.Size())
+	}
+	return size
 }
 
 // DecodeBundles parses the output of EncodeBundles.
