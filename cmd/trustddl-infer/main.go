@@ -8,7 +8,6 @@
 //
 //	trustddl-infer [-model FILE] [-n 10] [-data DIR] [-seed 1]
 //	               [-byzantine 0] [-hbc] [-optimistic]
-//	               [-pooling=true] [-bulk-codec=true]
 package main
 
 import (
@@ -35,13 +34,9 @@ func run(args []string) error {
 	byz := fs.Int("byzantine", 0, "inject a consistently lying adversary at this party (1..3; 0 = none)")
 	hbc := fs.Bool("hbc", false, "honest-but-curious mode (no commitment phase)")
 	optimistic := fs.Bool("optimistic", false, "reduced-redundancy opening (§V future work)")
-	pooling := fs.Bool("pooling", true, "hot-path buffer pools (matrix + transport frame reuse)")
-	bulkCodec := fs.Bool("bulk-codec", true, "bulk-copy wire codec for matrix bodies")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	trustddl.SetPooling(*pooling)
-	trustddl.SetBulkCodec(*bulkCodec)
 
 	var (
 		arch    trustddl.Arch

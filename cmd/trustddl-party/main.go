@@ -11,8 +11,7 @@
 //	  -addrs "1=10.0.0.1:7001,2=10.0.0.2:7001,3=10.0.0.3:7001,4=10.0.0.4:7001,5=10.0.0.5:7001" \
 //	  -key <seed-hex> -peer-keys "1=<pub>,2=<pub>,3=<pub>,4=<pub>,5=<pub>" \
 //	  [-hbc] [-timeout 5s] [-send-timeout 2s] [-dial-timeout 2s] \
-//	  [-send-retries 3] [-retry-backoff 50ms] \
-//	  [-pooling=true] [-bulk-codec=true]
+//	  [-send-retries 3] [-retry-backoff 50ms]
 //
 // The actor IDs are: 1..3 computing parties, 4 model owner, 5 data
 // owner. SIGINT/SIGTERM shut the party down gracefully (in-flight
@@ -38,7 +37,6 @@ import (
 	"strings"
 	"syscall"
 
-	trustddl "github.com/trustddl/trustddl"
 	"github.com/trustddl/trustddl/internal/core"
 	"github.com/trustddl/trustddl/internal/fixed"
 	"github.com/trustddl/trustddl/internal/nn"
@@ -71,13 +69,9 @@ func run(args []string) error {
 	genKey := fs.Bool("genkey", false, "generate a fresh ed25519 identity (seed + public key) and exit")
 	keySeed := fs.String("key", "", "this party's ed25519 seed in hex (from -genkey); enables authenticated handshakes")
 	peerKeys := fs.String("peer-keys", "", "all five actors' ed25519 public keys as 'id=hex' pairs, comma separated (required with -key)")
-	pooling := fs.Bool("pooling", true, "hot-path buffer pools (matrix + transport frame reuse)")
-	bulkCodec := fs.Bool("bulk-codec", true, "bulk-copy wire codec for matrix bodies")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	trustddl.SetPooling(*pooling)
-	trustddl.SetBulkCodec(*bulkCodec)
 	if *genKey {
 		seed, pub, err := transport.GenerateSeedHex()
 		if err != nil {

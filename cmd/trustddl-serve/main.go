@@ -37,7 +37,6 @@
 //	               [-committees 1] [-parallelism P]
 //	               [-request-timeout 30s] [-retry-budget 1] [-probe-every 1s]
 //	               [-chaos-stall-committee 0] [-chaos-stall-after 5s] [-chaos-stall-for 10s]
-//	               [-pooling=true] [-bulk-codec=true]
 //
 // API:
 //
@@ -89,16 +88,12 @@ func run(args []string) error {
 	chaosStallAfter := fs.Duration("chaos-stall-after", 5*time.Second, "with -chaos-stall-committee, when the stall window opens after serving starts")
 	chaosStallFor := fs.Duration("chaos-stall-for", 10*time.Second, "with -chaos-stall-committee, how long the stall window stays open")
 	parallelism := fs.Int("parallelism", 0, "tensor-kernel worker goroutines (0 = NumCPU, 1 = serial)")
-	pooling := fs.Bool("pooling", true, "hot-path buffer pools (matrix + transport frame reuse)")
-	bulkCodec := fs.Bool("bulk-codec", true, "bulk-copy wire codec for matrix bodies")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *parallelism > 0 {
 		trustddl.SetParallelism(*parallelism)
 	}
-	trustddl.SetPooling(*pooling)
-	trustddl.SetBulkCodec(*bulkCodec)
 
 	var (
 		arch    trustddl.Arch

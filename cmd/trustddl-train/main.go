@@ -16,7 +16,7 @@
 //	               [-parallelism P]
 //	               [-checkpoint-dir DIR] [-checkpoint-every N] [-resume]
 //	               [-suspicion-tol T] [-committees N] [-aggregate RULE]
-//	               [-poison-committee ID] [-pooling=true] [-bulk-codec=true]
+//	               [-poison-committee ID]
 //
 // With -committees N > 1 training scales out horizontally: N
 // independent 3-party committees each train a shard of every epoch,
@@ -75,8 +75,6 @@ func run(args []string) error {
 	committees := fs.Int("committees", 1, "independent 3-party committees sharding each epoch (1 = single-committee Fig. 2 run)")
 	aggregate := fs.String("aggregate", "median", "inter-committee delta aggregation: median, centered-clip or mean")
 	poison := fs.Int("poison-committee", 0, "make every party of this committee a colluding consistent liar (0 = none; requires -committees > 1)")
-	pooling := fs.Bool("pooling", true, "hot-path buffer pools (matrix + transport frame reuse)")
-	bulkCodec := fs.Bool("bulk-codec", true, "bulk-copy wire codec for matrix bodies")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -85,8 +83,6 @@ func run(args []string) error {
 		// it up too.
 		trustddl.SetParallelism(*parallelism)
 	}
-	trustddl.SetPooling(*pooling)
-	trustddl.SetBulkCodec(*bulkCodec)
 
 	if *printConfig {
 		printTableI()

@@ -71,7 +71,7 @@ type Config struct {
 	SuspicionTolerance float64
 	// Latency, when positive, wraps every committee's transport in a
 	// simulated one-way propagation delay (scaling experiments on one
-	// machine; see bench.Scale).
+	// machine; DESIGN.md §14).
 	Latency time.Duration
 	// Adversaries makes parties Byzantine: committee ID (1-based) →
 	// party ID → adversary. A fully poisoned committee is
@@ -79,7 +79,7 @@ type Config struct {
 	Adversaries map[int]map[int]protocol.Adversary
 	// Interceptors rewrites parties' outbound traffic (drops, stalls,
 	// delays): committee ID (1-based) → party ID → interceptor. The
-	// chaos harness uses gated interceptors (byzantine.CrashRestart,
+	// chaos drills use gated interceptors (byzantine.CrashRestart,
 	// byzantine.StallWhile) to open fault windows on one committee
 	// while the gateway keeps serving on the others.
 	Interceptors map[int]map[int]transport.SendInterceptor

@@ -1,9 +1,8 @@
 // Synthetic load generator for the inference gateway. It is the
-// measurement half of the serving story: tests and the bench harness
-// use it to drive hundreds of concurrent clients against a
-// trustddl-serve endpoint and account for every single request —
-// exactly one response each, correct label, overload shed as 429
-// rather than absorbed into unbounded memory.
+// measurement half of the serving story: tests use it to drive hundreds
+// of concurrent clients against a trustddl-serve endpoint and account
+// for every single request — exactly one response each, correct label,
+// overload shed as 429 rather than absorbed into unbounded memory.
 package serve
 
 import (
@@ -11,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,54 +36,6 @@ type LoadConfig struct {
 	// Client overrides the HTTP client (default: shared transport with
 	// per-host connection reuse sized to Clients).
 	Client *http.Client
-	// Phase, when non-nil, labels each request with the fault-window
-	// phase it was sent in (e.g. "before"/"fault"/"after"); the report
-	// then carries one PhaseReport per label, so a chaos run can show
-	// availability inside the fault window separately from the healthy
-	// periods around it. The label is sampled at send time.
-	Phase func() string
-}
-
-// PhaseReport is the per-fault-window slice of a load run: every
-// request whose send fell into one phase, with availability and
-// latency percentiles for that slice alone.
-type PhaseReport struct {
-	Sent       int64         `json:"sent"`
-	OK         int64         `json:"ok"`
-	Rejected   int64         `json:"rejected"`
-	Failed     int64         `json:"failed"`
-	Mismatched int64         `json:"mismatched"`
-	P50        time.Duration `json:"p50_ns"`
-	P99        time.Duration `json:"p99_ns"`
-}
-
-// Availability is the fraction of attempted requests that came back
-// with a correct 200. Backpressure rejections (429) are excluded from
-// the denominator: a shed request was answered honestly and told when
-// to retry — the failure modes availability measures are errors,
-// timeouts and cross-wired labels.
-func (p PhaseReport) Availability() float64 {
-	attempted := p.Sent - p.Rejected
-	if attempted <= 0 {
-		return 0
-	}
-	return float64(p.OK-p.Mismatched) / float64(attempted)
-}
-
-// phaseAcc accumulates one phase's tallies during the run.
-type phaseAcc struct {
-	rep  PhaseReport
-	lats []time.Duration
-}
-
-// quantile returns the q-quantile of the (sorted-in-place) latencies.
-func (a *phaseAcc) quantile(q float64) time.Duration {
-	if len(a.lats) == 0 {
-		return 0
-	}
-	sort.Slice(a.lats, func(i, j int) bool { return a.lats[i] < a.lats[j] })
-	idx := int(q * float64(len(a.lats)-1))
-	return a.lats[idx]
 }
 
 // LoadReport accounts for every request RunLoad sent. Drops or
@@ -97,12 +47,6 @@ type LoadReport struct {
 	Failed     int64         // transport errors and non-200/429 statuses
 	Mismatched int64         // 200 whose label contradicts Expect
 	Elapsed    time.Duration // wall clock for the whole run
-
-	// Phases holds the per-fault-window breakdown when LoadConfig.Phase
-	// was set (nil otherwise). The phase tallies partition the global
-	// ones: summing Sent/OK/Rejected/Failed across phases reproduces
-	// the totals, so exactly-once accounting is checkable per window.
-	Phases map[string]PhaseReport
 }
 
 // Accounted reports whether every request produced exactly one outcome.
@@ -110,17 +54,9 @@ func (r LoadReport) Accounted() bool {
 	return r.Sent == r.OK+r.Rejected+r.Failed && r.Sent > 0
 }
 
-// Throughput is served images per second over the run.
-func (r LoadReport) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.OK) / r.Elapsed.Seconds()
-}
-
 // RunLoad fires Clients×RequestsPerClient requests at the gateway and
 // tallies the outcomes. It never fails the run on 429s — shedding under
-// overload is the behaviour the harness exists to observe.
+// overload is the behaviour the load generator exists to observe.
 func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	if cfg.Clients <= 0 || cfg.RequestsPerClient <= 0 {
 		return LoadReport{}, fmt.Errorf("serve: load needs clients>0 and requests>0 (got %d, %d)", cfg.Clients, cfg.RequestsPerClient)
@@ -148,30 +84,10 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		bodies[i] = b
 	}
 
-	var rep LoadReport
-	var phaseMu sync.Mutex
-	phases := make(map[string]*phaseAcc)
-	// record tallies one outcome: the global atomic counters always,
-	// plus the sender's phase slice when phase labeling is on.
-	record := func(phase string, lat time.Duration, outcome func(*PhaseReport)) {
-		if cfg.Phase == nil {
-			return
-		}
-		phaseMu.Lock()
-		acc := phases[phase]
-		if acc == nil {
-			acc = &phaseAcc{}
-			phases[phase] = acc
-		}
-		acc.rep.Sent++
-		outcome(&acc.rep)
-		if lat > 0 {
-			acc.lats = append(acc.lats, lat)
-		}
-		phaseMu.Unlock()
-	}
-
-	var wg sync.WaitGroup
+	var (
+		rep LoadReport
+		wg  sync.WaitGroup
+	)
 	start := time.Now()
 	for c := 0; c < cfg.Clients; c++ {
 		wg.Add(1)
@@ -179,17 +95,10 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 			defer wg.Done()
 			for k := 0; k < cfg.RequestsPerClient; k++ {
 				idx := (c + k*cfg.Clients) % len(cfg.Images)
-				var phase string
-				if cfg.Phase != nil {
-					phase = cfg.Phase()
-				}
 				atomic.AddInt64(&rep.Sent, 1)
-				reqStart := time.Now()
 				resp, err := client.Post(cfg.URL+"/infer", "application/json", bytes.NewReader(bodies[idx]))
-				lat := time.Since(reqStart)
 				if err != nil {
 					atomic.AddInt64(&rep.Failed, 1)
-					record(phase, 0, func(p *PhaseReport) { p.Failed++ })
 					continue
 				}
 				var out Response
@@ -198,35 +107,18 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 				switch {
 				case resp.StatusCode == http.StatusTooManyRequests:
 					atomic.AddInt64(&rep.Rejected, 1)
-					record(phase, 0, func(p *PhaseReport) { p.Rejected++ })
 				case resp.StatusCode != http.StatusOK || decErr != nil:
 					atomic.AddInt64(&rep.Failed, 1)
-					record(phase, 0, func(p *PhaseReport) { p.Failed++ })
 				default:
 					atomic.AddInt64(&rep.OK, 1)
-					mismatch := len(cfg.Expect) > 0 && out.Label != cfg.Expect[idx]
-					if mismatch {
+					if len(cfg.Expect) > 0 && out.Label != cfg.Expect[idx] {
 						atomic.AddInt64(&rep.Mismatched, 1)
 					}
-					record(phase, lat, func(p *PhaseReport) {
-						p.OK++
-						if mismatch {
-							p.Mismatched++
-						}
-					})
 				}
 			}
 		}(c)
 	}
 	wg.Wait()
 	rep.Elapsed = time.Since(start)
-	if cfg.Phase != nil {
-		rep.Phases = make(map[string]PhaseReport, len(phases))
-		for name, acc := range phases {
-			acc.rep.P50 = acc.quantile(0.50)
-			acc.rep.P99 = acc.quantile(0.99)
-			rep.Phases[name] = acc.rep
-		}
-	}
 	return rep, nil
 }

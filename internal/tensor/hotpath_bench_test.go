@@ -9,11 +9,7 @@ import "testing"
 
 func benchSerialPooled(b *testing.B, f func()) {
 	prevPar := SetParallelism(1)
-	prevPool := SetPooling(true)
-	defer func() {
-		SetParallelism(prevPar)
-		SetPooling(prevPool)
-	}()
+	defer SetParallelism(prevPar)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -205,8 +205,6 @@ func TestConv2DBatchErrors(t *testing.T) {
 // A matrix obtained from the pool must arrive zeroed even when its
 // previous owner left garbage behind.
 func TestPoolRecycledMatrixIsZero(t *testing.T) {
-	old := SetPooling(true)
-	defer SetPooling(old)
 	m := GetMatrix(9, 11)
 	m.Fill(-7)
 	data := &m.Data[0]
@@ -228,8 +226,6 @@ func TestPoolRecycledMatrixIsZero(t *testing.T) {
 // that hands one live buffer to two owners is a data race (run under
 // -race in CI) and a sentinel mismatch here.
 func TestPoolConcurrentReuseNoAliasing(t *testing.T) {
-	old := SetPooling(true)
-	defer SetPooling(old)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {
@@ -257,26 +253,7 @@ func TestPoolConcurrentReuseNoAliasing(t *testing.T) {
 	}
 }
 
-func TestPoolDisabled(t *testing.T) {
-	old := SetPooling(false)
-	defer SetPooling(old)
-	if PoolingEnabled() {
-		t.Fatal("SetPooling(false) did not stick")
-	}
-	m := GetMatrix(8, 8)
-	m.Fill(5)
-	PutMatrix(m) // must be a no-op
-	n := GetMatrix(8, 8)
-	for _, v := range n.Data {
-		if v != 0 {
-			t.Fatal("GetMatrix with pooling off returned dirty storage")
-		}
-	}
-}
-
 func TestPoolEdgeSizes(t *testing.T) {
-	old := SetPooling(true)
-	defer SetPooling(old)
 	if got := GetSlice(0); got != nil {
 		t.Fatal("GetSlice(0) should be nil")
 	}
@@ -307,8 +284,6 @@ func TestPoolEdgeSizes(t *testing.T) {
 func TestHotPathAllocFree(t *testing.T) {
 	oldPar := SetParallelism(1)
 	defer SetParallelism(oldPar)
-	oldPool := SetPooling(true)
-	defer SetPooling(oldPool)
 
 	c := paperConv()
 	rng := rand.New(rand.NewSource(12))

@@ -8,7 +8,7 @@ import (
 )
 
 // parallelismLevels parameterizes every benchmark below by worker
-// count so BENCH_*.json tracks the scaling trajectory. NumCPU is
+// count so the output shows the scaling trajectory. NumCPU is
 // deduplicated when it collides with 1 or 2.
 func parallelismLevels() []int {
 	levels := []int{1, 2}

@@ -32,10 +32,9 @@ const (
 )
 
 var (
-	poolingOn atomic.Bool
-	poolGets  atomic.Int64 // satisfied from a pool class
-	poolPuts  atomic.Int64 // returned to a pool class
-	poolMiss  atomic.Int64 // allocated fresh (class empty, oversize, or pooling off)
+	poolGets atomic.Int64 // satisfied from a pool class
+	poolPuts atomic.Int64 // returned to a pool class
+	poolMiss atomic.Int64 // allocated fresh (class empty or outside the pooled range)
 
 	// One sync.Pool per power-of-two size class. Buffers are stored at
 	// their class capacity and re-sliced to the requested length. They
@@ -48,17 +47,6 @@ var (
 	// empty box from here, GetSlice returns the emptied box.
 	headers sync.Pool
 )
-
-func init() { poolingOn.Store(true) }
-
-// SetPooling toggles the process-wide matrix buffer pool and returns
-// the previous setting. Disabled, GetMatrix degenerates to a plain
-// allocation and PutMatrix to a no-op — the configuration the
-// allocation benchmarks use as their before side.
-func SetPooling(on bool) bool { return poolingOn.Swap(on) }
-
-// PoolingEnabled reports whether the matrix buffer pool is active.
-func PoolingEnabled() bool { return poolingOn.Load() }
 
 // PoolStats reports cumulative pool traffic: gets served from a class,
 // puts accepted, and misses (fresh allocations).
@@ -97,7 +85,7 @@ func GetSlice(n int) []int64 {
 	if n <= 0 {
 		return nil
 	}
-	if c := classFor(n); c >= 0 && poolingOn.Load() {
+	if c := classFor(n); c >= 0 {
 		if v := classes[c].Get(); v != nil {
 			box := v.(*[]int64)
 			buf := (*box)[:n]
@@ -120,9 +108,6 @@ func GetSlice(n int) []int64 {
 
 // PutSlice returns buf to its size class. buf must not be used again.
 func PutSlice(buf []int64) {
-	if !poolingOn.Load() {
-		return
-	}
 	// Class by capacity, rounding down so a Get never receives a buffer
 	// shorter than its class promises (miss-path buffers have exact
 	// request capacity, not a power of two).

@@ -3,7 +3,6 @@ package transport
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // Frame buffer pool for the TCP transport. Every protocol round moves
@@ -28,20 +27,9 @@ const (
 )
 
 var (
-	framePooling atomic.Bool
-	bufClasses   [bufMaxBits + 1]sync.Pool
-	bufHeaders   sync.Pool
+	bufClasses [bufMaxBits + 1]sync.Pool
+	bufHeaders sync.Pool
 )
-
-func init() { framePooling.Store(true) }
-
-// SetFramePooling toggles frame-buffer recycling on the TCP transport,
-// returning the previous setting. Off, getBuf degenerates to make and
-// putBuf to a no-op — the "before" side of the hot-path benchmark.
-func SetFramePooling(on bool) bool { return framePooling.Swap(on) }
-
-// FramePoolingEnabled reports whether frame buffers recycle.
-func FramePoolingEnabled() bool { return framePooling.Load() }
 
 // getBuf returns a []byte of length n with undefined contents. Callers
 // must overwrite every byte they emit or parse.
@@ -53,7 +41,7 @@ func getBuf(n int) []byte {
 	if c < bufMinBits {
 		c = bufMinBits
 	}
-	if c > bufMaxBits || !framePooling.Load() {
+	if c > bufMaxBits {
 		return make([]byte, n)
 	}
 	if v := bufClasses[c].Get(); v != nil {
@@ -70,9 +58,6 @@ func getBuf(n int) []byte {
 
 // putBuf returns buf to its size class; buf must not be used again.
 func putBuf(buf []byte) {
-	if !framePooling.Load() {
-		return
-	}
 	n := cap(buf)
 	if n < 1<<bufMinBits {
 		return

@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 	"unsafe"
 
 	"github.com/trustddl/trustddl/internal/sharing"
@@ -16,11 +15,11 @@ import (
 // dependencies, deterministic byte counts for the communication-cost
 // accounting.
 //
-// On little-endian hosts the element loops are replaced by bulk copies:
-// a []int64 reinterpreted as bytes IS its little-endian wire image, so
-// encode and decode move whole matrix bodies with one memmove each.
-// The portable per-element path is kept for big-endian hosts and as the
-// measured "before" side of the codec benchmarks (SetBulkCodec).
+// On little-endian hosts matrix bodies move as bulk copies: a []int64
+// reinterpreted as bytes IS its little-endian wire image, so encode and
+// decode move whole matrix bodies with one memmove each. The portable
+// per-element loops are the big-endian path and the reference
+// TestBulkCodecEquivalence holds the bulk copies to.
 
 const matrixHeaderLen = 8 // two uint32 dimensions
 
@@ -31,21 +30,22 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-var bulkCodec atomic.Bool
-
-func init() { bulkCodec.Store(hostLittleEndian) }
-
-// SetBulkCodec toggles the bulk-copy codec paths, returning the
-// previous setting. Enabling it on a big-endian host is a no-op: the
-// portable loops are the only correct option there. The toggle exists
-// for the hot-path benchmark, whose "before" side is the portable
-// per-element codec.
-func SetBulkCodec(on bool) bool {
-	return bulkCodec.Swap(on && hostLittleEndian)
+// appendInt64sPortable appends d element by element in little-endian
+// order.
+func appendInt64sPortable(buf []byte, d []int64) []byte {
+	for _, v := range d {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	}
+	return buf
 }
 
-// BulkCodecEnabled reports whether matrix bodies move via bulk copies.
-func BulkCodecEnabled() bool { return bulkCodec.Load() }
+// decodeInt64sPortable fills dst element by element from the
+// little-endian bytes in src, which must hold at least 8*len(dst).
+func decodeInt64sPortable(dst []int64, src []byte) {
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
 
 // int64Bytes reinterprets d as its in-memory byte image. Caller must
 // have checked hostLittleEndian before treating it as wire format.
@@ -60,13 +60,10 @@ func int64Bytes(d []int64) []byte {
 func AppendMatrix(buf []byte, m tensor.Matrix[int64]) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Rows))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Cols))
-	if bulkCodec.Load() {
+	if hostLittleEndian {
 		return append(buf, int64Bytes(m.Data)...)
 	}
-	for _, v := range m.Data {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	return buf
+	return appendInt64sPortable(buf, m.Data)
 }
 
 // DecodeMatrix parses one matrix from buf, returning it and the
@@ -93,12 +90,10 @@ func DecodeMatrix(buf []byte) (tensor.Matrix[int64], []byte, error) {
 		return tensor.Matrix[int64]{}, nil, fmt.Errorf("transport: matrix body truncated: need %d bytes, have %d", 8*n, len(buf))
 	}
 	m := tensor.Matrix[int64]{Rows: int(rows), Cols: int(cols), Data: make([]int64, n)}
-	if bulkCodec.Load() {
+	if hostLittleEndian {
 		copy(int64Bytes(m.Data), buf)
 	} else {
-		for i := range m.Data {
-			m.Data[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
+		decodeInt64sPortable(m.Data, buf)
 	}
 	return m, buf[8*n:], nil
 }

@@ -6,12 +6,9 @@ import (
 	"github.com/trustddl/trustddl/internal/tensor"
 )
 
-func benchCodec(b *testing.B, bulk bool) {
-	prev := SetBulkCodec(bulk)
-	defer SetBulkCodec(prev)
-	if bulk && !BulkCodecEnabled() {
-		b.Skip("host is big-endian; bulk codec unavailable")
-	}
+// benchCodec measures one encode+decode round trip of an
+// activation-sized matrix body.
+func benchCodec(b *testing.B, roundTrip func(buf []byte, m tensor.Matrix[int64]) []byte) {
 	m := tensor.MustNew[int64](4, 980)
 	for i := range m.Data {
 		m.Data[i] = int64(uint64(i) * 0x9e3779b97f4a7c15)
@@ -20,21 +17,38 @@ func benchCodec(b *testing.B, bulk bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = AppendMatrix(buf[:0], m)
-		if _, _, err := DecodeMatrix(buf); err != nil {
-			b.Fatal(err)
-		}
+		buf = roundTrip(buf[:0], m)
 	}
 }
 
-func BenchmarkWireCodecPortable(b *testing.B) { benchCodec(b, false) }
-func BenchmarkWireCodecBulk(b *testing.B)     { benchCodec(b, true) }
+func BenchmarkWireCodecPortable(b *testing.B) {
+	benchCodec(b, func(buf []byte, m tensor.Matrix[int64]) []byte {
+		buf = appendInt64sPortable(buf, m.Data)
+		decodeInt64sPortable(make([]int64, len(m.Data)), buf)
+		return buf
+	})
+}
 
-// benchFrame measures the framed write path (what every protocol
-// message pays) with and without the frame buffer pool.
-func benchFrame(b *testing.B, pooled bool) {
-	prev := SetFramePooling(pooled)
-	defer SetFramePooling(prev)
+func BenchmarkWireCodecBulk(b *testing.B) {
+	if !hostLittleEndian {
+		b.Skip("host is big-endian; bulk codec unavailable")
+	}
+	benchCodec(b, func(buf []byte, m tensor.Matrix[int64]) []byte {
+		buf = AppendMatrix(buf, m)
+		if _, _, err := DecodeMatrix(buf); err != nil {
+			b.Fatal(err)
+		}
+		return buf
+	})
+}
+
+type discardWriter struct{}
+
+func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkWriteFramePooled measures the framed write path every
+// protocol message pays.
+func BenchmarkWriteFramePooled(b *testing.B) {
 	payload := make([]byte, 8*4*980)
 	w := discardWriter{}
 	b.ReportAllocs()
@@ -45,10 +59,3 @@ func benchFrame(b *testing.B, pooled bool) {
 		}
 	}
 }
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-func BenchmarkWriteFrameUnpooled(b *testing.B) { benchFrame(b, false) }
-func BenchmarkWriteFramePooled(b *testing.B)   { benchFrame(b, true) }

@@ -50,7 +50,7 @@ func TestDecodeMatrixBoundOverflow(t *testing.T) {
 // The bulk little-endian codec must produce byte-identical encodings
 // and decodings to the portable per-element loops.
 func TestBulkCodecEquivalence(t *testing.T) {
-	if !BulkCodecEnabled() {
+	if !hostLittleEndian {
 		t.Skip("big-endian host: bulk codec unavailable")
 	}
 	m := tensor.MustNew[int64](7, 13)
@@ -58,18 +58,14 @@ func TestBulkCodecEquivalence(t *testing.T) {
 		m.Data[i] = int64(uint64(i) * 0x9e3779b97f4a7c15)
 	}
 	bulk := AppendMatrix(nil, m)
-	SetBulkCodec(false)
-	portable := AppendMatrix(nil, m)
+	header := append([]byte(nil), bulk[:matrixHeaderLen]...)
+	portable := appendInt64sPortable(header, m.Data)
 	if !bytes.Equal(bulk, portable) {
-		SetBulkCodec(true)
 		t.Fatal("bulk and portable encodings differ")
 	}
-	// Decode the portable bytes with the bulk path and vice versa.
-	gotPortable, rest, err := DecodeMatrix(bulk)
-	SetBulkCodec(true)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("portable decode: %v (%d trailing)", err, len(rest))
-	}
+	// Decode the bulk bytes with the portable loop and vice versa.
+	gotPortable := tensor.MustNew[int64](m.Rows, m.Cols)
+	decodeInt64sPortable(gotPortable.Data, bulk[matrixHeaderLen:])
 	gotBulk, rest, err := DecodeMatrix(portable)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("bulk decode: %v (%d trailing)", err, len(rest))
@@ -92,8 +88,6 @@ func TestBulkCodecEquivalence(t *testing.T) {
 // even as buffers recycle between frames, and Release must be safe to
 // call repeatedly and on non-TCP messages.
 func TestFramePoolRoundTripAndRelease(t *testing.T) {
-	old := SetFramePooling(true)
-	defer SetFramePooling(old)
 	for iter := 0; iter < 50; iter++ {
 		payload := bytes.Repeat([]byte{byte(iter)}, 100+iter)
 		var wire bytes.Buffer
@@ -116,37 +110,4 @@ func TestFramePoolRoundTripAndRelease(t *testing.T) {
 	}
 	var plain Message
 	plain.Release() // non-TCP message: no-op
-}
-
-// With pooling disabled both paths must still work (plain allocation).
-func TestFramePoolingDisabled(t *testing.T) {
-	old := SetFramePooling(false)
-	defer SetFramePooling(old)
-	if FramePoolingEnabled() {
-		t.Fatal("SetFramePooling(false) did not stick")
-	}
-	var wire bytes.Buffer
-	in := Message{From: 1, To: 2, Session: "s", Step: "x", Payload: []byte{1, 2, 3}}
-	if _, err := writeFrame(&wire, in); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := readFrame(bytes.NewReader(wire.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(msg.Payload, []byte{1, 2, 3}) {
-		t.Fatal("round trip failed with pooling off")
-	}
-	msg.Release()
-}
-
-func TestSetBulkCodecToggle(t *testing.T) {
-	orig := BulkCodecEnabled()
-	defer SetBulkCodec(orig)
-	if prev := SetBulkCodec(false); prev != orig {
-		t.Fatalf("SetBulkCodec returned %v, want %v", prev, orig)
-	}
-	if BulkCodecEnabled() {
-		t.Fatal("bulk codec still enabled after SetBulkCodec(false)")
-	}
 }

@@ -28,13 +28,17 @@ type onDemandSource struct{ nn.OwnerSource }
 // onlineCluster builds an honest-but-curious online-dealing cluster.
 // Its computing parties are the cluster's own, dealing through the
 // pipelined source, unless onDemand is set: then they are served over
-// the cluster's network and deal on demand.
+// the cluster's network and deal on demand. Both kinds get the same
+// generous receive timer: an open round that times out flags and
+// zero-fills the late peer, which changes the outputs, so a scheduling
+// stall on a loaded machine must not read as a fault on one side only.
 func onlineCluster(t *testing.T, seed uint64, onDemand bool) *trustddl.Cluster {
 	t.Helper()
 	cfg := trustddl.Config{
 		Mode:    trustddl.HonestButCurious,
 		Triples: trustddl.OnlineDealing,
 		Seed:    seed,
+		Timeout: 60 * time.Second,
 	}
 	if !onDemand {
 		cluster, err := trustddl.New(cfg)
@@ -76,7 +80,7 @@ func onlineCluster(t *testing.T, seed uint64, onDemand bool) *trustddl.Cluster {
 			}
 		}
 	})
-	cfg.Net, cfg.Timeout, cfg.RemoteParties = netw, 60*time.Second, true
+	cfg.Net, cfg.RemoteParties = netw, true
 	cluster, err := trustddl.New(cfg)
 	if err != nil {
 		t.Fatal(err)
