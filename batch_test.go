@@ -43,8 +43,8 @@ func batchCluster(t *testing.T, adversaries map[int]trustddl.Adversary) *trustdd
 // single-image counterpart when the two passes consume *independent*
 // correlated randomness: every truncating protocol step contributes
 // ±1–2 carry ulps that then propagate through the remaining layers.
-// (Bit-identity under shared row-stable randomness is pinned separately
-// in internal/nn and internal/sharing.)
+// (Bit-identity when the single-image passes replay row slices of the
+// batch pass's randomness is pinned separately in internal/nn.)
 const logitEnvelopeUlps = 256
 
 // batchSizes is the acceptance grid of the batched engine.

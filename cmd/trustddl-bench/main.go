@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	trustddl-bench [-iters N] [-seed S] [-frameworks a,b,...] [-parallelism P]
+//	trustddl-bench [-iters N] [-seed S] [-frameworks a,b,...]
 package main
 
 import (
@@ -29,12 +29,11 @@ func run(args []string) error {
 	iters := fs.Int("iters", 3, "single-image operations averaged per measurement")
 	seed := fs.Uint64("seed", 1, "deterministic seed for weights, data and shares")
 	frameworks := fs.String("frameworks", "", "comma-separated framework filter (SecureNN, Falcon, SafeML, TrustDDL); empty runs all")
-	parallelism := fs.Int("parallelism", 0, "tensor-kernel worker goroutines (0 = NumCPU, 1 = serial)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	cfg := trustddl.Table2Config{Iterations: *iters, Seed: *seed, Parallelism: *parallelism}
+	cfg := trustddl.Table2Config{Iterations: *iters, Seed: *seed}
 	if *frameworks != "" {
 		cfg.Frameworks = strings.Split(*frameworks, ",")
 	}

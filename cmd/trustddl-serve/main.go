@@ -34,7 +34,7 @@
 //	trustddl-serve [-addr 127.0.0.1:8088] [-max-batch 8] [-max-delay 2ms]
 //	               [-queue 256] [-metrics-addr :9090] [-model FILE]
 //	               [-seed 1] [-hbc] [-optimistic]
-//	               [-committees 1] [-parallelism P]
+//	               [-committees 1]
 //	               [-request-timeout 30s] [-retry-budget 1] [-probe-every 1s]
 //	               [-chaos-stall-committee 0] [-chaos-stall-after 5s] [-chaos-stall-for 10s]
 //
@@ -87,12 +87,8 @@ func run(args []string) error {
 	chaosStallCommittee := fs.Int("chaos-stall-committee", 0, "fault injection: stall a party of this committee (1-based) for one window; 0 disables")
 	chaosStallAfter := fs.Duration("chaos-stall-after", 5*time.Second, "with -chaos-stall-committee, when the stall window opens after serving starts")
 	chaosStallFor := fs.Duration("chaos-stall-for", 10*time.Second, "with -chaos-stall-committee, how long the stall window stays open")
-	parallelism := fs.Int("parallelism", 0, "tensor-kernel worker goroutines (0 = NumCPU, 1 = serial)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *parallelism > 0 {
-		trustddl.SetParallelism(*parallelism)
 	}
 
 	var (

@@ -13,7 +13,6 @@
 //
 //	trustddl-train [-epochs 5] [-train 300] [-test 100] [-batch 10]
 //	               [-lr 0.1] [-seed 1] [-data DIR] [-print-config]
-//	               [-parallelism P]
 //	               [-checkpoint-dir DIR] [-checkpoint-every N] [-resume]
 //	               [-suspicion-tol T] [-committees N] [-aggregate RULE]
 //	               [-poison-committee ID]
@@ -66,7 +65,6 @@ func run(args []string) error {
 	printConfig := fs.Bool("print-config", false, "print the Table I network configuration and exit")
 	sweep := fs.Bool("sweep-precision", false, "sweep fixed-point precisions instead of running Fig. 2")
 	savePath := fs.String("save", "", "after training, save the secure-trained model to this file")
-	parallelism := fs.Int("parallelism", 0, "tensor-kernel worker goroutines (0 = NumCPU, 1 = serial)")
 	ckptDir := fs.String("checkpoint-dir", "", "run the secure engine as a fault-tolerant session, checkpointing to this directory")
 	ckptEvery := fs.Int("checkpoint-every", 0, "mid-epoch checkpoint cadence in batches (0 = end of epoch only)")
 	resume := fs.Bool("resume", false, "continue from the checkpoint in -checkpoint-dir instead of starting fresh")
@@ -77,11 +75,6 @@ func run(args []string) error {
 	poison := fs.Int("poison-committee", 0, "make every party of this committee a colluding consistent liar (0 = none; requires -committees > 1)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *parallelism > 0 {
-		// Applies process-wide, so -sweep-precision and -save paths pick
-		// it up too.
-		trustddl.SetParallelism(*parallelism)
 	}
 
 	if *printConfig {

@@ -29,9 +29,8 @@ import (
 // single-image training iteration and a single-image inference over
 // the Table I network, and reports the traffic it generated. Every
 // simulator's local matrix work runs on package tensor's kernels, so
-// the tensor.SetParallelism knob (the -parallelism flag of
-// trustddl-bench) scales all Table II rows uniformly without changing
-// any measured byte count.
+// GOMAXPROCS scales all Table II rows uniformly without changing any
+// measured byte count.
 type Framework interface {
 	// Name is the framework label of Table II.
 	Name() string

@@ -50,10 +50,6 @@ type Table2Config struct {
 	Seed uint64
 	// Frameworks filters by framework name (empty = all six rows).
 	Frameworks []string
-	// Parallelism sets the worker-goroutine count for the tensor
-	// kernels every framework's local linear algebra runs on
-	// (0 = leave the process-wide setting, 1 = serial).
-	Parallelism int
 }
 
 // frameworkFactory builds one Table II system under test.
@@ -89,9 +85,6 @@ func factories() []frameworkFactory {
 // and single-image inference, wall time and exchanged megabytes, as in
 // the paper's microbenchmarks (§IV-A: batch size 1).
 func Table2(cfg Table2Config) ([]Table2Row, error) {
-	if cfg.Parallelism > 0 {
-		tensor.SetParallelism(cfg.Parallelism)
-	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 3
 	}
@@ -236,9 +229,6 @@ type Fig2Config struct {
 	Seed      uint64
 	DataDir   string // when it holds MNIST IDX files, real data is used
 	EvalLimit int
-	// Parallelism sets the tensor-kernel worker count for both engines
-	// (0 = leave the process-wide setting, 1 = serial).
-	Parallelism int
 	// OnEpoch, when non-nil, observes progress per engine and epoch.
 	OnEpoch func(engine string, epoch int, acc float64)
 	// Obs, when non-nil, receives the secure engine's live metrics
@@ -263,9 +253,6 @@ type Fig2Result struct {
 // the plaintext CML engine and with TrustDDL (malicious mode), and
 // reports test accuracy per epoch for both.
 func Fig2(cfg Fig2Config) (Fig2Result, error) {
-	if cfg.Parallelism > 0 {
-		tensor.SetParallelism(cfg.Parallelism)
-	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 5
 	}

@@ -8,7 +8,6 @@ import (
 	"github.com/trustddl/trustddl/internal/fixed"
 	"github.com/trustddl/trustddl/internal/mnist"
 	"github.com/trustddl/trustddl/internal/nn"
-	"github.com/trustddl/trustddl/internal/tensor"
 )
 
 // Precision sweep — the ablation behind the paper's §IV-B remark that
@@ -30,9 +29,6 @@ type PrecisionConfig struct {
 	Seed   uint64
 	// OnPoint, when non-nil, observes each completed setting.
 	OnPoint func(fracBits uint, accuracy float64)
-	// Parallelism sets the tensor-kernel worker count
-	// (0 = leave the process-wide setting, 1 = serial).
-	Parallelism int
 }
 
 // PrecisionPoint is one sweep measurement.
@@ -46,9 +42,6 @@ type PrecisionPoint struct {
 // (secure, malicious mode) plus once in plaintext, from identical
 // initial weights and data order, and reports final test accuracy.
 func PrecisionSweep(cfg PrecisionConfig) ([]PrecisionPoint, error) {
-	if cfg.Parallelism > 0 {
-		tensor.SetParallelism(cfg.Parallelism)
-	}
 	if len(cfg.FracBits) == 0 {
 		cfg.FracBits = []uint{8, 13, 16, 20}
 	}

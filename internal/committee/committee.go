@@ -704,21 +704,6 @@ func (c *Coordinator) ServeProbe(size int) []mnist.Image {
 	return mnist.Synthetic(c.cfg.Seed^probeSeedTag, size).Images
 }
 
-// PlainPredict classifies images under the global plaintext model (the
-// model owner's domain, like the per-epoch probe). Serving uses it to
-// derive reference labels for the gateway's probe batch.
-func (c *Coordinator) PlainPredict(images []mnist.Image) ([]int, error) {
-	net, err := c.arch.BuildPlain(c.weights)
-	if err != nil {
-		return nil, err
-	}
-	x, err := imagesMatrix(images)
-	if err != nil {
-		return nil, err
-	}
-	return net.Predict(x)
-}
-
 // CompromisedEngines reports, as indices into the engine list that
 // Engines() returned at provision time, the committees whose internal
 // suspicion ledger has reached a conviction majority — the serving-

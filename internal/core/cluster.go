@@ -175,7 +175,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Obs != nil {
 		// Attach before any traffic flows so the registry mirror and the
 		// transport meter agree bit-for-bit.
-		transport.SetObs(c.net, cfg.Obs)
+		transport.AttachObs(c.net, cfg.Obs)
 		c.ledger.SetObs(cfg.Obs)
 	}
 

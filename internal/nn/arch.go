@@ -60,18 +60,6 @@ func AvgPoolSpec(shape PoolShape) LayerSpec { return LayerSpec{Kind: KindAvgPool
 // hasWeights reports whether the layer carries parameters.
 func (s LayerSpec) hasWeights() bool { return s.Kind == KindDense || s.Kind == KindConv }
 
-// weightShape returns the parameter matrix dimensions.
-func (s LayerSpec) weightShape() (rows, cols int) {
-	switch s.Kind {
-	case KindDense:
-		return s.In, s.Out
-	case KindConv:
-		return s.Conv.PatchSize(), s.OutChannels
-	default:
-		return 0, 0
-	}
-}
-
 // outputWidth returns the per-sample output width given the input
 // width, or an error on mismatch.
 func (s LayerSpec) outputWidth(in int) (int, error) {

@@ -1,17 +1,20 @@
 // Batch equivalence suite: a batch-N secure pass must be bit-identical
 // to N sequential single-image passes — int64 output shares, revealed
-// ring values and decoded floats — when both consume row-stable
-// correlated randomness (sharing.RowPreDealer). The local share
-// truncation makes revealed values sensitive to the masks' low bits,
-// so share-aligned dealing is exactly the condition under which
-// bit-identity is the right assertion; any cross-row mixing in the
-// batched tensor path (chunked kernels, im2col layout, mask
-// misalignment) breaks it.
+// ring values and decoded floats — when the replay of row r consumes
+// rows [r·u, (r+1)·u) of the batch pass's correlated randomness
+// (sliceDealing). The local share truncation makes revealed values
+// sensitive to the masks' low bits, so share-aligned randomness is
+// exactly the condition under which bit-identity is the right
+// assertion; any cross-row mixing in the batched path (a matrix-global
+// decision, chunked kernels, im2col layout, mask misalignment) breaks
+// it.
 package nn
 
 import (
 	"fmt"
 	mathrand "math/rand/v2"
+	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/trustddl/trustddl/internal/sharing"
@@ -20,47 +23,133 @@ import (
 )
 
 // equivBatches is the acceptance grid: 1 and 3 cross the single-image
-// boundary, 8 and 32 cross the parallel kernels' chunk boundaries once
-// the fan-out threshold is forced to zero.
+// boundary; at 32 the widest products reach the kernels' fan-out
+// threshold, so forceChunking splits their rows across workers.
 var equivBatches = []int{1, 3, 8, 32}
 
-// forceChunking makes every tensor kernel fan out across 4 workers
-// regardless of size, so tiny test shapes still cross chunk boundaries.
+// forceChunking runs the rest of the test at GOMAXPROCS=4, so every
+// kernel call of at least 2¹⁴ element-ops fans out across 4 workers.
+// A test that wants the serial reference sets runtime.GOMAXPROCS(1).
 func forceChunking(t *testing.T) {
 	t.Helper()
-	prevP := tensor.SetParallelism(4)
-	prevT := tensor.SetParallelThreshold(0)
-	t.Cleanup(func() {
-		tensor.SetParallelism(prevP)
-		tensor.SetParallelThreshold(prevT)
-	})
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// shareMatRows shares an n-row matrix row by row with rd and returns
-// the per-party stacked batch bundles plus the per-row bundles, so the
-// batch pass and its replay consume bit-identical input shares.
-func shareMatRows(t *testing.T, rd *sharing.Dealer, m Mat64) ([sharing.NumParties]sharing.Bundle, [][sharing.NumParties]sharing.Bundle) {
-	t.Helper()
-	rows := make([][sharing.NumParties]sharing.Bundle, m.Rows)
-	var parts [sharing.NumParties][]sharing.Bundle
-	for r := 0; r < m.Rows; r++ {
-		row := tensor.Matrix[float64]{Rows: 1, Cols: m.Cols, Data: m.Data[r*m.Cols : (r+1)*m.Cols]}
-		bs, err := rd.ShareFloats(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows[r] = bs
-		for i := 0; i < sharing.NumParties; i++ {
-			parts[i] = append(parts[i], bs[i])
+// sliceDealing deals every item of a batched pass once, batch-shaped,
+// with Dealer.DealBatch — the routine the model owner runs — and serves
+// the batch pass the whole item and the replay of row r its rows
+// [r·u, (r+1)·u), u being the replay request's leading dimension. Row
+// slices of a batch triple are valid row triples (c_r = a_r·b, and
+// sharing is linear), so no second dealer is needed. A batch request
+// whose leading dimension does not split over the batch (the in×batch ·
+// batch×out weight-gradient product) is dealt at its own shape.
+type sliceDealing struct {
+	mu    sync.Mutex
+	d     *sharing.Dealer
+	batch int
+	items map[string]sharing.BatchItem
+}
+
+func newSliceDealing(d *sharing.Dealer, batch int) *sliceDealing {
+	return &sliceDealing{d: d, batch: batch, items: make(map[string]sharing.BatchItem)}
+}
+
+// view returns party's source for the batch pass (row < 0) or for the
+// replay of row.
+func (s *sliceDealing) view(party, row int) sliceView { return sliceView{s, party, row} }
+
+type sliceView struct {
+	s          *sliceDealing
+	party, row int
+}
+
+// item returns the item keyed by key for a request of m leading rows,
+// dealing it on first use, and the row range of it this view serves.
+func (v sliceView) item(key string, m int, order func(rows int) sharing.BatchOrder) (sharing.BatchItem, int, int, error) {
+	u, rows := m, v.s.batch*m // a replay request: u rows per batch row
+	if v.row < 0 {
+		u, rows = m/v.s.batch, m
+		if m%v.s.batch != 0 {
+			u = -m // does not split over the batch: its own item, served whole
 		}
 	}
-	var batch [sharing.NumParties]sharing.Bundle
-	for i := 0; i < sharing.NumParties; i++ {
-		b, err := sharing.StackBundles(parts[i])
+	key = fmt.Sprintf("%s|%d", key, u)
+	v.s.mu.Lock()
+	defer v.s.mu.Unlock()
+	it, ok := v.s.items[key]
+	if !ok {
+		items, err := v.s.d.DealBatch([]sharing.BatchOrder{order(rows)})
 		if err != nil {
-			t.Fatal(err)
+			return sharing.BatchItem{}, 0, 0, err
 		}
-		batch[i] = b
+		it = items[0]
+		v.s.items[key] = it
+	}
+	if v.row < 0 {
+		return it, 0, rows, nil
+	}
+	return it, v.row * u, (v.row + 1) * u, nil
+}
+
+// MatMulTriple implements TripleSource. The suite's sessions carry no
+// mask epoch, so the mask name is always empty and B always fresh.
+func (v sliceView) MatMulTriple(session, _ string, m, n, q int) (sharing.TripleBundle, error) {
+	it, lo, hi, err := v.item(fmt.Sprintf("%s|mm|%dx%d", session, n, q), m, func(rows int) sharing.BatchOrder {
+		return sharing.BatchOrder{Kind: sharing.TripleMatMul, M: rows, N: n, P: q}
+	})
+	if err != nil {
+		return sharing.TripleBundle{}, err
+	}
+	t := it.Triple[v.party-1]
+	return sharing.TripleBundle{A: bundleRows(t.A, lo, hi), B: t.B.Clone(), C: bundleRows(t.C, lo, hi)}, nil
+}
+
+// HadamardTriple implements TripleSource.
+func (v sliceView) HadamardTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
+	it, lo, hi, err := v.item(fmt.Sprintf("%s|hd|%d", session, cols), rows, func(rows int) sharing.BatchOrder {
+		return sharing.BatchOrder{Kind: sharing.TripleHadamard, M: rows, N: cols}
+	})
+	if err != nil {
+		return sharing.TripleBundle{}, err
+	}
+	t := it.Triple[v.party-1]
+	return sharing.TripleBundle{A: bundleRows(t.A, lo, hi), B: bundleRows(t.B, lo, hi), C: bundleRows(t.C, lo, hi)}, nil
+}
+
+// AuxPositive implements TripleSource.
+func (v sliceView) AuxPositive(session string, rows, cols int) (sharing.Bundle, error) {
+	it, lo, hi, err := v.item(fmt.Sprintf("%s|ax|%d", session, cols), rows, func(rows int) sharing.BatchOrder {
+		return sharing.BatchOrder{Aux: true, M: rows, N: cols}
+	})
+	if err != nil {
+		return sharing.Bundle{}, err
+	}
+	return bundleRows(it.Aux[v.party-1], lo, hi), nil
+}
+
+// bundleRows copies rows [lo, hi) of every component of b.
+func bundleRows(b sharing.Bundle, lo, hi int) sharing.Bundle {
+	rows := func(m Mat) Mat {
+		return Mat{Rows: hi - lo, Cols: m.Cols, Data: append([]int64(nil), m.Data[lo*m.Cols:hi*m.Cols]...)}
+	}
+	return sharing.Bundle{Primary: rows(b.Primary), Hat: rows(b.Hat), Second: rows(b.Second)}
+}
+
+// shareMatRows shares an n-row matrix once with rd and returns the
+// per-party batch bundles plus their row slices, so the batch pass and
+// its replay consume bit-identical input shares.
+func shareMatRows(t *testing.T, rd *sharing.Dealer, m Mat64) ([sharing.NumParties]sharing.Bundle, [][sharing.NumParties]sharing.Bundle) {
+	t.Helper()
+	batch, err := rd.ShareFloats(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][sharing.NumParties]sharing.Bundle, m.Rows)
+	for r := range rows {
+		for i := range batch {
+			rows[r][i] = bundleRows(batch[i], r, r+1)
+		}
 	}
 	return batch, rows
 }
@@ -99,12 +188,13 @@ func wantBundleRowEqual(t *testing.T, batch sharing.Bundle, r int, row sharing.B
 // grid from pre-shared weight bundles.
 type equivNet func(party int) (*SecureNetwork, error)
 
-// denseEquivNet is a dense(17→11) + ReLU + dense(11→4) stack: odd
-// widths so forced chunking splits rows unevenly.
+// denseEquivNet is a dense(17→61) + ReLU + dense(61→4) stack: odd
+// widths so forced chunking splits rows unevenly; at batch 32 the first
+// product is 32·17·61 ≥ 2¹⁴ element-ops and fans out.
 func denseEquivNet(t *testing.T, rd *sharing.Dealer, rng *mathrand.Rand) equivNet {
 	t.Helper()
-	w1 := tensor.MustNew[float64](17, 11)
-	w2 := tensor.MustNew[float64](11, 4)
+	w1 := tensor.MustNew[float64](17, 61)
+	w2 := tensor.MustNew[float64](61, 4)
 	for i := range w1.Data {
 		w1.Data[i] = rng.NormFloat64() * 0.4
 	}
@@ -132,13 +222,15 @@ func denseEquivNet(t *testing.T, rd *sharing.Dealer, rng *mathrand.Rand) equivNe
 	}
 }
 
-// convEquivNet is conv(1×6×6, k3 s2 p1, 2 filters) + ReLU: the im2col
+// convEquivNet is conv(1×6×6, k3 s2 p1, 8 filters) + ReLU: the im2col
 // lowering gives 9 matmul rows per image, exercising the block (not
-// single-row) decomposition of the batched triple.
+// single-row) decomposition of the batched triple; at batch 32 the
+// lowered product is 288·9·8 ≥ 2¹⁴ element-ops and fans out.
 func convEquivNet(t *testing.T, rd *sharing.Dealer, rng *mathrand.Rand) (equivNet, int) {
 	t.Helper()
 	shape := tensor.ConvShape{InChannels: 1, Height: 6, Width: 6, Kernel: 3, Stride: 2, Pad: 1}
-	w := tensor.MustNew[float64](shape.PatchSize(), 2)
+	const filters = 8
+	w := tensor.MustNew[float64](shape.PatchSize(), filters)
 	for i := range w.Data {
 		w.Data[i] = rng.NormFloat64() * 0.4
 	}
@@ -147,7 +239,7 @@ func convEquivNet(t *testing.T, rd *sharing.Dealer, rng *mathrand.Rand) (equivNe
 		t.Fatal(err)
 	}
 	return func(party int) (*SecureNetwork, error) {
-		c, err := NewSecureConv(shape, 2, bw[party])
+		c, err := NewSecureConv(shape, filters, bw[party])
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +249,7 @@ func convEquivNet(t *testing.T, rd *sharing.Dealer, rng *mathrand.Rand) (equivNe
 
 // runEquivGrid drives the full batch-vs-sequential comparison for one
 // architecture: for each batch size, one batched pass and N single-row
-// replays over row-stable triples, asserting bit-identical output
+// replays on row slices of its triples, asserting bit-identical output
 // shares and revealed values (ring ints and decoded floats).
 func runEquivGrid(t *testing.T, env *secureEnv, build func(rd *sharing.Dealer, rng *mathrand.Rand) (equivNet, int)) {
 	t.Helper()
@@ -167,10 +259,7 @@ func runEquivGrid(t *testing.T, env *secureEnv, build func(rd *sharing.Dealer, r
 			rd := sharing.NewDealer(sharing.NewSeededSource(uint64(4000+batch)), env.params)
 			rng := mathrand.New(mathrand.NewPCG(uint64(batch), 99))
 			mk, inWidth := build(rd, rng)
-			pre, err := sharing.NewRowPreDealer(rd, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pre := newSliceDealing(rd, batch)
 			x := tensor.MustNew[float64](batch, inWidth)
 			for i := range x.Data {
 				x.Data[i] = rng.NormFloat64() * 0.5
@@ -183,10 +272,7 @@ func runEquivGrid(t *testing.T, env *secureEnv, build func(rd *sharing.Dealer, r
 				if err != nil {
 					return sharing.Bundle{}, err
 				}
-				view, err := pre.BatchView(i + 1)
-				if err != nil {
-					return sharing.Bundle{}, err
-				}
+				view := pre.view(i+1, -1)
 				return net.Logits(env.ctxs[i], view, session, xBatch[i])
 			})
 			batchOpen := open(t, batchOuts)
@@ -197,10 +283,7 @@ func runEquivGrid(t *testing.T, env *secureEnv, build func(rd *sharing.Dealer, r
 					if err != nil {
 						return sharing.Bundle{}, err
 					}
-					view, err := pre.RowView(i+1, r)
-					if err != nil {
-						return sharing.Bundle{}, err
-					}
+					view := pre.view(i+1, r)
 					return net.Logits(env.ctxs[i], view, session, xRows[r][i])
 				})
 				for i := 0; i < sharing.NumParties; i++ {
@@ -247,7 +330,6 @@ func TestBatchForwardByzantineBitIdentical(t *testing.T) {
 	honest := newSecureEnv(t)
 	byz := newSecureEnv(t)
 	byz.ctxs[1].Adversary = liarAdversary{}
-	forceChunking(t)
 
 	const batch = 3
 	logitsOn := func(env *secureEnv) Mat {
@@ -256,10 +338,7 @@ func TestBatchForwardByzantineBitIdentical(t *testing.T) {
 		rd := sharing.NewDealer(sharing.NewSeededSource(6100), env.params)
 		rng := mathrand.New(mathrand.NewPCG(61, 62))
 		mk := denseEquivNet(t, rd, rng)
-		pre, err := sharing.NewRowPreDealer(rd, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pre := newSliceDealing(rd, batch)
 		x := tensor.MustNew[float64](batch, 17)
 		for i := range x.Data {
 			x.Data[i] = rng.NormFloat64() * 0.5
@@ -270,10 +349,7 @@ func TestBatchForwardByzantineBitIdentical(t *testing.T) {
 			if err != nil {
 				return sharing.Bundle{}, err
 			}
-			view, err := pre.BatchView(i + 1)
-			if err != nil {
-				return sharing.Bundle{}, err
-			}
+			view := pre.view(i+1, -1)
 			return net.Logits(env.ctxs[i], view, "byzeq", xBatch[i])
 		})
 		got := open(t, outs)
@@ -285,10 +361,7 @@ func TestBatchForwardByzantineBitIdentical(t *testing.T) {
 				if err != nil {
 					return sharing.Bundle{}, err
 				}
-				view, err := pre.RowView(i+1, r)
-				if err != nil {
-					return sharing.Bundle{}, err
-				}
+				view := pre.view(i+1, r)
 				return net.Logits(env.ctxs[i], view, "byzeq", xRows[r][i])
 			})
 			wantBitEqual(t, matRow(got, r), open(t, rowOuts), fmt.Sprintf("byzantine row %d", r))
@@ -310,7 +383,7 @@ func TestBatchForwardByzantineBitIdentical(t *testing.T) {
 }
 
 // TestBatchBackwardDecomposition pins the training-step half of the
-// equivalence: with row-stable triples the input gradient dx of a
+// equivalence: with row-sliced triples the input gradient dx of a
 // batched backward pass is bit-identical per row to the sequential
 // replays, while the weight gradient — whose matmul contracts over the
 // batch dimension — decomposes additively only up to the truncation
@@ -320,7 +393,6 @@ func TestBatchForwardByzantineBitIdentical(t *testing.T) {
 // the batched engine's contract is stated at this level.
 func TestBatchBackwardDecomposition(t *testing.T) {
 	env := newSecureEnv(t)
-	forceChunking(t)
 	for _, batch := range equivBatches {
 		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
 			rd := sharing.NewDealer(sharing.NewSeededSource(uint64(7000+batch)), env.params)
@@ -333,10 +405,7 @@ func TestBatchBackwardDecomposition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pre, err := sharing.NewRowPreDealer(rd, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pre := newSliceDealing(rd, batch)
 			x := tensor.MustNew[float64](batch, 17)
 			dy := tensor.MustNew[float64](batch, 4)
 			for i := range x.Data {
@@ -355,10 +424,7 @@ func TestBatchBackwardDecomposition(t *testing.T) {
 				if err != nil {
 					return bwOut{}, err
 				}
-				view, err := pre.BatchView(i + 1)
-				if err != nil {
-					return bwOut{}, err
-				}
+				view := pre.view(i+1, -1)
 				if _, err := d.Forward(env.ctxs[i], view, session+"/f", xBatch[i]); err != nil {
 					return bwOut{}, err
 				}
@@ -382,10 +448,7 @@ func TestBatchBackwardDecomposition(t *testing.T) {
 					if err != nil {
 						return bwOut{}, err
 					}
-					view, err := pre.RowView(i+1, r)
-					if err != nil {
-						return bwOut{}, err
-					}
+					view := pre.view(i+1, r)
 					if _, err := d.Forward(env.ctxs[i], view, session+"/f", xRows[r][i]); err != nil {
 						return bwOut{}, err
 					}

@@ -6,9 +6,9 @@
 // model owner (§III-C).
 //
 // Both engines run their local linear algebra on package tensor's
-// kernels and therefore honor the process-wide tensor.SetParallelism
-// knob; parallel and serial kernels are bit-identical, so training
-// trajectories do not depend on the setting.
+// kernels, which fan out up to GOMAXPROCS workers; parallel and serial
+// kernels are bit-identical, so training trajectories do not depend on
+// GOMAXPROCS.
 package nn
 
 import (

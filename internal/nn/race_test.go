@@ -2,15 +2,16 @@ package nn
 
 // End-to-end race coverage for the parallel tensor kernels: a full
 // secure training step runs three party goroutines over the channel
-// transport while every tensor kernel fans out to its own worker
-// goroutines (fan-out threshold forced to zero so even the tiny test
-// shapes take the parallel path). The test is designed to run under
+// transport while its products — shaped at ≥ 2¹⁴ element-ops, the
+// kernels' fan-out threshold — fan out to their own worker goroutines
+// at GOMAXPROCS=4. The test is designed to run under
 // `go test -race ./internal/nn` and additionally pins the determinism
 // contract at system level: the secure step with parallel kernels must
-// reproduce the serial-kernel step bit-for-bit.
+// reproduce the GOMAXPROCS=1 step bit-for-bit.
 
 import (
 	mathrand "math/rand/v2"
+	"runtime"
 	"testing"
 
 	"github.com/trustddl/trustddl/internal/sharing"
@@ -18,8 +19,11 @@ import (
 	"github.com/trustddl/trustddl/internal/transport"
 )
 
-// secureStepWeights runs one secure dense→ReLU→dense training step in a
-// fresh in-process deployment and returns the opened post-step weights.
+// secureStepWeights runs one secure dense(64→64)→ReLU→dense(64→3)
+// training step on 8 images in a fresh in-process deployment and
+// returns the opened post-step weights; the forward, weight-gradient
+// and input-gradient products of the first layer are 8·64·64 ≥ 2¹⁴
+// element-ops each.
 // Everything is seeded, so two invocations under identical kernel
 // settings — or, per the parallel layer's contract, under different
 // ones — must produce identical matrices.
@@ -27,14 +31,20 @@ func secureStepWeights(t *testing.T) (Mat, Mat) {
 	t.Helper()
 	env := newSecureEnv(t)
 	rng := mathrand.New(mathrand.NewPCG(21, 22))
-	w1, w2 := tinyWeights(rng)
+	w1 := tensor.MustNew[float64](64, 64)
+	w2 := tensor.MustNew[float64](64, 3)
+	for _, w := range []Mat64{w1, w2} {
+		for i := range w.Data {
+			w.Data[i] = rng.NormFloat64() * 0.2
+		}
+	}
 	const lr = 0.1
 
-	x := tensor.MustNew[float64](2, 6)
+	x := tensor.MustNew[float64](8, 64)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64() * 0.5
 	}
-	oneHot, err := OneHot([]int{2, 0}, 3)
+	oneHot, err := OneHot([]int{2, 0, 1, 1, 0, 2, 2, 1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,16 +75,10 @@ func secureStepWeights(t *testing.T) (Mat, Mat) {
 }
 
 func TestSecureTrainingStepParallelKernels(t *testing.T) {
-	prevP := tensor.SetParallelism(4)
-	prevT := tensor.SetParallelThreshold(0)
-	defer func() {
-		tensor.SetParallelism(prevP)
-		tensor.SetParallelThreshold(prevT)
-	}()
-
+	forceChunking(t)
 	parW1, parW2 := secureStepWeights(t)
 
-	tensor.SetParallelism(1)
+	runtime.GOMAXPROCS(1)
 	serW1, serW2 := secureStepWeights(t)
 
 	if !parW1.Equal(serW1) || !parW2.Equal(serW2) {
@@ -85,24 +89,21 @@ func TestSecureTrainingStepParallelKernels(t *testing.T) {
 // TestSecureConvParallelKernels drives the conv layer's secure forward
 // and backward — the Im2Col/Col2Im paths — under parallel kernels with
 // the three parties racing, and checks the same bit-identity contract.
+// Four images through the paper's 5×5 conv lower to 4·196·25 ≥ 2¹⁴
+// element-ops.
 func TestSecureConvParallelKernels(t *testing.T) {
-	prevP := tensor.SetParallelism(4)
-	prevT := tensor.SetParallelThreshold(0)
-	defer func() {
-		tensor.SetParallelism(prevP)
-		tensor.SetParallelThreshold(prevT)
-	}()
+	forceChunking(t)
 
 	step := func(t *testing.T) (Mat, Mat) {
 		t.Helper()
 		env := newSecureEnv(t)
 		rng := mathrand.New(mathrand.NewPCG(31, 32))
-		shape := tensor.ConvShape{InChannels: 1, Height: 6, Width: 6, Kernel: 3, Stride: 2, Pad: 1}
+		shape := tensor.ConvShape{InChannels: 1, Height: 28, Width: 28, Kernel: 5, Stride: 2, Pad: 2}
 		conv, err := NewConv(shape, 2, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := tensor.MustNew[float64](2, 36)
+		x := tensor.MustNew[float64](4, 784)
 		for i := range x.Data {
 			x.Data[i] = rng.Float64()
 		}
@@ -133,7 +134,7 @@ func TestSecureConvParallelKernels(t *testing.T) {
 	}
 
 	parY, parDX := step(t)
-	tensor.SetParallelism(1)
+	runtime.GOMAXPROCS(1)
 	serY, serDX := step(t)
 	if !parY.Equal(serY) || !parDX.Equal(serDX) {
 		t.Fatal("secure conv forward/backward with parallel kernels differs from serial-kernel run")

@@ -341,7 +341,7 @@ func TestSecureTrainingWithByzantineParty(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.FlagParty(2)
-	gotW1, _, err := rec.Decide()
+	gotW1, _, err := rec.DecideRows()
 	if err != nil {
 		t.Fatal(err)
 	}

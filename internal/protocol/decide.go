@@ -4,20 +4,20 @@ import (
 	"github.com/trustddl/trustddl/internal/sharing"
 )
 
-// decideJoint applies the decision rule of Algorithm 4 (line 20) to one
-// or more reconstruction sets, row by row: every row of every opened
-// matrix picks its own minimum-distance pair (j, k), j ≠ k, among the
-// unflagged reconstructions. Per-row decisions are what make a batched
-// opening row-decomposable: after a truncating step the six candidate
-// reconstructions disagree by share-local carry bits, and a
-// matrix-global pair choice would let one batch row's carries select
-// the reconstruction used for another row — the batched step would then
-// diverge from its sequential replay by a full mask term. Each row's
-// decision independently avoids Byzantine reconstructions (a corrupted
-// share is far from honest in every row it touches), so the per-row
-// rule weakens nothing. The returned Decision reports the worst
-// (maximum-distance) row across all sets, preserving the detection
-// semantics of the global rule.
+// decideJoint applies the decision rule of Algorithm 4 (line 20) —
+// sharing.Reconstructions.DecideRows — to one or more reconstruction
+// sets: every row of every opened matrix picks its own pair (j, k),
+// j ≠ k, among the unflagged reconstructions, the canonical first pair
+// within HonestSlack of the row's minimum distance. Per-row decisions
+// are what make a batched opening row-decomposable: after a truncating
+// step the six candidate reconstructions disagree by share-local carry
+// bits, and a matrix-global pair choice would let one batch row's
+// carries select the reconstruction used for another row — the batched
+// step would then diverge from its sequential replay
+// (nn.TestBatchDenseForwardBitIdentical fails under such a rule). The
+// returned Decision reports the worst (maximum-distance) row across all
+// sets, the distance deviation detection compares against its
+// tolerance.
 func decideJoint(recs ...*sharing.Reconstructions) ([]Mat, sharing.Decision, error) {
 	if len(recs) == 0 {
 		return nil, sharing.Decision{}, sharing.ErrNoConsensus

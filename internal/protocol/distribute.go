@@ -34,23 +34,6 @@ func RecvBundle(ctx *Ctx, from int, session, step string) (sharing.Bundle, error
 	return b, err
 }
 
-// DistributePlainShares sends each listed party its plain additive
-// share (the N-party HbC distribution used by the baselines).
-func DistributePlainShares(ep transport.Endpoint, session, step string, parties []int, shares []Mat) error {
-	for i, p := range parties {
-		err := ep.Send(transport.Message{
-			To:      p,
-			Session: session,
-			Step:    step,
-			Payload: transport.EncodeMatrices(shares[i]),
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RecvPlainShare receives a plain share at an HbC party.
 func RecvPlainShare(ctx *HbCCtx, from int, session, step string) (Mat, error) {
 	msg, err := ctx.Router.Expect(from, session, step)

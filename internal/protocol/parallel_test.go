@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/trustddl/trustddl/internal/sharing"
@@ -12,20 +13,19 @@ import (
 // perform their local linear algebra (masking, Beaver combination,
 // truncation) through the tensor kernels, so running them with parallel
 // kernels must yield bit-identical share bundles and the same decided
-// value as a serial-kernel run of the identical seeded deployment.
+// value as a GOMAXPROCS=1 run of the identical seeded deployment. The
+// 128×130 operands put every product and element-wise step at ≥ 2¹⁴
+// element-ops, so at GOMAXPROCS=4 the kernels fan out.
 func TestSecMatMulBTParallelKernelsMatchSerial(t *testing.T) {
-	prevP := tensor.SetParallelism(4)
-	prevT := tensor.SetParallelThreshold(0)
-	defer func() {
-		tensor.SetParallelism(prevP)
-		tensor.SetParallelThreshold(prevT)
-	}()
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 
+	const m, n, p = 128, 130, 9
 	run := func(t *testing.T) (Mat, Mat) {
 		t.Helper()
 		env := newPartyEnv(t, true)
-		x := tensor.MustNew[float64](9, 7)
-		y := tensor.MustNew[float64](7, 5)
+		x := tensor.MustNew[float64](m, n)
+		y := tensor.MustNew[float64](n, p)
 		for i := range x.Data {
 			x.Data[i] = float64(i%13) - 6
 		}
@@ -33,15 +33,15 @@ func TestSecMatMulBTParallelKernelsMatchSerial(t *testing.T) {
 			y.Data[i] = float64(i%11)/4 - 1
 		}
 		bx, by := shareFloats(t, env, x), shareFloats(t, env, y)
-		mmTriples, err := env.dealer.MatMulTriple(9, 7, 5)
+		mmTriples, err := env.dealer.MatMulTriple(m, n, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hadTriples, err := env.dealer.HadamardTriple(9, 7)
+		hadTriples, err := env.dealer.HadamardTriple(m, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x2, _ := tensor.FromSlice(9, 7, x.Data)
+		x2, _ := tensor.FromSlice(m, n, x.Data)
 		bx2 := shareFloats(t, env, x2)
 		mm := runAll(t, env, func(ctx *Ctx) (sharing.Bundle, error) {
 			return SecMatMulBT(ctx, "par-mm", bx[ctx.Index-1], by[ctx.Index-1], mmTriples[ctx.Index-1])
@@ -53,7 +53,7 @@ func TestSecMatMulBTParallelKernelsMatchSerial(t *testing.T) {
 	}
 
 	parMM, parHad := run(t)
-	tensor.SetParallelism(1)
+	runtime.GOMAXPROCS(1)
 	serMM, serHad := run(t)
 
 	if !parMM.Equal(serMM) {

@@ -142,7 +142,7 @@ func decideBundles(t *testing.T, bundles [sharing.NumParties]sharing.Bundle, fla
 	for _, p := range flagged {
 		rec.FlagParty(p)
 	}
-	got, _, err := rec.Decide()
+	got, _, err := rec.DecideRows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,10 @@ func TestSecMulBTNoCommitmentMode(t *testing.T) {
 
 // runByzantineMul runs SecMulBT with the given adversary on byz and
 // checks the honest parties' outputs reconstruct to x ⊙ y.
-func runByzantineMul(t *testing.T, adv Adversary, byz int, commitment bool) *partyEnv {
+// byzantineMul runs SecMulBT on a fixed 2×2 input with party byz
+// running adv, and returns the deployment, the product the honest
+// parties' outputs reveal and the plaintext product.
+func byzantineMul(t *testing.T, adv Adversary, byz int, commitment bool) (*partyEnv, Mat, tensor.Matrix[float64]) {
 	t.Helper()
 	env := newPartyEnv(t, commitment)
 	env.ctxs[byz-1].Adversary = adv
@@ -239,7 +242,13 @@ func runByzantineMul(t *testing.T, adv Adversary, byz int, commitment bool) *par
 	want, _ := x.Hadamard(y)
 	// The Byzantine party's outputs are untrusted: flag them in the
 	// final validation, exactly as a downstream consumer (owner) would.
-	floatsClose(t, env.params, decideBundles(t, outs, []int{byz}), want, 8)
+	return env, decideBundles(t, outs, []int{byz}), want
+}
+
+func runByzantineMul(t *testing.T, adv Adversary, byz int, commitment bool) *partyEnv {
+	t.Helper()
+	env, got, want := byzantineMul(t, adv, byz, commitment)
+	floatsClose(t, env.params, got, want, 8)
 	return env
 }
 
@@ -257,6 +266,48 @@ func TestSecMulBTCase3ConsistentCorruption(t *testing.T) {
 			}
 		}
 	}
+
+	// ROADMAP item 1(a): a liar that shifts all three of its shares by
+	// the same δ moves the four reconstructions they feed by δ together,
+	// so two corrupted candidates agree at distance 0 exactly like the
+	// honest pair, and the canonical preference picks the corrupted pair
+	// whenever it comes first — at P1 and P2, not at P3.
+	t.Run("known/same-shift", func(t *testing.T) {
+		var off [sharing.NumParties]float64
+		flags := 0
+		for byz := 1; byz <= sharing.NumParties; byz++ {
+			env, got, want := byzantineMul(t, sameShiftAdversary{}, byz, true)
+			for i := range want.Data {
+				off[byz-1] = max(off[byz-1], math.Abs(env.params.ToFloat(got.Data[i])-want.Data[i]))
+			}
+			for i, ctx := range env.ctxs {
+				if i+1 != byz {
+					flags += ctx.FlagCount()
+				}
+			}
+		}
+		if off[0] < 1 && off[1] < 1 {
+			t.Fatalf("gap closed (off by %v): make the same-shift liar a Case 3 regression", off)
+		}
+		t.Skipf("known gap: a same-shift liar (δ = 2³³) moves SecMulBT's honest output by %.1f / %.1f / %.1f at P1 / P2 / P3, with %d flags raised",
+			off[0], off[1], off[2], flags)
+	})
+}
+
+// sameShiftAdversary adds the same δ to its primary, hat and second
+// shares before committing: a hash-consistent lie that shifts every
+// reconstruction its shares feed by one common δ.
+type sameShiftAdversary struct{ honestAdversary }
+
+func (sameShiftAdversary) CorruptPreCommit(_, _ string, bs []sharing.Bundle) []sharing.Bundle {
+	for i := range bs {
+		for _, m := range []Mat{bs[i].Primary, bs[i].Hat, bs[i].Second} {
+			for j := range m.Data {
+				m.Data[j] += 1 << 33
+			}
+		}
+	}
+	return bs
 }
 
 func TestSecMulBTCase1CommitViolation(t *testing.T) {

@@ -37,21 +37,22 @@ type BatchItem struct {
 	Mask Mat
 }
 
-// DealBatch deals all items of one batch, drawing from the dealer's
-// Source exactly as the equivalent sequence of individual
-// HadamardTriple / MatMulTriple / AuxPositive calls would. Keeping the
-// two streams identical is a correctness contract, not cosmetics:
-// fixed-point truncation is share-local, so opened protocol outputs
-// depend (at the ulp level) on the share randomness, and the batched
-// offline path must stay bit-identical to the on-demand path. All
-// randomness is therefore drawn serially per item — operands first,
-// then the share masks, in the individual deal's order; only the
-// CPU-bound triple products c = a·b / a⊙b, which consume no
-// randomness, run concurrently across items (each additionally fanning
-// out over the parallel tensor kernels). The c share sets are
-// assembled afterwards from masks pre-drawn in phase 1. An order dealt
-// Against a retained mask skips exactly the draws of b and of b's
-// shares, so a stream with no such order is the stream it always was.
+// DealBatch deals all items of one batch; it is the dealer's only
+// dealing routine (HadamardTriple, MatMulTriple and AuxPositive are
+// one-order batches). A batch draws from the dealer's Source exactly
+// as the same orders dealt one batch each would. Keeping the streams
+// identical is a correctness contract, not cosmetics: fixed-point
+// truncation is share-local, so opened protocol outputs depend (at the
+// ulp level) on the share randomness, and a pipelined multi-order
+// fetch must stay bit-identical to on-demand single-order deals. All
+// randomness is therefore drawn serially per item — operands, then the
+// share masks of a, b and c in that order; only the CPU-bound triple
+// products c = a·b / a⊙b, which consume no randomness, run concurrently
+// across items (each additionally fanning out over the parallel tensor
+// kernels). The c share sets are assembled afterwards from masks
+// pre-drawn in phase 1. An order dealt Against a retained mask skips
+// exactly the draws of b and of b's shares, so a stream with no such
+// order is the stream it always was.
 func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 	type pending struct {
 		a, b   Mat // triple operands
@@ -104,8 +105,6 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
 			}
 		}
-		// The individual path computes c here (no draws) and then shares
-		// a, b, c in that order; mirror its mask draws exactly.
 		if ops[i].as, err = d.Share(ops[i].a); err != nil {
 			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
 		}
@@ -198,8 +197,7 @@ func shareWithMasks(s Mat, masks [NumParties]Mat) ([NumParties]Bundle, error) {
 	return bundles, nil
 }
 
-// auxMatrix draws the SecComp-BT masking matrix of AuxPositive without
-// sharing it (DealBatch separates drawing from sharing).
+// auxMatrix draws the SecComp-BT masking matrix of AuxPositive.
 func (d *Dealer) auxMatrix(rows, cols int) (Mat, error) {
 	t, err := tensor.New[int64](rows, cols)
 	if err != nil {

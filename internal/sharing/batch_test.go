@@ -1,6 +1,7 @@
 package sharing
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -93,5 +94,89 @@ func TestDealBatchTriplesAreConsistent(t *testing.T) {
 func TestDealBatchRejectsUnknownKind(t *testing.T) {
 	if _, err := batchDealer(1).DealBatch([]BatchOrder{{Kind: TripleKind(9), M: 1, N: 1}}); err == nil {
 		t.Fatal("unknown kind must error")
+	}
+}
+
+// rowsOf returns rows [lo, hi) of every party's bundle.
+func rowsOf(bs [NumParties]Bundle, lo, hi int) [NumParties]Bundle {
+	rows := func(m Mat) Mat {
+		return Mat{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+	}
+	var out [NumParties]Bundle
+	for p, b := range bs {
+		out[p] = Bundle{Primary: rows(b.Primary), Hat: rows(b.Hat), Second: rows(b.Second)}
+	}
+	return out
+}
+
+// components splits per-party triple bundles into per-component ones.
+func components(tr [NumParties]TripleBundle) (as, bs, cs [NumParties]Bundle) {
+	for p := range tr {
+		as[p], bs[p], cs[p] = tr[p].A, tr[p].B, tr[p].C
+	}
+	return as, bs, cs
+}
+
+// The three tests below pin what lets a row replay of a batched pass
+// consume slices of the batch pass's randomness instead of a dealing of
+// its own: sharing is linear, so the share-level row slices of one
+// dealt item are themselves valid items of the row shape, and the
+// item is, share for share, the stack of its row items.
+
+// TestRowMatMulTriplesStackShareLevel: rows [lo, hi) of a matrix
+// triple's A and C shares, with the whole B, are a triple: c_r = a_r·b.
+func TestRowMatMulTriplesStackShareLevel(t *testing.T) {
+	const m, n, p, unit = 6, 7, 3, 2
+	tr, err := batchDealer(77).MatMulTriple(m, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, bs, cs := components(tr)
+	b := decide(t, bs)
+	for lo := 0; lo < m; lo += unit {
+		a, c := decide(t, rowsOf(as, lo, lo+unit)), decide(t, rowsOf(cs, lo, lo+unit))
+		want, err := a.MatMul(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matEqual(t, c, want, fmt.Sprintf("rows [%d,%d): c = a·b", lo, lo+unit))
+	}
+}
+
+// TestRowHadamardTriplesStackShareLevel: rows [lo, hi) of all three
+// components of an element-wise triple are a triple: c_r = a_r ⊙ b_r.
+func TestRowHadamardTriplesStackShareLevel(t *testing.T) {
+	const m, cols = 4, 6
+	tr, err := batchDealer(77).HadamardTriple(m, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, bs, cs := components(tr)
+	for r := 0; r < m; r++ {
+		a, b, c := decide(t, rowsOf(as, r, r+1)), decide(t, rowsOf(bs, r, r+1)), decide(t, rowsOf(cs, r, r+1))
+		want, err := a.Hadamard(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matEqual(t, c, want, fmt.Sprintf("row %d: c = a⊙b", r))
+	}
+}
+
+// TestRowAuxPositiveStackShareLevel: every row slice of an auxiliary
+// matrix opens to values in the positive range [0.5, 8).
+func TestRowAuxPositiveStackShareLevel(t *testing.T) {
+	const m, cols = 3, 5
+	d := batchDealer(77)
+	aux, err := d.AuxPositive(m, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := d.Params().FromFloat(0.5), d.Params().FromFloat(8)
+	for r := 0; r < m; r++ {
+		for i, v := range decide(t, rowsOf(aux, r, r+1)).Data {
+			if v < lo || v >= hi {
+				t.Fatalf("row %d element %d = %d outside [%d, %d)", r, i, v, lo, hi)
+			}
+		}
 	}
 }

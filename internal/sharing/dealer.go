@@ -113,37 +113,15 @@ type TripleBundle struct {
 // multiplication operands) and c is their exact ring Hadamard product,
 // carrying doubled fixed-point scale just like the product it masks.
 func (d *Dealer) HadamardTriple(rows, cols int) ([NumParties]TripleBundle, error) {
-	a, err := d.uniform(rows, cols)
-	if err != nil {
-		return [NumParties]TripleBundle{}, err
-	}
-	b, err := d.uniform(rows, cols)
-	if err != nil {
-		return [NumParties]TripleBundle{}, err
-	}
-	c, err := a.Hadamard(b)
-	if err != nil {
-		return [NumParties]TripleBundle{}, err
-	}
-	return d.shareTriple(a, b, c)
+	it, err := d.dealOne(BatchOrder{Kind: TripleHadamard, M: rows, N: cols})
+	return it.Triple, err
 }
 
 // MatMulTriple deals a fresh matrix-product Beaver triple with a of
 // shape m×n and b of shape n×p.
 func (d *Dealer) MatMulTriple(m, n, p int) ([NumParties]TripleBundle, error) {
-	a, err := d.uniform(m, n)
-	if err != nil {
-		return [NumParties]TripleBundle{}, err
-	}
-	b, err := d.uniform(n, p)
-	if err != nil {
-		return [NumParties]TripleBundle{}, err
-	}
-	c, err := a.MatMul(b)
-	if err != nil {
-		return [NumParties]TripleBundle{}, err
-	}
-	return d.shareTriple(a, b, c)
+	it, err := d.dealOne(BatchOrder{Kind: TripleMatMul, M: m, N: n, P: p})
+	return it.Triple, err
 }
 
 // AuxPositive deals shares of a matrix t of random positive reals used
@@ -153,11 +131,17 @@ func (d *Dealer) MatMulTriple(m, n, p int) ([NumParties]TripleBundle, error) {
 // comparison magnitude only up to that factor, matching the leakage the
 // paper accepts for its comparison protocol.
 func (d *Dealer) AuxPositive(rows, cols int) ([NumParties]Bundle, error) {
-	t, err := d.auxMatrix(rows, cols)
+	it, err := d.dealOne(BatchOrder{Aux: true, M: rows, N: cols})
+	return it.Aux, err
+}
+
+// dealOne deals a single order: every dealing routine is DealBatch.
+func (d *Dealer) dealOne(o BatchOrder) (BatchItem, error) {
+	items, err := d.DealBatch([]BatchOrder{o})
 	if err != nil {
-		return [NumParties]Bundle{}, err
+		return BatchItem{}, err
 	}
-	return d.Share(t)
+	return items[0], nil
 }
 
 func (d *Dealer) uniform(rows, cols int) (Mat, error) {
@@ -169,24 +153,4 @@ func (d *Dealer) uniform(rows, cols int) (Mat, error) {
 		m.Data[i] = ringElement(d.src)
 	}
 	return m, nil
-}
-
-func (d *Dealer) shareTriple(a, b, c Mat) ([NumParties]TripleBundle, error) {
-	var out [NumParties]TripleBundle
-	as, err := d.Share(a)
-	if err != nil {
-		return out, err
-	}
-	bs, err := d.Share(b)
-	if err != nil {
-		return out, err
-	}
-	cs, err := d.Share(c)
-	if err != nil {
-		return out, err
-	}
-	for i := 0; i < NumParties; i++ {
-		out[i] = TripleBundle{A: as[i], B: bs[i], C: cs[i]}
-	}
-	return out, nil
 }

@@ -17,11 +17,24 @@ func decide(t *testing.T, bundles [NumParties]Bundle) Mat {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := rec.Decide()
+	got, _, err := rec.DecideRows()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return got
+}
+
+// matEqual asserts bit-level equality of two share matrices.
+func matEqual(t *testing.T, got, want Mat, what string) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d vs %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("%s: element %d: %d vs %d", what, i, got.Data[i], want.Data[i])
+		}
+	}
 }
 
 func TestShareFloatsRoundTrip(t *testing.T) {

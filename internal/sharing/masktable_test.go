@@ -14,9 +14,9 @@ func openTriple(t *testing.T, tr [NumParties]TripleBundle) (a, b, c Mat) {
 	for p := 0; p < NumParties; p++ {
 		as[p], bs[p], cs[p] = tr[p].A, tr[p].B, tr[p].C
 	}
-	a, c = reconstruct(t, as), reconstruct(t, cs)
+	a, c = decide(t, as), decide(t, cs)
 	if !bs[0].Primary.IsZeroShape() {
-		b = reconstruct(t, bs)
+		b = decide(t, bs)
 	}
 	return a, b, c
 }
@@ -122,56 +122,5 @@ func TestMaskTableBoundedOldestFirst(t *testing.T) {
 	}
 	if len(tab.byName) != MaxRetainedMasks || len(tab.order) != MaxRetainedMasks {
 		t.Fatalf("table holds %d/%d names, bound %d", len(tab.byName), len(tab.order), MaxRetainedMasks)
-	}
-}
-
-// TestRowPreDealerReusesNamedMask: a row-stable family requested under
-// a retained mask name is dealt against that mask, and its row slices
-// still stack share-for-share into the batch slice.
-func TestRowPreDealerReusesNamedMask(t *testing.T) {
-	pre, err := NewRowPreDealer(rowDealer(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	family := func(session string) (batch [NumParties]TripleBundle, rows [3][NumParties]TripleBundle) {
-		t.Helper()
-		for p := 1; p <= NumParties; p++ {
-			bv, err := pre.BatchView(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if batch[p-1], err = bv.MatMulTriple(session, "w", 3, 4, 2); err != nil {
-				t.Fatal(err)
-			}
-			for r := range rows {
-				rv, err := pre.RowView(p, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rows[r][p-1], err = rv.MatMulTriple(session, "w", 1, 4, 2); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return batch, rows
-	}
-	cold, _ := family("s1")
-	_, b0, _ := openTriple(t, cold)
-	if b0.IsZeroShape() {
-		t.Fatal("first family under a name carries no B")
-	}
-	warm, rows := family("s2")
-	a, b, c := openTriple(t, warm)
-	if !b.IsZeroShape() {
-		t.Fatal("family under a retained name carries B")
-	}
-	want, err := a.MatMul(b0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matEqual(t, c, want, "family against the named mask")
-	for r := range rows {
-		bundleRowEqual(t, warm[0].A, r, rows[r][0].A, "warm view A")
-		bundleRowEqual(t, warm[0].C, r, rows[r][0].C, "warm view C")
 	}
 }

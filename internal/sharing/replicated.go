@@ -112,35 +112,6 @@ func (b Bundle) HadamardPublic(mask Mat) (Bundle, error) {
 	return Bundle{Primary: p, Hat: h, Second: s}, nil
 }
 
-// AddPublicToFirst adds a public matrix to the secret by adding it to
-// the first share of every set. Party i holds first shares of sets i1
-// (Primary) and i2 (Hat); across the three parties every set receives
-// the constant exactly once.
-func (b Bundle) AddPublicToFirst(pub Mat) (Bundle, error) {
-	p, err := b.Primary.Add(pub)
-	if err != nil {
-		return Bundle{}, err
-	}
-	h, err := b.Hat.Add(pub)
-	if err != nil {
-		return Bundle{}, err
-	}
-	return Bundle{Primary: p, Hat: h, Second: b.Second.Clone()}, nil
-}
-
-// AddPublicToSecond adds a public matrix to the second share only. This
-// implements the r=2 convention of Algorithm 4 (line 23): the e·f term
-// joins the second share of each set, and each second share is held by
-// exactly one party, so each set receives it exactly once with no
-// designated party P_r.
-func (b Bundle) AddPublicToSecond(pub Mat) (Bundle, error) {
-	s, err := b.Second.Add(pub)
-	if err != nil {
-		return Bundle{}, err
-	}
-	return Bundle{Primary: b.Primary.Clone(), Hat: b.Hat.Clone(), Second: s}, nil
-}
-
 // Truncate arithmetic-shifts every share right by frac bits: the local
 // fixed-point rescaling applied after every multiplication. See package
 // fixed for the error bound.
@@ -205,7 +176,7 @@ type Reconstructions struct {
 
 // ReconstructSix computes all six reconstructions from the per-set
 // shares. All flags start true; callers clear them per the commitment
-// checks before calling Decide.
+// checks before calling DecideRows.
 func ReconstructSix(sets [NumParties]SetShares) (Reconstructions, error) {
 	var rec Reconstructions
 	for j := 0; j < NumParties; j++ {
@@ -249,39 +220,6 @@ type Decision struct {
 // which is outside the fault model.
 var ErrNoConsensus = fmt.Errorf("sharing: no unflagged reconstruction pair (more than one Byzantine party?)")
 
-// Decide applies the decision rule of §III-B: among all unflagged pairs
-// (s^j, ŝ^k) with j ≠ k, pick the pair with minimum distance and return
-// s^j as the correct reconstruction. Two honest sets always agree up to
-// truncation slack, while a Byzantine party can force agreement between
-// the reconstructions it corrupts only with negligible probability
-// (it must commit to its shares before seeing the honest ones).
-func (r *Reconstructions) Decide() (Mat, Decision, error) {
-	best := Decision{Distance: math.Inf(1)}
-	found := false
-	for j := 0; j < NumParties; j++ {
-		if !r.PlainOK[j] {
-			continue
-		}
-		for k := 0; k < NumParties; k++ {
-			if k == j || !r.HatOK[k] {
-				continue
-			}
-			d, err := r.Plain[j].MaxAbsDiff(r.Hat[k])
-			if err != nil {
-				return Mat{}, Decision{}, err
-			}
-			if d < best.Distance {
-				best = Decision{PlainSet: j + 1, HatSet: k + 1, Distance: d}
-				found = true
-			}
-		}
-	}
-	if !found {
-		return Mat{}, Decision{}, ErrNoConsensus
-	}
-	return r.Plain[best.PlainSet-1], best, nil
-}
-
 // HonestSlack bounds the disagreement (raw ring units) between honest
 // reconstructions of the same opened value: exact openings agree
 // perfectly, and the share-local probabilistic truncation perturbs each
@@ -292,12 +230,17 @@ func (r *Reconstructions) Decide() (Mat, Decision, error) {
 // protocol layer's deviation-suspicion tolerance matches this bound.
 const HonestSlack = 16
 
-// DecideRows applies the decision rule of §III-B independently to each
-// row of the reconstructed matrix, with a canonical preference among
-// plausibly-honest candidates: each row first finds its minimum pair
-// distance, then picks the lexicographically first unflagged pair
-// (j, k) whose distance is within HonestSlack of that minimum, and
-// reveals Plain[j]'s row.
+// DecideRows applies the decision rule of §III-B: among all unflagged
+// pairs (s^j, ŝ^k) with j ≠ k, a pair at minimum distance reveals s^j.
+// Two honest sets always agree up to truncation slack, while a
+// Byzantine party can force agreement between the reconstructions it
+// corrupts only with negligible probability (it must commit to its
+// shares before seeing the honest ones). The rule is applied
+// independently to each row of the reconstructed matrix, with a
+// canonical preference among plausibly-honest candidates: each row
+// first finds its minimum pair distance, then picks the
+// lexicographically first unflagged pair (j, k) whose distance is
+// within HonestSlack of that minimum, and reveals Plain[j]'s row.
 //
 // Both refinements exist to make the decision a pure function of the
 // honest data, independent of shape and flag context:
@@ -322,8 +265,8 @@ const HonestSlack = 16
 //     while corrupted sets (distance >> HonestSlack above the minimum)
 //     are still excluded.
 //
-// The returned Decision describes the worst (maximum-distance) row,
-// preserving Decide's semantics for deviation detection.
+// The returned Decision describes the worst (maximum-distance) row: the
+// distance deviation detection compares against its tolerance.
 func (r *Reconstructions) DecideRows() (Mat, Decision, error) {
 	rows, cols := 0, 0
 	for j := 0; j < NumParties; j++ {

@@ -1,15 +1,17 @@
 package tensor
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // Steady-state benchmarks for the pooled hot-path kernels. Serial mode
-// keeps the allocation counters deterministic (worker goroutines and
+// (GOMAXPROCS=1) keeps the allocation counters deterministic (worker goroutines and
 // their closures would otherwise show up); CI gates on the reported
 // allocs/op staying at the pinned budget of zero.
 
 func benchSerialPooled(b *testing.B, f func()) {
-	prevPar := SetParallelism(1)
-	defer SetParallelism(prevPar)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -165,16 +166,13 @@ func TestConv2DBatchSerialParallelIdentical(t *testing.T) {
 	x := randFloat(t, rng, 8, c.InChannels*c.Height*c.Width)
 	w := randFloat(t, rng, c.PatchSize(), 5)
 
-	oldThresh := SetParallelThreshold(1)
-	defer SetParallelThreshold(oldThresh)
-	oldPar := SetParallelism(4)
+	withFanOut(t, 4, 1)
 	par, err := Conv2DBatch(c, x, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetParallelism(1)
+	runtime.GOMAXPROCS(1)
 	serial, err := Conv2DBatch(c, x, w)
-	SetParallelism(oldPar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,10 +278,9 @@ func TestPoolEdgeSizes(t *testing.T) {
 
 // The pooled kernels must be allocation-free in the steady state. The
 // parallel fan-out allocates goroutine state, so the pin holds with
-// parallelism 1 — the partitioning, not the kernels, owns that cost.
+// GOMAXPROCS=1 — the partitioning, not the kernels, owns that cost.
 func TestHotPathAllocFree(t *testing.T) {
-	oldPar := SetParallelism(1)
-	defer SetParallelism(oldPar)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	c := paperConv()
 	rng := rand.New(rand.NewSource(12))

@@ -15,77 +15,34 @@
 // chunk boundaries for both domains.
 //
 // Small inputs never pay goroutine overhead: a kernel fans out only
-// when its estimated element-op count reaches ParallelThreshold.
+// when its estimated element-op count reaches parallelThreshold, and
+// then to at most runtime.GOMAXPROCS(0) workers. There is no knob in
+// the code: GOMAXPROCS is the operator's, and GOMAXPROCS=1 is the
+// serial reference mode.
 package tensor
 
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-// DefaultParallelThreshold is the minimum number of element operations
-// a kernel invocation must perform before it fans out to worker
+// parallelThreshold is the minimum number of element operations a
+// kernel invocation must perform before it fans out to worker
 // goroutines. Spawning and joining a goroutine costs on the order of a
 // microsecond — roughly the cost of 10⁴ int64 multiply-adds — so below
-// this the serial loop always wins.
-const DefaultParallelThreshold = 1 << 14
-
-var (
-	parallelism       atomic.Int64
-	parallelThreshold atomic.Int64
-)
-
-func init() {
-	parallelism.Store(int64(runtime.NumCPU()))
-	parallelThreshold.Store(DefaultParallelThreshold)
-}
-
-// SetParallelism sets the number of worker goroutines the kernels may
-// fan out to and returns the previous value. n = 1 forces fully serial
-// execution (the deterministic reference mode); n < 1 resets to
-// runtime.NumCPU(). The setting is process-wide: every engine built on
-// this package — plaintext layers, secure share arithmetic, the
-// protocol-local Beaver combinations, and the baseline simulators —
-// picks it up on its next kernel call.
-func SetParallelism(n int) int {
-	if n < 1 {
-		n = runtime.NumCPU()
-	}
-	return int(parallelism.Swap(int64(n)))
-}
-
-// Parallelism returns the current worker count.
-func Parallelism() int { return int(parallelism.Load()) }
-
-// SetParallelThreshold sets the minimum element-op count at which
-// kernels fan out, returning the previous value. 0 makes every kernel
-// call parallel regardless of size (used by the equivalence tests to
-// exercise chunk boundaries at tiny shapes); v < 0 resets the default.
-func SetParallelThreshold(v int) int {
-	if v < 0 {
-		v = DefaultParallelThreshold
-	}
-	return int(parallelThreshold.Swap(int64(v)))
-}
-
-// ParallelThreshold returns the current fan-out threshold.
-func ParallelThreshold() int { return int(parallelThreshold.Load()) }
+// this the serial loop always wins. Only this package's tests lower it,
+// to exercise chunk boundaries at tiny shapes.
+var parallelThreshold = 1 << 14
 
 // workersFor returns how many goroutines a kernel splitting n units of
-// outer-loop work totalling ops element operations should use.
+// outer-loop work totalling ops element operations should use. The
+// GOMAXPROCS read comes after the threshold check, so the serial path
+// never pays for it.
 func workersFor(n, ops int) int {
-	if n < 2 || ops < int(parallelThreshold.Load()) {
+	if n < 2 || ops < parallelThreshold {
 		return 1
 	}
-	p := int(parallelism.Load())
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return min(runtime.GOMAXPROCS(0), n)
 }
 
 // serialFor reports whether a kernel over n outer units totalling ops

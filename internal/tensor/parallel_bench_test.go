@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// parallelismLevels parameterizes every benchmark below by worker
-// count so the output shows the scaling trajectory. NumCPU is
-// deduplicated when it collides with 1 or 2.
-func parallelismLevels() []int {
+// procsLevels parameterizes every benchmark below by GOMAXPROCS (the
+// kernels' worker count) so the output shows the scaling trajectory.
+// NumCPU is deduplicated when it collides with 1 or 2.
+func procsLevels() []int {
 	levels := []int{1, 2}
 	if n := runtime.NumCPU(); n != 1 && n != 2 {
 		levels = append(levels, n)
@@ -18,10 +18,9 @@ func parallelismLevels() []int {
 	return levels
 }
 
-func benchWithParallelism(b *testing.B, p int, fn func(b *testing.B)) {
-	b.Run(fmt.Sprintf("parallelism=%d", p), func(b *testing.B) {
-		prev := SetParallelism(p)
-		defer SetParallelism(prev)
+func benchWithProcs(b *testing.B, p int, fn func(b *testing.B)) {
+	b.Run(fmt.Sprintf("gomaxprocs=%d", p), func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
 		fn(b)
 	})
 }
@@ -30,8 +29,8 @@ func benchMatMul(b *testing.B, m, n, p int) {
 	rng := mathrand.New(mathrand.NewPCG(uint64(m), uint64(n)))
 	a := randMat[int64](rng, m, n)
 	c := randMat[int64](rng, n, p)
-	for _, workers := range parallelismLevels() {
-		benchWithParallelism(b, workers, func(b *testing.B) {
+	for _, workers := range procsLevels() {
+		benchWithProcs(b, workers, func(b *testing.B) {
 			b.SetBytes(int64(8 * (m*n + n*p)))
 			for i := 0; i < b.N; i++ {
 				if _, err := a.MatMul(c); err != nil {
@@ -60,8 +59,8 @@ func BenchmarkIm2ColMNIST(b *testing.B) {
 	const batch = 64
 	rng := mathrand.New(mathrand.NewPCG(11, 13))
 	x := randMat[int64](rng, batch, shape.InChannels*shape.Height*shape.Width)
-	for _, workers := range parallelismLevels() {
-		benchWithParallelism(b, workers, func(b *testing.B) {
+	for _, workers := range procsLevels() {
+		benchWithProcs(b, workers, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := Im2ColBatch(shape, x); err != nil {
 					b.Fatal(err)
@@ -78,8 +77,8 @@ func BenchmarkCol2ImMNIST(b *testing.B) {
 	positions := shape.OutHeight() * shape.OutWidth()
 	rng := mathrand.New(mathrand.NewPCG(11, 13))
 	cols := randMat[int64](rng, batch*positions, shape.PatchSize())
-	for _, workers := range parallelismLevels() {
-		benchWithParallelism(b, workers, func(b *testing.B) {
+	for _, workers := range procsLevels() {
+		benchWithProcs(b, workers, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := Col2ImBatch(shape, cols, batch); err != nil {
 					b.Fatal(err)
@@ -95,8 +94,8 @@ func BenchmarkHadamard512(b *testing.B) {
 	rng := mathrand.New(mathrand.NewPCG(5, 7))
 	x := randMat[int64](rng, 512, 512)
 	y := randMat[int64](rng, 512, 512)
-	for _, workers := range parallelismLevels() {
-		benchWithParallelism(b, workers, func(b *testing.B) {
+	for _, workers := range procsLevels() {
+		benchWithProcs(b, workers, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := x.Hadamard(y); err != nil {
 					b.Fatal(err)
@@ -107,8 +106,8 @@ func BenchmarkHadamard512(b *testing.B) {
 }
 
 // TestMatMulParallelSpeedup asserts the acceptance criterion: on hosts
-// with ≥ 4 CPUs, 256×256 MatMul at Parallelism=NumCPU is at least 2×
-// faster than Parallelism=1. Skipped on smaller machines where the
+// with ≥ 4 CPUs, 256×256 MatMul at GOMAXPROCS=NumCPU is at least 2×
+// faster than GOMAXPROCS=1. Skipped on smaller machines where the
 // criterion is vacuous (and in -short runs, since it times real work).
 func TestMatMulParallelSpeedup(t *testing.T) {
 	if testing.Short() {
@@ -121,8 +120,7 @@ func TestMatMulParallelSpeedup(t *testing.T) {
 	a := randMat[int64](rng, 256, 256)
 	c := randMat[int64](rng, 256, 256)
 	timeIt := func(p int) float64 {
-		prev := SetParallelism(p)
-		defer SetParallelism(prev)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
 		const reps = 20
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -138,6 +136,6 @@ func TestMatMulParallelSpeedup(t *testing.T) {
 	serial := timeIt(1)
 	parallel := timeIt(runtime.NumCPU())
 	if speedup := serial / parallel; speedup < 2 {
-		t.Fatalf("256×256 MatMul speedup %.2fx at Parallelism=%d, want ≥ 2x", speedup, runtime.NumCPU())
+		t.Fatalf("256×256 MatMul speedup %.2fx at GOMAXPROCS=%d, want ≥ 2x", speedup, runtime.NumCPU())
 	}
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	mathrand "math/rand/v2"
+	"runtime"
 	"testing"
 )
 
@@ -21,12 +22,7 @@ func FuzzMatMulParallel(f *testing.F) {
 		p := 1 + int(cols)%48
 		rng := mathrand.New(mathrand.NewPCG(seed, 99))
 
-		prevP := SetParallelism(equivalenceWorkers)
-		prevT := SetParallelThreshold(0)
-		defer func() {
-			SetParallelism(prevP)
-			SetParallelThreshold(prevT)
-		}()
+		withFanOut(t, equivalenceWorkers, 0)
 
 		ai := randMat[int64](rng, m, n)
 		bi := randMat[int64](rng, n, p)
@@ -47,12 +43,12 @@ func FuzzMatMulParallel(f *testing.F) {
 		// Over float64 the documented contract is bit-identity with the
 		// kernel's own serial run (same per-element accumulation order,
 		// including the zero-skip), so that is the oracle here.
-		SetParallelism(1)
+		runtime.GOMAXPROCS(1)
 		wantf, err := af.MatMul(bf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetParallelism(equivalenceWorkers)
+		runtime.GOMAXPROCS(equivalenceWorkers)
 		if !gotf.Equal(wantf) {
 			t.Fatalf("float64 %dx%d × %dx%d: parallel MatMul differs from serial run", m, n, n, p)
 		}
@@ -81,24 +77,19 @@ func FuzzIm2ColParallel(f *testing.F) {
 		}
 		rng := mathrand.New(mathrand.NewPCG(seed, 7))
 
-		prevP := SetParallelism(equivalenceWorkers)
-		prevT := SetParallelThreshold(0)
-		defer func() {
-			SetParallelism(prevP)
-			SetParallelThreshold(prevT)
-		}()
+		withFanOut(t, equivalenceWorkers, 0)
 
 		img := randMat[int64](rng, shape.InChannels, shape.Height*shape.Width)
 		gotCols, err := im2col(shape, img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetParallelism(1)
+		runtime.GOMAXPROCS(1)
 		wantCols, err := im2col(shape, img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetParallelism(equivalenceWorkers)
+		runtime.GOMAXPROCS(equivalenceWorkers)
 		if !gotCols.Equal(wantCols) {
 			t.Fatalf("%+v: parallel Im2Col differs from serial run", shape)
 		}

@@ -6,34 +6,33 @@ import (
 	"testing"
 )
 
-// withKnobs runs the test with the given parallelism and a zero
-// fan-out threshold (so even 1×1 shapes take the parallel path), and
-// restores both knobs afterwards. Tests using it must not run in
-// parallel with each other: the knobs are process-wide.
-func withKnobs(t *testing.T, p, threshold int) {
+// withFanOut runs the rest of the test at GOMAXPROCS = procs with the
+// fan-out threshold at threshold (0: even 1×1 shapes take the parallel
+// path), and restores both afterwards. Tests using it must not run in
+// parallel with each other: both settings are process-wide.
+func withFanOut(t *testing.T, procs, threshold int) {
 	t.Helper()
-	prevP := SetParallelism(p)
-	prevT := SetParallelThreshold(threshold)
+	prevP, prevT := runtime.GOMAXPROCS(procs), parallelThreshold
+	parallelThreshold = threshold
 	t.Cleanup(func() {
-		SetParallelism(prevP)
-		SetParallelThreshold(prevT)
+		runtime.GOMAXPROCS(prevP)
+		parallelThreshold = prevT
 	})
 }
 
-// serialVsParallel evaluates f twice — under Parallelism=1 and under
-// Parallelism=workers with the fan-out threshold forced to zero — and
+// serialVsParallel evaluates f twice — at GOMAXPROCS=1 and at
+// GOMAXPROCS=workers with the fan-out threshold forced to zero — and
 // returns both results.
 func serialVsParallel[R any](t *testing.T, workers int, f func() R) (serial, parallel R) {
 	t.Helper()
-	prevP := SetParallelism(1)
-	prevT := SetParallelThreshold(DefaultParallelThreshold)
+	prevP, prevT := runtime.GOMAXPROCS(1), parallelThreshold
 	defer func() {
-		SetParallelism(prevP)
-		SetParallelThreshold(prevT)
+		runtime.GOMAXPROCS(prevP)
+		parallelThreshold = prevT
 	}()
 	serial = f()
-	SetParallelism(workers)
-	SetParallelThreshold(0)
+	runtime.GOMAXPROCS(workers)
+	parallelThreshold = 0
 	parallel = f()
 	return serial, parallel
 }
@@ -226,40 +225,32 @@ func tripleLoopMatMul[T Element](a, b Matrix[T]) Matrix[T] {
 	return out
 }
 
-func TestSetParallelismKnob(t *testing.T) {
-	prev := SetParallelism(3)
-	defer SetParallelism(prev)
-	if got := Parallelism(); got != 3 {
-		t.Fatalf("Parallelism() = %d, want 3", got)
+// TestWorkersFollowGOMAXPROCS: above the threshold the worker count is
+// GOMAXPROCS, and GOMAXPROCS=1 is fully serial.
+func TestWorkersFollowGOMAXPROCS(t *testing.T) {
+	withFanOut(t, 3, parallelThreshold)
+	if got := workersFor(1000, 1<<30); got != 3 {
+		t.Fatalf("GOMAXPROCS=3: %d workers, want 3", got)
 	}
-	if old := SetParallelism(0); old != 3 {
-		t.Fatalf("SetParallelism returned %d, want previous 3", old)
-	}
-	if got := Parallelism(); got != runtime.NumCPU() {
-		t.Fatalf("SetParallelism(0) left %d, want NumCPU=%d", got, runtime.NumCPU())
-	}
-}
-
-func TestSetParallelThresholdKnob(t *testing.T) {
-	prev := SetParallelThreshold(0)
-	defer SetParallelThreshold(prev)
-	if got := ParallelThreshold(); got != 0 {
-		t.Fatalf("ParallelThreshold() = %d, want 0", got)
-	}
-	if SetParallelThreshold(-1); ParallelThreshold() != DefaultParallelThreshold {
-		t.Fatalf("SetParallelThreshold(-1) did not reset the default")
+	runtime.GOMAXPROCS(1)
+	if got := workersFor(1000, 1<<30); got != 1 {
+		t.Fatalf("GOMAXPROCS=1: %d workers, want 1", got)
 	}
 }
 
 // TestWorkersForThreshold pins the fan-out policy: below-threshold work
-// stays serial no matter the parallelism setting, and the worker count
-// never exceeds the number of splittable units.
+// stays serial no matter GOMAXPROCS, and the worker count never exceeds
+// the number of splittable units.
 func TestWorkersForThreshold(t *testing.T) {
-	withKnobs(t, 8, DefaultParallelThreshold)
-	if got := workersFor(1000, DefaultParallelThreshold-1); got != 1 {
+	const threshold = 1 << 14
+	if parallelThreshold != threshold {
+		t.Fatalf("fan-out threshold %d, want %d", parallelThreshold, threshold)
+	}
+	withFanOut(t, 8, threshold)
+	if got := workersFor(1000, threshold-1); got != 1 {
 		t.Fatalf("below-threshold work fanned out to %d workers", got)
 	}
-	if got := workersFor(1000, DefaultParallelThreshold); got != 8 {
+	if got := workersFor(1000, threshold); got != 8 {
 		t.Fatalf("at-threshold work used %d workers, want 8", got)
 	}
 	if got := workersFor(3, 1<<30); got != 3 {
@@ -273,7 +264,7 @@ func TestWorkersForThreshold(t *testing.T) {
 // TestParallelForCoversRange checks every index is visited exactly once
 // for ragged n/worker combinations.
 func TestParallelForCoversRange(t *testing.T) {
-	withKnobs(t, 8, 0)
+	withFanOut(t, 8, 0)
 	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 100} {
 		counts := make([]int32, n)
 		var total int

@@ -50,7 +50,7 @@ var _ DeliveryCounter = (*latentNetwork)(nil)
 func (l *latentNetwork) DeliveryErrors() int64 { return l.errs.Load() }
 
 // Unwrap exposes the wrapped transport so decorator-blind attachments
-// (transport.SetObs) can reach the real meter.
+// (transport.AttachObs) can reach the real meter.
 func (l *latentNetwork) Unwrap() Network { return l.Network }
 
 func (l *latentNetwork) Endpoint(actor int) (Endpoint, error) {

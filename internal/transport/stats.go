@@ -20,7 +20,8 @@ type Stats struct {
 	// Table II "Comm. (MB)" column is this counter.
 	Bytes int64
 	// RecvMessages is the total number of messages received by local
-	// endpoints.
+	// endpoints, metered where Recv hands a message to the application
+	// (both transports), so it counts only what was actually received.
 	RecvMessages int64
 	// RecvBytes is the total received wire volume.
 	RecvBytes int64
@@ -174,10 +175,10 @@ type ObsSetter interface {
 	SetObs(*obs.Registry)
 }
 
-// SetObs attaches reg to n's traffic meter, unwrapping decorator
+// AttachObs attaches reg to n's traffic meter, unwrapping decorator
 // networks (e.g. the latency wrapper). It reports whether a metering
 // transport was found.
-func SetObs(n Network, reg *obs.Registry) bool {
+func AttachObs(n Network, reg *obs.Registry) bool {
 	for n != nil {
 		if s, ok := n.(ObsSetter); ok {
 			s.SetObs(reg)

@@ -377,10 +377,6 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 		}
 		select {
 		case e.inbox <- msg:
-			// Count only what was actually handed to the application; a
-			// message dropped by a concurrent Close must not inflate
-			// the receive meter.
-			e.net.meter.recordRecv(msg)
 		case <-e.done:
 			msg.Release() // dropped by a concurrent Close
 			return
@@ -587,6 +583,7 @@ func (e *tcpEndpoint) Recv(timeout time.Duration) (Message, error) {
 	if timeout <= 0 {
 		select {
 		case msg := <-e.inbox:
+			e.net.meter.recordRecv(msg)
 			return msg, nil
 		case <-e.done:
 			return Message{}, ErrClosed
@@ -596,6 +593,7 @@ func (e *tcpEndpoint) Recv(timeout time.Duration) (Message, error) {
 	defer timer.Stop()
 	select {
 	case msg := <-e.inbox:
+		e.net.meter.recordRecv(msg)
 		return msg, nil
 	case <-e.done:
 		return Message{}, ErrClosed
