@@ -81,10 +81,10 @@ func TestCostModelGolden(t *testing.T) {
 		op   func() error
 		want passCost
 	}{
-		{"cold b1 pass", infer(1), passCost{PartyBytes: 15609903, OwnerBytes: 8015481, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 7}},
-		{"warm b1 pass", infer(1), passCost{PartyBytes: 1335435, OwnerBytes: 878265, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 7}},
-		{"warm b4 pass", infer(4), passCost{PartyBytes: 5320635, OwnerBytes: 3507849, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 7}},
-		{"b8 training step", func() error { return run.TrainBatch(images, 0.05) }, passCost{PartyBytes: 48590529, OwnerBytes: 36583626, Messages: 192, OwnerRequests: 15, Exchanges: 39, Triples: 13}},
+		{"cold b1 pass", infer(1), passCost{PartyBytes: 15017271, OwnerBytes: 7719129, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 7}},
+		{"warm b1 pass", infer(1), passCost{PartyBytes: 742803, OwnerBytes: 581913, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 7}},
+		{"warm b4 pass", infer(4), passCost{PartyBytes: 2949891, OwnerBytes: 2322441, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 7}},
+		{"b8 training step", func() error { return run.TrainBatch(images, 0.05) }, passCost{PartyBytes: 43848969, OwnerBytes: 34212810, Messages: 192, OwnerRequests: 15, Exchanges: 39, Triples: 13}},
 	} {
 		if got := measure(step.op); got != step.want {
 			t.Errorf("%s: cost %+v, pinned %+v", step.name, got, step.want)

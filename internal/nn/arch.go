@@ -70,7 +70,7 @@ func (s LayerSpec) outputWidth(in int) (int, error) {
 		}
 		return s.Out, nil
 	case KindConv:
-		want := s.Conv.InChannels * s.Conv.Height * s.Conv.Width
+		want := s.Conv.InSize()
 		if in != want {
 			return 0, fmt.Errorf("nn: conv expects width %d, got %d", want, in)
 		}

@@ -105,6 +105,20 @@ func (v sliceView) MatMulTriple(session, _ string, m, n, q int) (sharing.TripleB
 	return sharing.TripleBundle{A: bundleRows(t.A, lo, hi), B: t.B.Clone(), C: bundleRows(t.C, lo, hi)}, nil
 }
 
+// ConvTriple implements TripleSource: A is served by image rows, C by
+// those images' output positions.
+func (v sliceView) ConvTriple(session, _ string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error) {
+	positions := shape.OutHeight() * shape.OutWidth()
+	it, lo, hi, err := v.item(fmt.Sprintf("%s|cv|%d", session, outChannels), images, func(rows int) sharing.BatchOrder {
+		return sharing.BatchOrder{Kind: sharing.TripleMatMul, M: rows * positions, N: shape.PatchSize(), P: outChannels, Conv: shape}
+	})
+	if err != nil {
+		return sharing.TripleBundle{}, err
+	}
+	t := it.Triple[v.party-1]
+	return sharing.TripleBundle{A: bundleRows(t.A, lo, hi), B: t.B.Clone(), C: bundleRows(t.C, lo*positions, hi*positions)}, nil
+}
+
 // HadamardTriple implements TripleSource.
 func (v sliceView) HadamardTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
 	it, lo, hi, err := v.item(fmt.Sprintf("%s|hd|%d", session, cols), rows, func(rows int) sharing.BatchOrder {

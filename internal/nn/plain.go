@@ -197,7 +197,7 @@ func (c *Conv) OutSize() int {
 // the patch matrix. The backward pass rebuilds patch matrices from the
 // cached input batch; the per-row arithmetic is identical either way.
 func (c *Conv) Forward(x Mat64) (Mat64, error) {
-	inLen := c.Shape.InChannels * c.Shape.Height * c.Shape.Width
+	inLen := c.Shape.InSize()
 	if x.Cols != inLen {
 		return Mat64{}, fmt.Errorf("nn: conv input width %d, want %d", x.Cols, inLen)
 	}
@@ -223,7 +223,7 @@ func (c *Conv) Backward(dy Mat64) (Mat64, error) {
 		return Mat64{}, fmt.Errorf("nn: conv gradient shape %dx%d unexpected", dy.Rows, dy.Cols)
 	}
 	positions := c.Shape.OutHeight() * c.Shape.OutWidth()
-	inLen := c.Shape.InChannels * c.Shape.Height * c.Shape.Width
+	inLen := c.Shape.InSize()
 	dW := tensor.MustNew[float64](c.Shape.PatchSize(), c.OutChannels)
 	dx := tensor.MustNew[float64](dy.Rows, inLen)
 	for s := 0; s < dy.Rows; s++ {

@@ -80,11 +80,10 @@ func (n *SecureNetwork) forwardPlan(plan *[]protocol.TripleRequest, session stri
 				protocol.TripleRequest{Kind: protocol.ReqAux, Session: s + "/aux", M: batch, N: width},
 				protocol.TripleRequest{Kind: protocol.ReqHadamard, Session: s + "/t", M: batch, N: width})
 		case *SecureConv:
-			if in := l.Shape.InChannels * l.Shape.Height * l.Shape.Width; width != in {
+			if in := l.Shape.InSize(); width != in {
 				return 0, fmt.Errorf("nn: plan layer %d: conv input width %d, want %d", i, width, in)
 			}
-			positions := l.Shape.OutHeight() * l.Shape.OutWidth()
-			*plan = append(*plan, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: s + "/t", M: batch * positions, N: l.Shape.PatchSize(), P: l.OutChannels, Mask: maskName(s)})
+			*plan = append(*plan, protocol.ConvRequest(s+"/t", maskName(s), l.Shape, batch, l.OutChannels))
 			width = l.OutSize()
 		case *SecureMaxPool:
 			if width != l.Shape.InSize() {

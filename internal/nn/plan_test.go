@@ -22,6 +22,14 @@ func (r *recordingSource) MatMulTriple(session, mask string, m, n, p int) (shari
 	return r.inner.MatMulTriple(session, mask, m, n, p)
 }
 
+func (r *recordingSource) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error) {
+	r.reqs = append(r.reqs, protocol.TripleRequest{
+		Kind: protocol.ReqMatMul, Session: session, Mask: mask, Conv: shape,
+		M: images * shape.OutHeight() * shape.OutWidth(), N: shape.PatchSize(), P: outChannels,
+	})
+	return r.inner.ConvTriple(session, mask, shape, images, outChannels)
+}
+
 func (r *recordingSource) HadamardTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
 	r.reqs = append(r.reqs, protocol.TripleRequest{Kind: protocol.ReqHadamard, Session: session, M: rows, N: cols})
 	return r.inner.HadamardTriple(session, rows, cols)
@@ -93,12 +101,23 @@ func TestPlanMatchesRecordedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := logitsPlan[0].Mask; got != "me=3/l0" {
-		t.Fatalf("first layer's request names mask %q, want %q", got, "me=3/l0")
+	// The conv's request carries its geometry (the owner deals A at
+	// image shape) and keeps the lowered product's dims.
+	convShape := nets[0].Layers[0].(*SecureConv).Shape
+	wantConv := protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: fwd + "/l0/t", Mask: "me=3/l0", Conv: convShape, M: batch * 36, N: 9, P: 2}
+	if logitsPlan[0] != wantConv {
+		t.Fatalf("conv request %+v, want %+v", logitsPlan[0], wantConv)
 	}
 	trainPlan, err := nets[0].TrainPlan("train", batch, width)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Only the forward conv is dealt at image shape: the backward
+	// products are over lowered shares.
+	for i, r := range trainPlan {
+		if want := i == 0; (r.Conv != tensor.ConvShape{}) != want {
+			t.Fatalf("train request %d (%s) carries geometry %+v", i, r.Session, r.Conv)
+		}
 	}
 	if len(logitsPlan) == 0 || len(trainPlan) <= len(logitsPlan) {
 		t.Fatalf("implausible plan sizes: logits %d, train %d", len(logitsPlan), len(trainPlan))

@@ -29,6 +29,12 @@ type TripleSource interface {
 	// it later deals under that name return only A and C = A·b, with B
 	// empty — the caller kept its share of b from the first deal.
 	MatMulTriple(session, mask string, m, n, p int) (sharing.TripleBundle, error)
+	// ConvTriple returns this party's share of the triple of a
+	// convolution over images images and outChannels filters: the
+	// MatMulTriple of the lowered product, under the same mask rule,
+	// but with A dealt at image shape (images × shape.InSize()) and C
+	// the convolution of A with b (protocol.ConvRequest).
+	ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error)
 	// HadamardTriple returns an element-wise triple of shape rows×cols.
 	HadamardTriple(session string, rows, cols int) (sharing.TripleBundle, error)
 	// AuxPositive returns shares of a random positive matrix.
@@ -47,6 +53,11 @@ var _ TripleSource = OwnerSource{}
 // MatMulTriple implements TripleSource.
 func (s OwnerSource) MatMulTriple(session, mask string, m, n, p int) (sharing.TripleBundle, error) {
 	return protocol.RequestMatMulTriple(s.Ctx, session, mask, m, n, p)
+}
+
+// ConvTriple implements TripleSource.
+func (s OwnerSource) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error) {
+	return protocol.RequestConvTriple(s.Ctx, session, mask, shape, images, outChannels)
 }
 
 // HadamardTriple implements TripleSource.
@@ -191,6 +202,28 @@ func (wm *weightMask) matMul(ctx *protocol.Ctx, ts TripleSource, session string,
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
+	return wm.mul(session, name, triple, func(t sharing.TripleBundle, f Mat) (sharing.Bundle, Mat, error) {
+		return protocol.SecMatMulWeightBT(ctx, session, x, w, t, f)
+	})
+}
+
+// conv is matMul for a convolution of x's images with the kernel
+// matrix w: the triple is a conv triple and x is never lowered.
+func (wm *weightMask) conv(ctx *protocol.Ctx, ts TripleSource, session string, shape tensor.ConvShape, x, w sharing.Bundle) (sharing.Bundle, error) {
+	name := maskName(session)
+	triple, err := ts.ConvTriple(session+"/t", name, shape, x.Rows(), w.Cols())
+	if err != nil {
+		return sharing.Bundle{}, err
+	}
+	return wm.mul(session, name, triple, func(t sharing.TripleBundle, f Mat) (sharing.Bundle, Mat, error) {
+		return protocol.SecConvWeightBT(ctx, session, shape, x, w, t, f)
+	})
+}
+
+// mul runs one weight-side product, secMul, with the triple dealt
+// under name: warm (the stored B and f) when the dealer sent no B,
+// cold otherwise, caching what a cold pass opened.
+func (wm *weightMask) mul(session, name string, triple sharing.TripleBundle, secMul func(sharing.TripleBundle, Mat) (sharing.Bundle, Mat, error)) (sharing.Bundle, error) {
 	var f Mat
 	if triple.B.Primary.IsZeroShape() {
 		// Only (A, C): the dealer holds the mask of that name.
@@ -199,7 +232,7 @@ func (wm *weightMask) matMul(ctx *protocol.Ctx, ts TripleSource, session string,
 		}
 		triple.B, f = wm.b, wm.f
 	}
-	y, opened, err := protocol.SecMatMulWeightBT(ctx, session, x, w, triple, f)
+	y, opened, err := secMul(triple, f)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
@@ -357,8 +390,12 @@ func (r *SecureReLU) Backward(_ *protocol.Ctx, _ TripleSource, _ string, dy shar
 // Update implements SecureLayer.
 func (r *SecureReLU) Update(fixed.Params, float64) error { return nil }
 
-// SecureConv mirrors Conv: im2col is a local transformation of the
-// shares, the lowered product runs through SecMatMul-BT.
+// SecureConv mirrors Conv. The forward pass runs SecConvWeightBT on the
+// image-shaped shares: the input mask is opened before the lowering,
+// so a pass opens InSize values per image instead of the lowered
+// OutH·OutW·PatchSize. The backward pass lowers the cached input
+// shares (im2col is a local transformation of the shares) for the
+// weight gradient's SecMatMul-BT.
 type SecureConv struct {
 	// Shape is the spatial geometry.
 	Shape tensor.ConvShape
@@ -369,7 +406,7 @@ type SecureConv struct {
 	// Momentum enables classical momentum SGD (0 = plain SGD).
 	Momentum float64
 
-	cols sharing.Bundle // stacked patch bundle of the last forward
+	x    sharing.Bundle // input bundle of the last forward
 	dW   sharing.Bundle
 	vel  sharing.Bundle
 	mask weightMask
@@ -399,13 +436,9 @@ func (c *SecureConv) OutSize() int {
 // Forward implements SecureLayer.
 func (c *SecureConv) Forward(ctx *protocol.Ctx, ts TripleSource, session string, x sharing.Bundle) (sharing.Bundle, error) {
 	batch := x.Rows()
-	cols, err := transformBundle(x, func(m Mat) (Mat, error) { return tensor.Im2ColBatch(c.Shape, m) })
-	if err != nil {
-		return sharing.Bundle{}, err
-	}
-	c.cols = cols
+	c.x = x
 	positions := c.Shape.OutHeight() * c.Shape.OutWidth()
-	y, err := c.mask.matMul(ctx, ts, session, cols, c.W)
+	y, err := c.mask.conv(ctx, ts, session, c.Shape, x, c.W)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
@@ -415,7 +448,7 @@ func (c *SecureConv) Forward(ctx *protocol.Ctx, ts TripleSource, session string,
 
 // Backward implements SecureLayer.
 func (c *SecureConv) Backward(ctx *protocol.Ctx, ts TripleSource, session string, dy sharing.Bundle) (sharing.Bundle, error) {
-	if c.cols.Primary.IsZeroShape() {
+	if c.x.Primary.IsZeroShape() {
 		return sharing.Bundle{}, fmt.Errorf("nn: secure conv backward before forward")
 	}
 	batch := dy.Rows()
@@ -424,7 +457,11 @@ func (c *SecureConv) Backward(ctx *protocol.Ctx, ts TripleSource, session string
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
-	colsT, err := pooledTransposeBundle(c.cols)
+	cols, err := transformBundle(c.x, func(m Mat) (Mat, error) { return tensor.Im2ColBatch(c.Shape, m) })
+	if err != nil {
+		return sharing.Bundle{}, err
+	}
+	colsT, err := pooledTransposeBundle(cols)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}

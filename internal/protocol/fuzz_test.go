@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"github.com/trustddl/trustddl/internal/tensor"
 )
 
 // Fuzz targets for the batched dealing codec: the request frame is
@@ -13,10 +15,13 @@ import (
 // proportionally to attacker-claimed lengths, and every accepted
 // frame must round-trip to the identical bytes.
 
+// paperConv is the Table I convolution's geometry.
+var paperConv = tensor.ConvShape{InChannels: 1, Height: 28, Width: 28, Kernel: 5, Stride: 2, Pad: 2}
+
 // fuzzBatchReqs is a representative plan segment: every kind, both
-// dim arities, a named weight mask, repeated keys.
+// dim arities, a conv item, a named weight mask, repeated keys.
 var fuzzBatchReqs = []TripleRequest{
-	{Kind: ReqMatMul, Session: "infer/0?me=1/l0/t", M: 784, N: 25, P: 5, Mask: "me=1/l0"},
+	ConvRequest("infer/0?me=1/l0/t", "me=1/l0", paperConv, 4, 5),
 	{Kind: ReqMatMul, Session: "train/0/fc1", M: 8, N: 784, P: 128},
 	{Kind: ReqHadamard, Session: "train/0/relu", M: 8, N: 128},
 	{Kind: ReqAux, Session: "train/0/relu", M: 8, N: 128},
@@ -59,6 +64,12 @@ func FuzzDecodeTripleBatch(f *testing.F) {
 	f.Add(bad)
 	// Trailing garbage after a complete frame.
 	f.Add(append(append([]byte(nil), valid...), 0x01))
+	// Conv items the owner must refuse, and one cut inside its geometry.
+	for _, r := range badConvRequests() {
+		f.Add(rawConvBatch(r.req))
+	}
+	conv := rawConvBatch(fuzzBatchReqs[0])
+	f.Add(conv[:len(conv)-len(fuzzBatchReqs[0].Mask)-2-convWireLen/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs, err := DecodeTripleBatch(data)
 		if err != nil {
@@ -68,11 +79,16 @@ func FuzzDecodeTripleBatch(f *testing.F) {
 			t.Fatalf("accepted frame decoded to %d items", len(reqs))
 		}
 		// Every accepted request must be individually well-formed: a
-		// known kind (step resolves) and dims the single-request path
-		// would also accept.
+		// known kind (step resolves), dims the single-request path would
+		// also accept, and conv geometry the dealer can deal.
 		for i, r := range reqs {
 			if _, err := r.step(); err != nil {
 				t.Fatalf("accepted item %d has invalid kind: %v", i, err)
+			}
+			if r.isConv() {
+				if _, err := r.order().ConvImages(); err != nil {
+					t.Fatalf("accepted conv item %d cannot be dealt: %v", i, err)
+				}
 			}
 			// (The individual path carries the session in the message
 			// envelope, so compare kind, dims and mask only.)
@@ -152,15 +168,27 @@ func FuzzDecodeBatchPayloads(f *testing.F) {
 // request list, and anything out of spec must be rejected at encode
 // time rather than shipped malformed.
 func FuzzTripleBatchRoundTrip(f *testing.F) {
-	f.Add(byte(ReqMatMul), "s", 1, 2, 3, "")
-	f.Add(byte(ReqMatMul), "infer/7?me=2/l2/t", 4, 980, 100, "me=2/l2")
-	f.Add(byte(ReqMatMul), "s", 1, 2, 3, string(make([]byte, maxMaskLen+1)))
-	f.Add(byte(ReqHadamard), "train/1/relu", 8, 128, 0, "")
-	f.Add(byte(ReqHadamard), "train/1/relu", 8, 128, 0, "m")
-	f.Add(byte(ReqAux), string(make([]byte, maxBatchSessionLen)), 1<<24, 1, 0, "")
-	f.Add(byte(0), "", -1, 0, 1<<25, "")
-	f.Fuzz(func(t *testing.T, kind byte, session string, m, n, p int, mask string) {
-		req := TripleRequest{Kind: TripleReqKind(kind), Session: session, M: m, N: n, P: p, Mask: mask}
+	noConv := [6]int{}
+	seed := func(kind byte, session string, m, n, p int, mask string, c [6]int) {
+		f.Add(kind, session, m, n, p, mask, c[0], c[1], c[2], c[3], c[4], c[5])
+	}
+	seed(byte(ReqMatMul), "s", 1, 2, 3, "", noConv)
+	seed(byte(ReqMatMul), "infer/7?me=2/l2/t", 4, 980, 100, "me=2/l2", noConv)
+	seed(byte(ReqMatMul), "s", 1, 2, 3, string(make([]byte, maxMaskLen+1)), noConv)
+	seed(byte(ReqHadamard), "train/1/relu", 8, 128, 0, "", noConv)
+	seed(byte(ReqHadamard), "train/1/relu", 8, 128, 0, "m", noConv)
+	seed(byte(ReqAux), string(make([]byte, maxBatchSessionLen)), 1<<24, 1, 0, "", noConv)
+	seed(byte(0), "", -1, 0, 1<<25, "", noConv)
+	paper := [6]int{1, 28, 28, 5, 2, 2}
+	seed(byte(ReqMatMul), "infer/7?me=2/l0/t", 4*196, 25, 5, "me=2/l0", paper)
+	seed(byte(ReqMatMul), "train/1/l0/t", 8*196, 25, 5, "", paper)
+	seed(byte(ReqMatMul), "s", 195, 25, 5, "", paper)                             // not whole images
+	seed(byte(ReqMatMul), "s", 196, 24, 5, "", paper)                             // N is not the patch
+	seed(byte(ReqHadamard), "s", 196, 25, 0, "", paper)                           // geometry on an element-wise item
+	seed(byte(ReqMatMul), "s", 1, 1, 1, "", [6]int{1, 1 << 24, 2, 1, 1 << 24, 0}) // image width past the cap
+	f.Fuzz(func(t *testing.T, kind byte, session string, m, n, p int, mask string, ch, h, w, k, st, pad int) {
+		req := TripleRequest{Kind: TripleReqKind(kind), Session: session, M: m, N: n, P: p, Mask: mask,
+			Conv: tensor.ConvShape{InChannels: ch, Height: h, Width: w, Kernel: k, Stride: st, Pad: pad}}
 		buf, err := EncodeTripleBatch([]TripleRequest{req})
 		if err != nil {
 			return
@@ -178,5 +206,97 @@ func FuzzTripleBatchRoundTrip(f *testing.F) {
 		if len(got) != 1 || got[0] != want {
 			t.Fatalf("round trip changed request: %+v vs %+v", got, want)
 		}
+		if req.isConv() {
+			if _, err := req.order().ConvImages(); err != nil {
+				t.Fatalf("encoder shipped a conv item the dealer refuses: %v", err)
+			}
+		}
 	})
+}
+
+// rawConvBatch frames r as a one-item batch with conv geometry,
+// skipping every check the encoder makes — the frame a Byzantine
+// requester can send.
+func rawConvBatch(r TripleRequest) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, 1)
+	buf = append(buf, byte(r.Kind)|convItem)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Session)))
+	buf = append(buf, r.Session...)
+	for _, d := range r.dims() {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
+	}
+	buf = appendConv(buf, r.Conv)
+	if r.Kind == ReqMatMul {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Mask)))
+		buf = append(buf, r.Mask...)
+	}
+	return buf
+}
+
+type badConv struct {
+	name string
+	req  TripleRequest
+}
+
+// badConvRequests are conv requests a Byzantine party could send that
+// would make the owner's conv kernel panic, deal at a shape the honest
+// parties never asked for, or convolve far more than the stated dims.
+func badConvRequests() []badConv {
+	paper := ConvRequest("s", "me=1/l0", paperConv, 1, 5)
+	mod := func(name string, f func(r *TripleRequest)) badConv {
+		r := paper
+		f(&r)
+		return badConv{name, r}
+	}
+	return []badConv{
+		mod("kernel larger than the padded image", func(r *TripleRequest) { r.Conv.Kernel = 40 }),
+		mod("zero stride", func(r *TripleRequest) { r.Conv.Stride = 0 }),
+		mod("no channels", func(r *TripleRequest) { r.Conv.InChannels = 0 }),
+		mod("N is not the patch size", func(r *TripleRequest) { r.N = 24 }),
+		mod("M is not whole images", func(r *TripleRequest) { r.M = 195 }),
+		mod("M of no image", func(r *TripleRequest) { r.M = 1 }),
+		mod("image width past the cap", func(r *TripleRequest) {
+			r.Conv = tensor.ConvShape{InChannels: 1, Height: 1 << 12, Width: 1<<12 + 1, Kernel: 1, Stride: 1 << 12, Pad: 0}
+			r.M, r.N = 2, 1
+		}),
+		mod("field past the cap", func(r *TripleRequest) { r.Conv.Pad = 1<<24 + 1 }),
+		mod("patch past the cap", func(r *TripleRequest) {
+			r.Conv = tensor.ConvShape{InChannels: 1 << 10, Height: 1 << 7, Width: 1 << 7, Kernel: 1<<7 + 1, Stride: 1 << 7, Pad: 1}
+			r.M, r.N = 1, 1<<24
+		}),
+		mod("geometry on a Hadamard item", func(r *TripleRequest) { r.Kind, r.P, r.Mask = ReqHadamard, 0, "" }),
+	}
+}
+
+// TestConvRequestHardening: the owner refuses every bad conv request
+// on both wire formats, and the encoder refuses to ship one.
+func TestConvRequestHardening(t *testing.T) {
+	good := ConvRequest("s", "me=1/l0", paperConv, 2, 5)
+	if reqs, err := DecodeTripleBatch(rawConvBatch(good)); err != nil || len(reqs) != 1 || reqs[0] != good {
+		t.Fatalf("valid conv item: %+v, %v", reqs, err)
+	}
+	if r, err := reqFromWire(stepTripleConv, good.payload()); err != nil || r.Conv != good.Conv || r.M != good.M {
+		t.Fatalf("valid individual conv deal: %+v, %v", r, err)
+	}
+	for _, bad := range badConvRequests() {
+		t.Run(bad.name, func(t *testing.T) {
+			if _, err := DecodeTripleBatch(rawConvBatch(bad.req)); err == nil {
+				t.Fatal("batch decoder accepted it")
+			}
+			if _, err := EncodeTripleBatch([]TripleRequest{bad.req}); err == nil {
+				t.Fatal("batch encoder shipped it")
+			}
+			if bad.req.Kind != ReqMatMul {
+				return // an individual deal's step fixes its kind
+			}
+			payload := append(append(encodeDims(bad.req.dims()...), appendConv(nil, bad.req.Conv)...), bad.req.Mask...)
+			if _, err := reqFromWire(stepTripleConv, payload); err == nil {
+				t.Fatal("individual decoder accepted it")
+			}
+		})
+	}
+	// A conv deal whose geometry is all zero is no conv deal.
+	if _, err := reqFromWire(stepTripleConv, append(encodeDims(1, 2, 3), make([]byte, convWireLen)...)); err == nil {
+		t.Fatal("individual decoder accepted a conv deal without geometry")
+	}
 }

@@ -168,3 +168,35 @@ func TestSecMatMulWeightBTOpensMaskOnce(t *testing.T) {
 		t.Fatalf("warm call moved %d bytes, cold call %d", warmBytes, coldBytes)
 	}
 }
+
+// TestOwnerKeysConvDealsByGeometry: conv geometry is part of a request's
+// key. A Byzantine party that asks first for a conv session's product
+// without geometry, or with another geometry of the same lowered dims,
+// is dealt entries of its own; the honest parties are still dealt A at
+// the image shape their geometry says.
+func TestOwnerKeysConvDealsByGeometry(t *testing.T) {
+	env := newOwnerEnv(t)
+	honest := ConvRequest("c/t", "me=1/l0", paperConv, 2, 5)
+	other := paperConv
+	other.Height, other.Width = 27, 27 // the same 14×14 positions and patch
+	forged := ConvRequest("c/t", "me=1/l0", other, 2, 5)
+	plain := honest
+	plain.Conv = tensor.ConvShape{}
+	if forged.M != honest.M || forged.N != honest.N {
+		t.Fatal("the forged geometry must lower to the honest dims")
+	}
+	for _, r := range []TripleRequest{plain, forged} {
+		if _, err := requestTriple(env.ctxs[1], r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range []int{0, 2} {
+		tr, err := requestTriple(env.ctxs[i], honest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.A.Rows() != 2 || tr.A.Cols() != paperConv.InSize() {
+			t.Fatalf("party %d was dealt A of %dx%d, want %dx%d", i+1, tr.A.Rows(), tr.A.Cols(), 2, paperConv.InSize())
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"github.com/trustddl/trustddl/internal/obs"
 	"github.com/trustddl/trustddl/internal/sharing"
 	"github.com/trustddl/trustddl/internal/suspicion"
+	"github.com/trustddl/trustddl/internal/tensor"
 	"github.com/trustddl/trustddl/internal/transport"
 )
 
@@ -19,6 +20,7 @@ import (
 const (
 	stepTripleHadamard = "triple-had"
 	stepTripleMatMul   = "triple-mat"
+	stepTripleConv     = "triple-conv"
 	stepAuxPositive    = "aux-pos"
 	stepTripleBatch    = "triple-batch"
 	stepShutdown       = "shutdown"
@@ -245,7 +247,7 @@ func Shutdown(ep transport.Endpoint, owner int) error {
 
 func (s *OwnerService) dispatch(msg transport.Message) error {
 	switch {
-	case msg.Step == stepTripleHadamard || msg.Step == stepTripleMatMul || msg.Step == stepAuxPositive:
+	case msg.Step == stepTripleHadamard || msg.Step == stepTripleMatMul || msg.Step == stepTripleConv || msg.Step == stepAuxPositive:
 		return s.handleDeal(msg)
 	case msg.Step == stepTripleBatch:
 		return s.handleBatchDeal(msg)
@@ -608,17 +610,7 @@ func (s *OwnerService) finishGather(session string, g *gatherEntry) error {
 // RequestHadamardTriple asks the model owner for an element-wise Beaver
 // triple. All three parties must request the same session.
 func RequestHadamardTriple(ctx *Ctx, session string, rows, cols int) (sharing.TripleBundle, error) {
-	payload := encodeDims(rows, cols)
-	if err := ctx.Router.Send(transport.ModelOwner, session, stepTripleHadamard, payload); err != nil {
-		return sharing.TripleBundle{}, err
-	}
-	msg, err := ctx.Router.Expect(transport.ModelOwner, session, stepTripleHadamard+respSuffix)
-	if err != nil {
-		return sharing.TripleBundle{}, err
-	}
-	t, err := decodeTriple(msg.Payload)
-	msg.Release() // triple shares are copied out of the payload
-	return t, err
+	return requestTriple(ctx, TripleRequest{Kind: ReqHadamard, Session: session, M: rows, N: cols})
 }
 
 // RequestMatMulTriple asks the model owner for a matrix-product Beaver
@@ -626,16 +618,32 @@ func RequestHadamardTriple(ctx *Ctx, session string, rows, cols int) (sharing.Tr
 // single-use b). The returned B is empty when the owner still held the
 // named mask and dealt only (A, C = A·b).
 func RequestMatMulTriple(ctx *Ctx, session, mask string, m, n, p int) (sharing.TripleBundle, error) {
-	payload := TripleRequest{Kind: ReqMatMul, M: m, N: n, P: p, Mask: mask}.payload()
-	if err := ctx.Router.Send(transport.ModelOwner, session, stepTripleMatMul, payload); err != nil {
+	return requestTriple(ctx, TripleRequest{Kind: ReqMatMul, Session: session, M: m, N: n, P: p, Mask: mask})
+}
+
+// RequestConvTriple asks the model owner for the triple of a
+// convolution over images images and outChannels filters
+// (ConvRequest): A at image shape, B and the mask rule as for
+// RequestMatMulTriple.
+func RequestConvTriple(ctx *Ctx, session, mask string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error) {
+	return requestTriple(ctx, ConvRequest(session, mask, shape, images, outChannels))
+}
+
+// requestTriple deals one triple request in an individual round trip.
+func requestTriple(ctx *Ctx, r TripleRequest) (sharing.TripleBundle, error) {
+	step, err := r.step()
+	if err != nil {
 		return sharing.TripleBundle{}, err
 	}
-	msg, err := ctx.Router.Expect(transport.ModelOwner, session, stepTripleMatMul+respSuffix)
+	if err := ctx.Router.Send(transport.ModelOwner, r.Session, step, r.payload()); err != nil {
+		return sharing.TripleBundle{}, err
+	}
+	msg, err := ctx.Router.Expect(transport.ModelOwner, r.Session, step+respSuffix)
 	if err != nil {
 		return sharing.TripleBundle{}, err
 	}
 	t, err := decodeTriple(msg.Payload)
-	msg.Release()
+	msg.Release() // triple shares are copied out of the payload
 	return t, err
 }
 
@@ -725,7 +733,7 @@ func decodeDims(buf []byte) ([]int, error) {
 	out := make([]int, len(buf)/4)
 	for i := range out {
 		v := binary.LittleEndian.Uint32(buf[4*i:])
-		if v == 0 || v > (1<<24) {
+		if v == 0 || v > maxDim {
 			return nil, fmt.Errorf("protocol: implausible dimension %d", v)
 		}
 		out[i] = int(v)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/trustddl/trustddl/internal/sharing"
+	"github.com/trustddl/trustddl/internal/tensor"
 	"github.com/trustddl/trustddl/internal/transport"
 )
 
@@ -55,13 +56,37 @@ type TripleRequest struct {
 	// name it does not hold draws b, and the reply carries B. Empty
 	// asks for a single-use triple.
 	Mask string
+	// Conv, on a MatMul request, is the geometry of the convolution
+	// whose lowering the product is (ConvRequest): the owner then deals
+	// A at image shape and C = Conv2DBatch(Conv, A, b), so the
+	// requester opens its input mask before the lowering. Zero for any
+	// other request.
+	Conv tensor.ConvShape
 }
 
-// Key is the canonical identity of a request: kind, session, dims and
-// mask name. Two requests with equal keys are interchangeable — the
-// owner deals one entry per key, however each party asks for it.
+// ConvRequest is the request of a convolution's triple over images
+// images and outChannels filters: a MatMul request whose dims are the
+// lowered product, (images·OutH·OutW)×PatchSize · PatchSize×outChannels,
+// carrying the geometry.
+func ConvRequest(session, mask string, shape tensor.ConvShape, images, outChannels int) TripleRequest {
+	return TripleRequest{
+		Kind: ReqMatMul, Session: session, Mask: mask, Conv: shape,
+		M: images * shape.OutHeight() * shape.OutWidth(), N: shape.PatchSize(), P: outChannels,
+	}
+}
+
+// isConv reports whether the request carries conv geometry.
+func (r TripleRequest) isConv() bool { return r.Conv != (tensor.ConvShape{}) }
+
+// Key is the canonical identity of a request: kind, session, dims,
+// conv geometry and mask name. Two requests with equal keys are
+// interchangeable — the owner deals one entry per key, however each
+// party asks for it; a conv and a plain request for the same product
+// are different deals (their A differ in shape).
 func (r TripleRequest) Key() string {
-	return fmt.Sprintf("%d|%s|%dx%dx%d|%s", r.Kind, r.Session, r.M, r.N, r.P, r.Mask)
+	c := r.Conv
+	return fmt.Sprintf("%d|%s|%dx%dx%d|c%d:%dx%d:k%ds%dp%d|%s", r.Kind, r.Session, r.M, r.N, r.P,
+		c.InChannels, c.Height, c.Width, c.Kernel, c.Stride, c.Pad, r.Mask)
 }
 
 // step maps the kind onto the owner wire-protocol step label.
@@ -70,6 +95,9 @@ func (r TripleRequest) step() (string, error) {
 	case ReqHadamard:
 		return stepTripleHadamard, nil
 	case ReqMatMul:
+		if r.isConv() {
+			return stepTripleConv, nil
+		}
 		return stepTripleMatMul, nil
 	case ReqAux:
 		return stepAuxPositive, nil
@@ -88,10 +116,78 @@ func (r TripleRequest) dims() []int {
 }
 
 // payload is the body of an individual deal message: the dims as LE
-// u32s, then the mask name as the remaining bytes — none for a request
-// that names no mask.
+// u32s, for a conv request the geometry, then the mask name as the
+// remaining bytes — none for a request that names no mask.
 func (r TripleRequest) payload() []byte {
-	return append(encodeDims(r.dims()...), r.Mask...)
+	buf := encodeDims(r.dims()...)
+	if r.isConv() {
+		buf = appendConv(buf, r.Conv)
+	}
+	return append(buf, r.Mask...)
+}
+
+// convWireLen is the wire size of a conv geometry: six LE u32s, in
+// ConvShape field order.
+const convWireLen = 6 * 4
+
+func appendConv(buf []byte, c tensor.ConvShape) []byte {
+	for _, v := range [...]int{c.InChannels, c.Height, c.Width, c.Kernel, c.Stride, c.Pad} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	}
+	return buf
+}
+
+// decodeConv reads a geometry written by appendConv; checkConv decides
+// whether it is plausible.
+func decodeConv(buf []byte) tensor.ConvShape {
+	f := func(i int) int { return int(binary.LittleEndian.Uint32(buf[4*i:])) }
+	return tensor.ConvShape{InChannels: f(0), Height: f(1), Width: f(2), Kernel: f(3), Stride: f(4), Pad: f(5)}
+}
+
+// checkConv rejects conv geometry the owner must not deal: geometry on
+// a non-MatMul request, a field or an image width (InChannels·H·W)
+// beyond the dimension cap, a shape ConvShape.Validate refuses, or
+// dims that are not the lowering of the geometry (N = PatchSize, M a
+// whole number of images' output positions). A Byzantine requester
+// must not be able to make the owner panic in the conv kernel or
+// balloon its work: the conv costs the M·N·P of the stated product,
+// and the image-shaped a, images × InSize with images ≤ M and
+// InSize ≤ 2²⁴, stays within the M × 2²⁴ a plain MatMul item may ask
+// for. Requests without geometry pass.
+func (r TripleRequest) checkConv() error {
+	if !r.isConv() {
+		return nil
+	}
+	if r.Kind != ReqMatMul {
+		return fmt.Errorf("protocol: conv geometry on a %s request", r.Kind)
+	}
+	c := r.Conv
+	for _, v := range [...]int{c.InChannels, c.Height, c.Width, c.Kernel, c.Stride, c.Pad} {
+		if v < 0 || v > maxDim {
+			return fmt.Errorf("protocol: implausible conv geometry %+v", c)
+		}
+	}
+	if !withinMaxDim(c.InChannels, c.Height, c.Width) {
+		return fmt.Errorf("protocol: conv image width %dx%dx%d beyond %d", c.InChannels, c.Height, c.Width, maxDim)
+	}
+	if !withinMaxDim(c.InChannels, c.Kernel, c.Kernel) {
+		return fmt.Errorf("protocol: conv patch %dx%dx%d beyond %d", c.InChannels, c.Kernel, c.Kernel, maxDim)
+	}
+	_, err := r.order().ConvImages()
+	return err
+}
+
+// withinMaxDim reports whether the product of positive factors is at
+// most maxDim, without computing a product that could overflow.
+func withinMaxDim(xs ...int) bool {
+	p := 1
+	for _, x := range xs {
+		if x <= 0 || p > maxDim/x {
+			return false
+		}
+		p *= x
+	}
+	return true
 }
 
 // order converts the request into a dealer batch order; the owner
@@ -103,7 +199,7 @@ func (r TripleRequest) order() sharing.BatchOrder {
 	case ReqAux:
 		return sharing.BatchOrder{Aux: true, M: r.M, N: r.N}
 	default:
-		return sharing.BatchOrder{Kind: sharing.TripleMatMul, M: r.M, N: r.N, P: r.P}
+		return sharing.BatchOrder{Kind: sharing.TripleMatMul, M: r.M, N: r.N, P: r.P, Conv: r.Conv}
 	}
 }
 
@@ -114,7 +210,7 @@ func reqFromWire(step string, payload []byte) (TripleRequest, error) {
 	switch step {
 	case stepTripleHadamard:
 		r.Kind = ReqHadamard
-	case stepTripleMatMul:
+	case stepTripleMatMul, stepTripleConv:
 		r.Kind = ReqMatMul
 	case stepAuxPositive:
 		r.Kind = ReqAux
@@ -125,14 +221,18 @@ func reqFromWire(step string, payload []byte) (TripleRequest, error) {
 	if r.Kind == ReqMatMul {
 		nd = 3
 	}
-	if len(payload) < 4*nd {
-		return TripleRequest{}, fmt.Errorf("protocol: %s deal needs %d dims, got %d bytes", step, nd, len(payload))
+	head := 4 * nd
+	if step == stepTripleConv {
+		head += convWireLen
+	}
+	if len(payload) < head {
+		return TripleRequest{}, fmt.Errorf("protocol: %s deal needs %d bytes before its mask, got %d", step, head, len(payload))
 	}
 	dims, err := decodeDims(payload[:4*nd])
 	if err != nil {
 		return TripleRequest{}, err
 	}
-	mask := payload[4*nd:]
+	mask := payload[head:]
 	if len(mask) > maxMaskLen || (r.Kind != ReqMatMul && len(mask) != 0) {
 		return TripleRequest{}, fmt.Errorf("protocol: %s deal carries %d bytes after its dims", step, len(mask))
 	}
@@ -141,12 +241,22 @@ func reqFromWire(step string, payload []byte) (TripleRequest, error) {
 		r.P = dims[2]
 		r.Mask = string(mask)
 	}
+	if step == stepTripleConv {
+		r.Conv = decodeConv(payload[4*nd:])
+		if !r.isConv() {
+			return TripleRequest{}, fmt.Errorf("protocol: conv deal without geometry")
+		}
+		if err := r.checkConv(); err != nil {
+			return TripleRequest{}, err
+		}
+	}
 	return r, nil
 }
 
 // Wire format of the batch deal step: a request frame carries
 // `count · (kind byte, u16 session length, session bytes, dims as LE
-// u32s — 2 for Hadamard/Aux, 3 for MatMul — and, for MatMul, u16 mask
+// u32s — 2 for Hadamard/Aux, 3 for MatMul — and, for MatMul, the conv
+// geometry when the kind byte has its convItem bit set, u16 mask
 // length, mask bytes)` after a LE u32 count; the response frame
 // carries, in request order, one length-prefixed item payload each
 // (the identical bytes an individual deal response would carry). Caps
@@ -159,6 +269,12 @@ const (
 	maxBatchSessionLen = 512
 	// maxMaskLen bounds a mask name, in both request formats.
 	maxMaskLen = 128
+	// maxDim bounds every dimension and conv geometry field, and a conv
+	// request's image width, in both request formats.
+	maxDim = 1 << 24
+	// convItem marks, on a batch item's kind byte, a MatMul item that
+	// carries conv geometry.
+	convItem = 0x80
 )
 
 // EncodeTripleBatch serializes a batch dealing request.
@@ -177,14 +293,24 @@ func EncodeTripleBatch(reqs []TripleRequest) ([]byte, error) {
 		if len(r.Mask) > maxMaskLen || (r.Kind != ReqMatMul && r.Mask != "") {
 			return nil, fmt.Errorf("protocol: batch %s item names mask %q", r.Kind, r.Mask)
 		}
-		buf = append(buf, byte(r.Kind))
+		if err := r.checkConv(); err != nil {
+			return nil, err
+		}
+		kind := byte(r.Kind)
+		if r.isConv() {
+			kind |= convItem
+		}
+		buf = append(buf, kind)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Session)))
 		buf = append(buf, r.Session...)
 		for _, d := range r.dims() {
-			if d <= 0 || d > 1<<24 {
+			if d <= 0 || d > maxDim {
 				return nil, fmt.Errorf("protocol: implausible batch dimension %d", d)
 			}
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
+		}
+		if r.isConv() {
+			buf = appendConv(buf, r.Conv)
 		}
 		if r.Kind == ReqMatMul {
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Mask)))
@@ -211,7 +337,8 @@ func DecodeTripleBatch(buf []byte) ([]TripleRequest, error) {
 		if len(buf) < 3 {
 			return nil, fmt.Errorf("protocol: batch item %d truncated", i)
 		}
-		r := TripleRequest{Kind: TripleReqKind(buf[0])}
+		r := TripleRequest{Kind: TripleReqKind(buf[0] &^ convItem)}
+		conv := buf[0]&convItem != 0
 		slen := int(binary.LittleEndian.Uint16(buf[1:]))
 		buf = buf[3:]
 		if slen == 0 || slen > maxBatchSessionLen || len(buf) < slen {
@@ -227,19 +354,32 @@ func DecodeTripleBatch(buf []byte) ([]TripleRequest, error) {
 		default:
 			return nil, fmt.Errorf("protocol: batch item %d has unknown kind %d", i, r.Kind)
 		}
+		if conv && r.Kind != ReqMatMul {
+			return nil, fmt.Errorf("protocol: batch %s item %d carries conv geometry", r.Kind, i)
+		}
 		if len(buf) < 4*nd {
 			return nil, fmt.Errorf("protocol: batch item %d dims truncated", i)
 		}
 		dims := make([]int, nd)
 		for j := range dims {
 			v := binary.LittleEndian.Uint32(buf[4*j:])
-			if v == 0 || v > 1<<24 {
+			if v == 0 || v > maxDim {
 				return nil, fmt.Errorf("protocol: batch item %d has implausible dimension %d", i, v)
 			}
 			dims[j] = int(v)
 		}
 		buf = buf[4*nd:]
 		r.M, r.N = dims[0], dims[1]
+		if conv {
+			if len(buf) < convWireLen {
+				return nil, fmt.Errorf("protocol: batch item %d conv geometry truncated", i)
+			}
+			r.Conv = decodeConv(buf)
+			buf = buf[convWireLen:]
+			if !r.isConv() {
+				return nil, fmt.Errorf("protocol: batch item %d flags conv without geometry", i)
+			}
+		}
 		if nd == 3 {
 			r.P = dims[2]
 			if len(buf) < 2 {
@@ -252,6 +392,9 @@ func DecodeTripleBatch(buf []byte) ([]TripleRequest, error) {
 			}
 			r.Mask = string(buf[:mlen])
 			buf = buf[mlen:]
+		}
+		if err := r.checkConv(); err != nil {
+			return nil, fmt.Errorf("protocol: batch item %d: %w", i, err)
 		}
 		out = append(out, r)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/trustddl/trustddl/internal/sharing"
+	"github.com/trustddl/trustddl/internal/tensor"
 	"github.com/trustddl/trustddl/internal/transport"
 )
 
@@ -137,6 +138,12 @@ func (p *PrefetchSource) release() {
 func (p *PrefetchSource) MatMulTriple(session, mask string, m, n, pp int) (sharing.TripleBundle, error) {
 	return take(p, TripleRequest{Kind: ReqMatMul, Session: session, M: m, N: n, P: pp, Mask: mask}, decodeTriple,
 		func() (sharing.TripleBundle, error) { return RequestMatMulTriple(p.ctx, session, mask, m, n, pp) })
+}
+
+// ConvTriple implements the TripleSource contract of internal/nn.
+func (p *PrefetchSource) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error) {
+	req := ConvRequest(session, mask, shape, images, outChannels)
+	return take(p, req, decodeTriple, func() (sharing.TripleBundle, error) { return requestTriple(p.ctx, req) })
 }
 
 // HadamardTriple implements the TripleSource contract of internal/nn.

@@ -13,7 +13,44 @@ type mulKind int
 const (
 	mulHadamard mulKind = iota + 1
 	mulMatrix
+	// mulConv convolves the left operand's images with the right
+	// operand's kernel matrix (product.conv is the geometry).
+	mulConv
 )
+
+// product is the bilinear map z = x ∘ y a Beaver combination
+// evaluates. Every term of the combination has the form u ∘ v with u of
+// x's shape, so a conv triple's A, its opened e and x all stay at image
+// shape and nothing is lowered: conv(u, v) = im2col(u)·v.
+type product struct {
+	kind mulKind
+	conv tensor.ConvShape
+}
+
+// into writes a ∘ b into out, which has the shape outShape reports.
+// Every kernel is bit-identical to its allocating form.
+func (p product) into(a, b, out Mat) error {
+	switch p.kind {
+	case mulMatrix:
+		return a.MatMulInto(b, out)
+	case mulConv:
+		return tensor.Conv2DBatchInto(p.conv, a, b, out)
+	default:
+		return a.HadamardInto(b, out)
+	}
+}
+
+// outShape is the shape of x ∘ y.
+func (p product) outShape(x, y Mat) (rows, cols int) {
+	switch p.kind {
+	case mulMatrix:
+		return x.Rows, y.Cols
+	case mulConv:
+		return x.Rows * p.conv.OutHeight() * p.conv.OutWidth(), y.Cols
+	default:
+		return x.Rows, x.Cols
+	}
+}
 
 // SecMulBT is Algorithm 4: Byzantine-tolerant element-wise secure
 // multiplication z = x ⊙ y over the three-set share bundles. All three
@@ -24,7 +61,7 @@ const (
 // The Beaver triple must be fresh (single use) and of the operands'
 // shape; the model owner deals it (§III-A).
 func SecMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.TripleBundle) (sharing.Bundle, error) {
-	z, _, err := secMulBT(ctx, session, x, y, triple, Mat{}, mulHadamard, true)
+	z, _, err := secMulBT(ctx, session, x, y, triple, Mat{}, product{kind: mulHadamard}, true)
 	return z, err
 }
 
@@ -32,7 +69,7 @@ func SecMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.Trip
 // SecMulBT with matrix products substituted for element-wise products.
 // x is m×n, y is n×p and the triple must have matching shapes.
 func SecMatMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.TripleBundle) (sharing.Bundle, error) {
-	z, _, err := secMulBT(ctx, session, x, y, triple, Mat{}, mulMatrix, true)
+	z, _, err := secMulBT(ctx, session, x, y, triple, Mat{}, product{kind: mulMatrix}, true)
 	return z, err
 }
 
@@ -44,21 +81,34 @@ func SecMatMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.T
 // SecMatMulBT does. The caller must drop f and B the moment w changes:
 // opening a second w under the same b would reveal their difference.
 func SecMatMulWeightBT(ctx *Ctx, session string, x, w sharing.Bundle, triple sharing.TripleBundle, f Mat) (sharing.Bundle, Mat, error) {
-	return secMulBT(ctx, session, x, w, triple, f, mulMatrix, true)
+	return secMulBT(ctx, session, x, w, triple, f, product{kind: mulMatrix}, true)
+}
+
+// SecConvWeightBT is SecMatMulWeightBT for a convolution: x holds one
+// flattened shape.InSize() image per row, w is the PatchSize×filters
+// kernel matrix, and the triple is a conv triple (ConvRequest) whose A
+// has x's shape. It opens e = x − A at image shape and evaluates
+// z = C + conv(e, B) + conv(A, F) + conv(e, F), which equals the
+// lowered SecMatMulWeightBT over im2col(x) because the lowering is
+// linear — without ever lowering a share. z has one row per image and
+// output position, (images·OutH·OutW)×filters. f and B follow the
+// SecMatMulWeightBT contract: the caller drops them when w changes.
+func SecConvWeightBT(ctx *Ctx, session string, shape tensor.ConvShape, x, w sharing.Bundle, triple sharing.TripleBundle, f Mat) (sharing.Bundle, Mat, error) {
+	return secMulBT(ctx, session, x, w, triple, f, product{kind: mulConv, conv: shape}, true)
 }
 
 // secMulBTRaw is the untruncated variant used by SecComp-BT, where the
 // product is only ever inspected for its sign and skipping the local
 // truncation avoids collapsing sub-ulp differences to zero.
 func secMulBTRaw(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.TripleBundle, kind mulKind) (sharing.Bundle, error) {
-	z, _, err := secMulBT(ctx, session, x, y, triple, Mat{}, kind, false)
+	z, _, err := secMulBT(ctx, session, x, y, triple, Mat{}, product{kind: kind}, false)
 	return z, err
 }
 
 // secMulBT opens whichever of e = x − a and f = y − b is not public
 // yet (f is, when the caller passes it) in one commit-and-open
 // exchange, and returns z with the f it used.
-func secMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.TripleBundle, f Mat, kind mulKind, truncate bool) (sharing.Bundle, Mat, error) {
+func secMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.TripleBundle, f Mat, prod product, truncate bool) (sharing.Bundle, Mat, error) {
 	if err := x.Validate(); err != nil {
 		return sharing.Bundle{}, Mat{}, fmt.Errorf("protocol: SecMulBT x: %w", err)
 	}
@@ -114,7 +164,7 @@ func secMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.Trip
 
 	// Lines 21–24: local share computation z = c + e·b + a·f, with the
 	// public e·f term folded into the second share of each set (r = 2).
-	z, err := beaverCombine(triple, vals[0], f, kind)
+	z, err := beaverCombine(triple, vals[0], f, prod)
 	if err != nil {
 		return sharing.Bundle{}, Mat{}, err
 	}
@@ -127,27 +177,16 @@ func secMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.Trip
 }
 
 // beaverCombine evaluates c + e∘b + a∘f on each bundle component and
-// adds e∘f to the second share, where ∘ is the element-wise or matrix
-// product according to kind.
+// adds e∘f to the second share, where ∘ is prod.
 //
 // The intermediate products (eb, af per component, plus ef) live only
 // until their AddInPlace, so they run through pooled scratch matrices:
 // a secure step's Beaver combinations allocate nothing beyond the
-// returned bundle. The products use the Into kernels, which are
-// bit-identical to MatMul/Hadamard.
-func beaverCombine(triple sharing.TripleBundle, e, f Mat, kind mulKind) (sharing.Bundle, error) {
-	outRows, outCols := e.Rows, e.Cols
-	if kind == mulMatrix {
-		outCols = f.Cols
-	}
-	scratch := tensor.GetMatrix(outRows, outCols)
+// returned bundle.
+func beaverCombine(triple sharing.TripleBundle, e, f Mat, prod product) (sharing.Bundle, error) {
+	scratch := tensor.GetMatrix(prod.outShape(e, f))
 	defer tensor.PutMatrix(scratch)
-	mulInto := func(a, b Mat) error {
-		if kind == mulMatrix {
-			return a.MatMulInto(b, scratch)
-		}
-		return a.HadamardInto(b, scratch)
-	}
+	mulInto := func(a, b Mat) error { return prod.into(a, b, scratch) }
 	component := func(c, b, a Mat) (Mat, error) {
 		if err := mulInto(e, b); err != nil {
 			return Mat{}, fmt.Errorf("protocol: beaver e∘b: %w", err)

@@ -23,6 +23,32 @@ type BatchOrder struct {
 	// the input-side pair (A, C = A·b) with B left empty — the
 	// requester kept its share of b from the deal that drew it.
 	Against Mat
+	// Conv, when set on a MatMul order, is the geometry of the
+	// convolution that product lowers: M = images·OutH·OutW and
+	// N = PatchSize. a is then drawn at image shape, images × InSize,
+	// and c = Conv2DBatch(Conv, a, b) — the lowered product's c for an
+	// a that is never lowered, so the requester opens x − a at image
+	// shape. b, Against and c are as for the lowered order.
+	Conv tensor.ConvShape
+}
+
+// isConv reports whether the order carries conv geometry.
+func (o BatchOrder) isConv() bool { return o.Conv != (tensor.ConvShape{}) }
+
+// ConvImages checks that a conv order's dims are the lowering of its
+// geometry and returns the number of images it covers.
+func (o BatchOrder) ConvImages() (int, error) {
+	if o.Kind != TripleMatMul {
+		return 0, fmt.Errorf("sharing: conv geometry on a non-matmul order")
+	}
+	if err := o.Conv.Validate(); err != nil {
+		return 0, err
+	}
+	positions := o.Conv.OutHeight() * o.Conv.OutWidth()
+	if o.N != o.Conv.PatchSize() || o.M <= 0 || o.M%positions != 0 {
+		return 0, fmt.Errorf("sharing: (%dx%d)·(%dx%d) order is not a lowering of conv %+v", o.M, o.N, o.N, o.P, o.Conv)
+	}
+	return o.M / positions, nil
 }
 
 // BatchItem is one dealt item of a batch: the per-party triple bundles
@@ -47,12 +73,13 @@ type BatchItem struct {
 // fetch must stay bit-identical to on-demand single-order deals. All
 // randomness is therefore drawn serially per item — operands, then the
 // share masks of a, b and c in that order; only the CPU-bound triple
-// products c = a·b / a⊙b, which consume no randomness, run concurrently
-// across items (each additionally fanning out over the parallel tensor
-// kernels). The c share sets are assembled afterwards from masks
-// pre-drawn in phase 1. An order dealt Against a retained mask skips
-// exactly the draws of b and of b's shares, so a stream with no such
-// order is the stream it always was.
+// products c = a·b / a⊙b / conv(a, b), which consume no randomness, run
+// concurrently across items (each additionally fanning out over the
+// parallel tensor kernels). The c share sets are assembled afterwards
+// from masks pre-drawn in phase 1. An order dealt Against a retained
+// mask skips exactly the draws of b and of b's shares, and a conv order
+// draws a at image shape, so a stream with neither is the stream it
+// always was.
 func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 	type pending struct {
 		a, b   Mat // triple operands
@@ -96,7 +123,15 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 			return nil, fmt.Errorf("sharing: batch item %d: %dx%d mask for a (%dx%d)·(%dx%d) order",
 				i, o.Against.Rows, o.Against.Cols, o.M, o.N, bShape[0], bShape[1])
 		}
-		if ops[i].a, err = d.uniform(o.M, o.N); err != nil {
+		aShape := [2]int{o.M, o.N}
+		if o.isConv() {
+			images, err := o.ConvImages()
+			if err != nil {
+				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
+			}
+			aShape = [2]int{images, o.Conv.InSize()}
+		}
+		if ops[i].a, err = d.uniform(aShape[0], aShape[1]); err != nil {
 			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
 		}
 		ops[i].b = o.Against
@@ -134,9 +169,12 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 		go func(i int) {
 			defer wg.Done()
 			var err error
-			if orders[i].Kind == TripleHadamard {
+			switch o := orders[i]; {
+			case o.Kind == TripleHadamard:
 				ops[i].c, err = ops[i].a.Hadamard(ops[i].b)
-			} else {
+			case o.isConv():
+				ops[i].c, err = tensor.Conv2DBatch(o.Conv, ops[i].a, ops[i].b)
+			default:
 				ops[i].c, err = ops[i].a.MatMul(ops[i].b)
 			}
 			errs[i] = err
@@ -186,15 +224,7 @@ func shareWithMasks(s Mat, masks [NumParties]Mat) ([NumParties]Bundle, error) {
 		}
 		sets[j] = [2]Mat{masks[j], last}
 	}
-	for i := 1; i <= NumParties; i++ {
-		i1, i2, i3 := SetsOf(i)
-		bundles[i-1] = Bundle{
-			Primary: sets[i1-1][0].Clone(),
-			Hat:     sets[i2-1][0].Clone(),
-			Second:  sets[i3-1][1].Clone(),
-		}
-	}
-	return bundles, nil
+	return distribute(sets), nil
 }
 
 // auxMatrix draws the SecComp-BT masking matrix of AuxPositive.

@@ -6,10 +6,20 @@ import (
 	"testing"
 
 	"github.com/trustddl/trustddl/internal/fixed"
+	"github.com/trustddl/trustddl/internal/tensor"
 )
 
 func batchDealer(seed uint64) *Dealer {
 	return NewDealer(NewSeededSource(seed), fixed.Default())
+}
+
+// testConv is a two-channel geometry with padding and stride: 2×3
+// output positions, patch size 18.
+var testConv = tensor.ConvShape{InChannels: 2, Height: 4, Width: 5, Kernel: 3, Stride: 2, Pad: 1}
+
+// convOrder is the conv order over images images and p filters.
+func convOrder(images, p int) BatchOrder {
+	return BatchOrder{Kind: TripleMatMul, M: images * testConv.OutHeight() * testConv.OutWidth(), N: testConv.PatchSize(), P: p, Conv: testConv}
 }
 
 // TestDealBatchMatchesIndividualStream pins the contract DealBatch
@@ -24,6 +34,8 @@ func TestDealBatchMatchesIndividualStream(t *testing.T) {
 		{Aux: true, M: 3, N: 2},
 		{Kind: TripleHadamard, M: 1, N: 1},
 		{Kind: TripleMatMul, M: 4, N: 1, P: 2},
+		convOrder(2, 3),
+		{Kind: TripleHadamard, M: 2, N: 2},
 	}
 	batched, err := batchDealer(99).DealBatch(orders)
 	if err != nil {
@@ -38,6 +50,9 @@ func TestDealBatchMatchesIndividualStream(t *testing.T) {
 			want.Aux, err = ind.AuxPositive(o.M, o.N)
 		case o.Kind == TripleHadamard:
 			want.Triple, err = ind.HadamardTriple(o.M, o.N)
+		case o.isConv():
+			want, err = ind.dealOne(o)
+			want.Mask = Mat{}
 		default:
 			want.Triple, err = ind.MatMulTriple(o.M, o.N, o.P)
 		}
@@ -87,6 +102,52 @@ func TestDealBatchTriplesAreConsistent(t *testing.T) {
 		}
 		if !reflect.DeepEqual(c, want) {
 			t.Fatalf("item %d: c is not the ring product of a and b", i)
+		}
+	}
+}
+
+// TestDealBatchConvTriple: a conv order deals a at image shape and
+// c = Conv2DBatch(a, b) exactly, both fresh and against a retained
+// mask; dims that are not the lowering of the geometry are rejected.
+func TestDealBatchConvTriple(t *testing.T) {
+	d := batchDealer(25)
+	cold, err := d.DealBatch([]BatchOrder{convOrder(3, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := d.DealBatch([]BatchOrder{func() BatchOrder { o := convOrder(1, 4); o.Against = cold[0].Mask; return o }()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a0, b, c0 := openTriple(t, cold[0].Triple)
+	matEqual(t, cold[0].Mask, b, "retained plaintext vs shared b")
+	a1, b1, c1 := openTriple(t, warm[0].Triple)
+	if !b1.IsZeroShape() || !warm[0].Mask.IsZeroShape() {
+		t.Fatal("a conv pair dealt against a retained mask carries B")
+	}
+	for _, tc := range []struct {
+		name   string
+		images int
+		a, c   Mat
+	}{{"fresh", 3, a0, c0}, {"against", 1, a1, c1}} {
+		if tc.a.Rows != tc.images || tc.a.Cols != testConv.InSize() {
+			t.Fatalf("%s: a is %dx%d, want image shape %dx%d", tc.name, tc.a.Rows, tc.a.Cols, tc.images, testConv.InSize())
+		}
+		want, err := tensor.Conv2DBatch(testConv, tc.a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matEqual(t, tc.c, want, tc.name+": c = conv(a, b)")
+	}
+
+	for _, bad := range []BatchOrder{
+		func() BatchOrder { o := convOrder(2, 4); o.M++; return o }(),
+		func() BatchOrder { o := convOrder(2, 4); o.N--; return o }(),
+		func() BatchOrder { o := convOrder(2, 4); o.Kind = TripleHadamard; return o }(),
+		func() BatchOrder { o := convOrder(2, 4); o.Conv.Kernel = 9; return o }(),
+	} {
+		if _, err := d.DealBatch([]BatchOrder{bad}); err == nil {
+			t.Fatalf("order %+v accepted", bad)
 		}
 	}
 }

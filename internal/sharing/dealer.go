@@ -51,23 +51,34 @@ func (d *Dealer) Share(s Mat) ([NumParties]Bundle, error) {
 		return bundles, fmt.Errorf("sharing: cannot share an empty matrix")
 	}
 	// Three independent 2-additive sharings of the same value.
-	var sets [NumParties][]Mat
+	var sets [NumParties][2]Mat
 	for j := 0; j < NumParties; j++ {
 		shares, err := CreateShares(d.src, s, 2)
 		if err != nil {
 			return bundles, err
 		}
-		sets[j] = shares
+		sets[j] = [2]Mat{shares[0], shares[1]}
 	}
+	return distribute(sets), nil
+}
+
+// distribute hands three 2-additive share sets out as the per-party
+// bundles of Fig. 1, taking ownership of the sets' matrices. SetsOf's
+// three indices are each a permutation of the parties, so every first
+// share is one party's Primary and another's Hat, and every second
+// share one party's Second: one clone per set gives each bundle storage
+// no other bundle shares.
+func distribute(sets [NumParties][2]Mat) [NumParties]Bundle {
+	var bundles [NumParties]Bundle
 	for i := 1; i <= NumParties; i++ {
 		i1, i2, i3 := SetsOf(i)
 		bundles[i-1] = Bundle{
-			Primary: sets[i1-1][0].Clone(),
+			Primary: sets[i1-1][0],
 			Hat:     sets[i2-1][0].Clone(),
-			Second:  sets[i3-1][1].Clone(),
+			Second:  sets[i3-1][1],
 		}
 	}
-	return bundles, nil
+	return bundles
 }
 
 // ShareFloats encodes a float64 matrix into the ring and shares it.

@@ -1,6 +1,7 @@
 package sharing
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/trustddl/trustddl/internal/tensor"
@@ -129,5 +130,39 @@ func TestTripleMasksAreFreshPerCall(t *testing.T) {
 	}
 	if t1[0].A.Primary.Equal(t2[0].A.Primary) {
 		t.Fatal("two triples share identical mask shares: triples must be single-use (§II)")
+	}
+}
+
+// TestDealtBundlesOwnTheirStorage: no two matrices of a dealing share
+// a backing array. Parties served in process (PreDealer) hold the very
+// bundles the dealer built, so one party writing its shares in place
+// must not reach another's — whether the sharing came from Share or
+// from the masks DealBatch pre-draws for c.
+func TestDealtBundlesOwnTheirStorage(t *testing.T) {
+	d := batchDealer(31)
+	shared, err := d.Share(Mat{Rows: 2, Cols: 3, Data: []int64{1, 2, 3, 4, 5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, err := d.DealBatch([]BatchOrder{{Kind: TripleMatMul, M: 2, N: 3, P: 2}, convOrder(1, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharings := [][NumParties]Bundle{shared}
+	for _, it := range items {
+		as, bs, cs := components(it.Triple)
+		sharings = append(sharings, as, bs, cs)
+	}
+	for k, bundles := range sharings {
+		seen := map[*int64]string{}
+		for p, b := range bundles {
+			for name, m := range map[string]Mat{"Primary": b.Primary, "Hat": b.Hat, "Second": b.Second} {
+				where := fmt.Sprintf("party %d %s", p+1, name)
+				if other, dup := seen[&m.Data[0]]; dup {
+					t.Fatalf("sharing %d: %s and %s share storage", k, other, where)
+				}
+				seen[&m.Data[0]] = where
+			}
+		}
 	}
 }

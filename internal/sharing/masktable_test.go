@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"github.com/trustddl/trustddl/internal/tensor"
 )
 
 // openTriple reconstructs the plaintext components of a dealt triple;
@@ -102,6 +104,43 @@ func TestPreDealerReusesNamedMask(t *testing.T) {
 		if b.IsZeroShape() || b.Equal(b0) {
 			t.Fatalf("mask %q did not draw a fresh b", mask)
 		}
+	}
+}
+
+// TestPreDealerConvTriple: a conv triple from the offline pool has A at
+// image shape and C = conv(A, b), and under a retained name the next
+// one is a pair against the same b — the one mask serves the conv like
+// any matrix product.
+func TestPreDealerConvTriple(t *testing.T) {
+	pre := NewPreDealer(batchDealer(23))
+	deal := func(session string, images int) [NumParties]TripleBundle {
+		t.Helper()
+		var out [NumParties]TripleBundle
+		for p := 1; p <= NumParties; p++ {
+			v, err := pre.View(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out[p-1], err = v.ConvTriple(session, "conv", testConv, images, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	_, b0, _ := openTriple(t, deal("s1", 2))
+	for i, images := range []int{1, 3} {
+		a, b, c := openTriple(t, deal(fmt.Sprintf("s%d", i+2), images))
+		if !b.IsZeroShape() {
+			t.Fatalf("conv deal %d under a retained name carries B", i+2)
+		}
+		if a.Rows != images || a.Cols != testConv.InSize() {
+			t.Fatalf("A is %dx%d, want %dx%d", a.Rows, a.Cols, images, testConv.InSize())
+		}
+		want, err := tensor.Conv2DBatch(testConv, a, b0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matEqual(t, c, want, "conv pair against the named mask")
 	}
 }
 

@@ -3,6 +3,8 @@ package sharing
 import (
 	"fmt"
 	"sync"
+
+	"github.com/trustddl/trustddl/internal/tensor"
 )
 
 // PreDealer models the offline phase of triple distribution: all
@@ -53,15 +55,21 @@ func (p *PreDealer) View(party int) (*PreView, error) {
 	return &PreView{dealer: p, party: party}, nil
 }
 
-func (p *PreDealer) matMul(session, mask string, m, n, q int) (*preTriple, error) {
+// matMulKey names the entry of a matrix triple; conv geometry is part
+// of it, since a conv order deals its a at another shape.
+func matMulKey(session string, conv tensor.ConvShape, m, n, q int) string {
+	return fmt.Sprintf("%s|mm|%dx%dx%d|%v", session, m, n, q, conv)
+}
+
+func (p *PreDealer) matMul(session, mask string, conv tensor.ConvShape, m, n, q int) (*preTriple, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	key := fmt.Sprintf("%s|mm|%dx%dx%d", session, m, n, q)
+	key := matMulKey(session, conv, m, n, q)
 	if e, ok := p.triples[key]; ok {
 		return e, nil
 	}
 	// A one-order batch draws exactly what MatMulTriple would.
-	order := BatchOrder{Kind: TripleMatMul, M: m, N: n, P: q, Against: p.masks.Get(mask, n, q)}
+	order := BatchOrder{Kind: TripleMatMul, M: m, N: n, P: q, Against: p.masks.Get(mask, n, q), Conv: conv}
 	items, err := p.dealer.DealBatch([]BatchOrder{order})
 	if err != nil {
 		return nil, err
@@ -133,12 +141,23 @@ type PreView struct {
 // Beaver triple; B is empty when the triple was dealt against a mask
 // the dealer already held under that name.
 func (v *PreView) MatMulTriple(session, mask string, m, n, q int) (TripleBundle, error) {
-	e, err := v.dealer.matMul(session, mask, m, n, q)
+	return v.matMul(session, mask, tensor.ConvShape{}, m, n, q)
+}
+
+// ConvTriple returns this party's share of the session's convolution
+// triple: the matrix triple of the lowered product over images images
+// and outChannels filters, with A at image shape (BatchOrder.Conv).
+func (v *PreView) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int) (TripleBundle, error) {
+	return v.matMul(session, mask, shape, images*shape.OutHeight()*shape.OutWidth(), shape.PatchSize(), outChannels)
+}
+
+func (v *PreView) matMul(session, mask string, conv tensor.ConvShape, m, n, q int) (TripleBundle, error) {
+	e, err := v.dealer.matMul(session, mask, conv, m, n, q)
 	if err != nil {
 		return TripleBundle{}, err
 	}
 	t := e.bundles[v.party-1]
-	v.dealer.retire(fmt.Sprintf("%s|mm|%dx%dx%d", session, m, n, q))
+	v.dealer.retire(matMulKey(session, conv, m, n, q))
 	return t, nil
 }
 

@@ -41,6 +41,9 @@ func (c ConvShape) OutWidth() int { return (c.Width+2*c.Pad-c.Kernel)/c.Stride +
 // PatchSize returns the number of elements in one receptive field.
 func (c ConvShape) PatchSize() int { return c.InChannels * c.Kernel * c.Kernel }
 
+// InSize returns the flattened width of one image, InChannels·H·W.
+func (c ConvShape) InSize() int { return c.InChannels * c.Height * c.Width }
+
 // Im2Col lowers img (InChannels × H·W) to a patch matrix with one row
 // per output position (OutH·OutW rows) and PatchSize columns. Padding
 // positions contribute zeros.
@@ -117,7 +120,7 @@ func col2im[T Element](c ConvShape, cols Matrix[T]) (Matrix[T], error) {
 		return Matrix[T]{}, fmt.Errorf("tensor: col2im %dx%d does not match %d positions × %d patch",
 			cols.Rows, cols.Cols, outH*outW, c.PatchSize())
 	}
-	img := Matrix[T]{Rows: c.InChannels, Cols: c.Height * c.Width, Data: make([]T, c.InChannels*c.Height*c.Width)}
+	img := Matrix[T]{Rows: c.InChannels, Cols: c.Height * c.Width, Data: make([]T, c.InSize())}
 	parallelFor(len(img.Data), outH*outW*c.PatchSize(), func(lo, hi int) {
 		col2imPixels(c, cols.Data, img.Data, lo, hi)
 	})
@@ -173,7 +176,7 @@ func col2imPixels[T Element](c ConvShape, cols, img []T, lo, hi int) {
 // Im2ColBatch lowers a batch matrix (one flattened image per row) into
 // a vertically stacked patch matrix of shape (B·OutH·OutW)×PatchSize.
 func Im2ColBatch[T Element](c ConvShape, x Matrix[T]) (Matrix[T], error) {
-	inLen := c.InChannels * c.Height * c.Width
+	inLen := c.InSize()
 	if x.Cols != inLen {
 		return Matrix[T]{}, fmt.Errorf("tensor: im2col batch width %d, want %d", x.Cols, inLen)
 	}
@@ -206,9 +209,12 @@ func Im2ColBatch[T Element](c ConvShape, x Matrix[T]) (Matrix[T], error) {
 // (padding positions and zero pixels), and accumulates in the same
 // ascending-index order — so the result is bit-identical to the
 // two-step path in both element domains. The patch matrix for the
-// Table I conv is 196×25 per image; the secure path still materializes
-// it (the protocol exchanges masked patch-shaped values), but plaintext
-// and baseline layers get the memory traffic back.
+// Table I conv is 196×25 per image. The plaintext layers never build
+// it, and neither does the secure forward pass: it opens its masked
+// input at image shape and convolves that (im2col is linear, so the
+// lowering commutes with the masking). The secure backward pass still
+// lowers, for the weight gradient, as do the comparison frameworks'
+// own protocols.
 func Conv2DBatch[T Element](c ConvShape, x, w Matrix[T]) (Matrix[T], error) {
 	positions := c.OutHeight() * c.OutWidth()
 	out := Matrix[T]{Rows: x.Rows * positions, Cols: w.Cols, Data: make([]T, x.Rows*positions*w.Cols)}
@@ -224,7 +230,7 @@ func Conv2DBatchInto[T Element](c ConvShape, x, w, out Matrix[T]) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	inLen := c.InChannels * c.Height * c.Width
+	inLen := c.InSize()
 	if x.Cols != inLen {
 		return fmt.Errorf("tensor: fused conv batch width %d, want %d", x.Cols, inLen)
 	}
@@ -307,7 +313,7 @@ func Col2ImBatch[T Element](c ConvShape, cols Matrix[T], batch int) (Matrix[T], 
 	if err := c.Validate(); err != nil {
 		return Matrix[T]{}, err
 	}
-	inLen := c.InChannels * c.Height * c.Width
+	inLen := c.InSize()
 	out := Matrix[T]{Rows: batch, Cols: inLen, Data: make([]T, batch*inLen)}
 	parallelFor(batch, batch*positions*c.PatchSize(), func(lo, hi int) {
 		for s := lo; s < hi; s++ {

@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func paperConv() ConvShape {
 	// Table I: 28×28 input, kernel 5×5, padding 2, 5 output channels,
@@ -200,5 +203,83 @@ func TestFloatConvHelpers(t *testing.T) {
 	// Center pixel (5) appears in all four patches.
 	if back.At(0, 4) != 4*5 {
 		t.Fatalf("Col2ImFloat center = %v, want 20", back.At(0, 4))
+	}
+}
+
+// The secure convolution opens x − a at image shape and lowers the
+// public difference, which is sound because the lowering is linear in
+// the ring: im2col(x) − im2col(a) = im2col(x − a), and the convolution
+// splits over x = (x − a) + a. Checked with full-range ring elements,
+// so every subtraction and product wraps, over random geometries.
+func TestConvLinearInTheRing(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	ring := func(rows, cols int) Matrix[int64] {
+		m := MustNew[int64](rows, cols)
+		for i := range m.Data {
+			m.Data[i] = int64(rng.Uint64())
+		}
+		return m
+	}
+	for trial := 0; trial < 24; trial++ {
+		var c ConvShape
+		for {
+			c = ConvShape{
+				InChannels: 2 + rng.Intn(2),
+				Height:     3 + rng.Intn(8),
+				Width:      3 + rng.Intn(8),
+				Kernel:     1 + rng.Intn(4),
+				Stride:     1 + rng.Intn(3),
+				Pad:        rng.Intn(3),
+			}
+			if c.Validate() == nil {
+				break
+			}
+		}
+		batch := []int{1, 3, 8}[trial%3]
+		x, a := ring(batch, c.InSize()), ring(batch, c.InSize())
+		w := ring(c.PatchSize(), 1+rng.Intn(4))
+		e, err := x.Sub(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		lowX, err := Im2ColBatch(c, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lowA, err := Im2ColBatch(c, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lowE, err := Im2ColBatch(c, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diff, err := lowX.Sub(lowA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !diff.Equal(lowE) {
+			t.Fatalf("%+v batch %d: im2col(x) − im2col(a) != im2col(x − a)", c, batch)
+		}
+
+		convX, err := Conv2DBatch(c, x, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		convE, err := Conv2DBatch(c, e, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		convA, err := Conv2DBatch(c, a, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := convE.AddInPlace(convA); err != nil {
+			t.Fatal(err)
+		}
+		if !convE.Equal(convX) {
+			t.Fatalf("%+v batch %d: conv(x − a, w) + conv(a, w) != conv(x, w)", c, batch)
+		}
 	}
 }
