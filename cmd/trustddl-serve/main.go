@@ -11,23 +11,22 @@
 // and batch sizes are exported via -metrics-addr.
 //
 // With -committees N > 1 the model is provisioned into N independent
-// 3-party committees and the gateway runs one dispatcher per committee
-// engine over the shared admission queue — least-loaded dispatch, N
-// secure passes in flight at once.
+// 3-party clusters, each with its own dealer seed, and the gateway runs
+// one dispatcher per engine over the shared admission queue —
+// least-loaded dispatch, N secure passes in flight at once.
 //
 // Serving is fault-tolerant (DESIGN.md §15): every secure pass runs
 // under -request-timeout, a failed or expired batch is re-dispatched
 // onto a different healthy engine under -retry-budget, and a circuit
-// breaker per engine quarantines after consecutive failures — with
-// committees, re-admission requires a clean pass over the coordinator's
-// held-out probe batch (every -probe-every), and a committee whose
-// internal suspicion ledger reaches a conviction majority is evicted
-// from rotation permanently.
+// breaker per engine quarantines after consecutive failures.
+// Re-admission requires a clean pass over a held-out probe batch
+// (every -probe-every), and an engine whose suspicion ledger convicts
+// two of its three parties is evicted from rotation permanently.
 //
 // The -chaos-stall-* flags open a one-shot fault window on a running
-// server (a stalled writer inside one committee), so availability under
-// partial failure can be demonstrated against the real binary — the CI
-// chaos smoke job drives exactly that.
+// server (a stalled writer inside one engine's cluster), so
+// availability under partial failure can be demonstrated against the
+// real binary — the CI chaos smoke job drives exactly that.
 //
 // Usage:
 //
@@ -59,7 +58,6 @@ import (
 	trustddl "github.com/trustddl/trustddl"
 	"github.com/trustddl/trustddl/internal/byzantine"
 	"github.com/trustddl/trustddl/internal/serve"
-	"github.com/trustddl/trustddl/internal/transport"
 )
 
 func main() {
@@ -67,6 +65,38 @@ func main() {
 		fmt.Fprintln(os.Stderr, "trustddl-serve:", err)
 		os.Exit(1)
 	}
+}
+
+// engineSeedStride spreads the engines' dealer seeds across the u64 ring
+// (the golden-ratio increment). No two engines may share a mask stream:
+// openings x₁ − a and x₂ − a under one mask a would reveal x₁ − x₂.
+const engineSeedStride = 0x9e3779b97f4a7c15
+
+// probeSeedTag derives the re-admission probe batch's seed from -seed,
+// so the probe is held out from anything the seed itself generates.
+const probeSeedTag = 0xc2b2ae3d27d4eb4f
+
+// convictedMajority is the conviction count that voids an engine's
+// honest-majority assumption: two of its three parties.
+const convictedMajority = 2
+
+// engineConfigs returns the cluster configuration of each of n engines:
+// base with engine i's own dealer seed (engine 0 keeps base.Seed, and a
+// zero seed stays zero, i.e. live randomness), and the stall
+// interceptor on party 1 of engine stallEngine (1-based; 0 is none).
+func engineConfigs(base trustddl.Config, n, stallEngine int, stall trustddl.SendInterceptor) []trustddl.Config {
+	cfgs := make([]trustddl.Config, n)
+	for i := range cfgs {
+		cfg := base
+		if cfg.Seed != 0 {
+			cfg.Seed += uint64(i) * engineSeedStride
+		}
+		if i+1 == stallEngine {
+			cfg.Interceptors = map[int]trustddl.SendInterceptor{1: stall}
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs
 }
 
 func run(args []string) error {
@@ -89,6 +119,14 @@ func run(args []string) error {
 	chaosStallFor := fs.Duration("chaos-stall-for", 10*time.Second, "with -chaos-stall-committee, how long the stall window stays open")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case *committees < 1:
+		return fmt.Errorf("-committees %d: need at least one", *committees)
+	case *chaosStallCommittee < 0 || *chaosStallCommittee > *committees:
+		return fmt.Errorf("-chaos-stall-committee %d out of range (0..%d)", *chaosStallCommittee, *committees)
+	case *probeEvery <= 0:
+		return fmt.Errorf("-probe-every %s: must be positive", *probeEvery)
 	}
 
 	var (
@@ -126,74 +164,20 @@ func run(args []string) error {
 		ProbeEvery:     *probeEvery,
 		Obs:            reg,
 	}
-	if *chaosStallCommittee > *committees {
-		return fmt.Errorf("-chaos-stall-committee %d but only %d committee(s)", *chaosStallCommittee, *committees)
-	}
-	var gw *serve.Gateway
-	if *committees > 1 {
-		ccfg := trustddl.CommitteeConfig{
-			Committees: *committees,
-			Mode:       mode,
-			Seed:       *seed,
-			Optimistic: *optimistic,
-			Obs:        reg,
-		}
-		// The chaos window wires a gated stalled-writer interceptor into
-		// the target committee at construction; the schedule below opens
-		// and closes it while the server runs.
-		var stallGate byzantine.Gate
-		if *chaosStallCommittee > 0 {
-			ccfg.Interceptors = map[int]map[int]transport.SendInterceptor{
-				*chaosStallCommittee: {1: byzantine.StallWhile(&stallGate, "")},
-			}
-		}
-		coord, err := trustddl.NewCoordinator(arch, weights, ccfg)
-		if err != nil {
-			return err
-		}
-		defer coord.Close()
-		runs := coord.Engines()
-		engines := make([]serve.Inferencer, len(runs))
-		for i, r := range runs {
-			engines[i] = r
-		}
-		// Quarantined engines must re-earn rotation with a clean pass over
-		// the coordinator's held-out probe batch; the expected labels come
-		// from a healthy secure engine now, before any chaos window opens
-		// (the committees are bit-identical on inference).
-		scfg.Probe = coord.ServeProbe(0)
-		scfg.ProbeExpect, err = runs[len(runs)-1].InferBatch(context.Background(), scfg.Probe)
-		if err != nil {
-			return err
-		}
-		gw = serve.NewMulti(engines, scfg)
-		if *chaosStallCommittee > 0 {
-			go func() {
-				time.Sleep(*chaosStallAfter)
-				fmt.Printf("chaos: stalling committee %d for %s\n", *chaosStallCommittee, *chaosStallFor)
-				stallGate.Set(true)
-				time.Sleep(*chaosStallFor)
-				stallGate.Set(false)
-				fmt.Printf("chaos: committee %d released\n", *chaosStallCommittee)
-			}()
-		}
-		// Eviction watcher: a committee whose internal suspicion ledger
-		// reaches a conviction majority is removed from rotation for good.
-		go func(gw *serve.Gateway) {
-			for {
-				time.Sleep(*probeEvery)
-				for _, idx := range coord.CompromisedEngines() {
-					gw.Evict(idx)
-				}
-			}
-		}(gw)
-	} else {
-		cluster, err := trustddl.New(trustddl.Config{
-			Mode:       mode,
-			Seed:       *seed,
-			Optimistic: *optimistic,
-			Obs:        reg,
-		})
+	// The chaos window wires a gated stalled-writer interceptor into the
+	// target engine at construction; the schedule below opens and closes
+	// it while the server runs.
+	var stallGate byzantine.Gate
+	cfgs := engineConfigs(trustddl.Config{
+		Mode:       mode,
+		Seed:       *seed,
+		Optimistic: *optimistic,
+		Obs:        reg,
+	}, *committees, *chaosStallCommittee, byzantine.StallWhile(&stallGate, ""))
+	clusters := make([]*trustddl.Cluster, len(cfgs))
+	engines := make([]serve.Inferencer, len(cfgs))
+	for i, cfg := range cfgs {
+		cluster, err := trustddl.New(cfg)
 		if err != nil {
 			return err
 		}
@@ -202,9 +186,48 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		gw = serve.New(engine, scfg)
+		clusters[i], engines[i] = cluster, engine
+	}
+	// Quarantined engines must re-earn rotation with a clean pass over a
+	// held-out probe batch; the expected labels come from one engine now,
+	// before any chaos window opens (every engine holds the same model).
+	scfg.Probe = trustddl.SyntheticDataset(*seed^probeSeedTag, 8).Images
+	scfg.ProbeExpect, err = engines[0].InferBatch(context.Background(), scfg.Probe)
+	if err != nil {
+		return err
+	}
+	gw := serve.NewMulti(engines, scfg)
+	if *chaosStallCommittee > 0 {
+		go func() {
+			time.Sleep(*chaosStallAfter)
+			fmt.Printf("chaos: stalling committee %d for %s\n", *chaosStallCommittee, *chaosStallFor)
+			stallGate.Set(true)
+			time.Sleep(*chaosStallFor)
+			stallGate.Set(false)
+			fmt.Printf("chaos: committee %d released\n", *chaosStallCommittee)
+		}()
 	}
 	defer gw.Close()
+	// Eviction watcher: an engine whose suspicion ledger convicts a
+	// majority of its parties is removed from rotation for good.
+	stopWatch := make(chan struct{})
+	defer close(stopWatch)
+	go func() {
+		tick := time.NewTicker(*probeEvery)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stopWatch:
+				return
+			case <-tick.C:
+			}
+			for i, c := range clusters {
+				if len(c.Suspicions().Convicted) >= convictedMajority {
+					gw.Evict(i)
+				}
+			}
+		}
+	}()
 
 	if *metricsAddr != "" {
 		ms, err := trustddl.ServeMetrics(*metricsAddr, reg)

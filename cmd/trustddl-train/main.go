@@ -14,17 +14,7 @@
 //	trustddl-train [-epochs 5] [-train 300] [-test 100] [-batch 10]
 //	               [-lr 0.1] [-seed 1] [-data DIR] [-print-config]
 //	               [-checkpoint-dir DIR] [-checkpoint-every N] [-resume]
-//	               [-suspicion-tol T] [-committees N] [-aggregate RULE]
-//	               [-poison-committee ID]
-//
-// With -committees N > 1 training scales out horizontally: N
-// independent 3-party committees each train a shard of every epoch,
-// and an inter-committee coordinator merges their weight deltas under
-// a Byzantine-robust aggregation rule (-aggregate median, centered-clip
-// or mean), rolls the committees' suspicion ledgers into a global view
-// and excludes convicted committees, re-routing their shards.
-// -poison-committee injects a fully Byzantine committee (all three
-// parties colluding consistent liars) to demonstrate the conviction.
+//	               [-suspicion-tol T]
 //
 // With -checkpoint-dir the secure engine runs as a fault-tolerant
 // session: the model owner checkpoints the revealed model plus training
@@ -70,9 +60,6 @@ func run(args []string) error {
 	resume := fs.Bool("resume", false, "continue from the checkpoint in -checkpoint-dir instead of starting fresh")
 	suspTol := fs.Float64("suspicion-tol", 0, "decision-rule suspicion tolerance in raw ring units (0 = per-site defaults)")
 	metricsAddr := fs.String("metrics-addr", "", "serve the secure engine's live metrics on this address (/metrics JSON snapshot, /debug/vars, /debug/pprof); empty disables")
-	committees := fs.Int("committees", 1, "independent 3-party committees sharding each epoch (1 = single-committee Fig. 2 run)")
-	aggregate := fs.String("aggregate", "median", "inter-committee delta aggregation: median, centered-clip or mean")
-	poison := fs.Int("poison-committee", 0, "make every party of this committee a colluding consistent liar (0 = none; requires -committees > 1)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -93,17 +80,6 @@ func run(args []string) error {
 	}
 	if *sweep {
 		return runPrecisionSweep(*epochs, *trainN, *testN, *batch, *lr, *seed)
-	}
-	if *committees > 1 {
-		return runCommittees(committeeParams{
-			committees: *committees, aggregate: *aggregate, poison: *poison,
-			epochs: *epochs, trainN: *trainN, testN: *testN, batch: *batch,
-			lr: *lr, seed: *seed, dataDir: *dataDir, suspTol: *suspTol,
-			save: *savePath, obs: reg,
-		})
-	}
-	if *poison > 0 {
-		return fmt.Errorf("-poison-committee requires -committees > 1")
 	}
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
@@ -145,120 +121,6 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-type committeeParams struct {
-	committees int
-	aggregate  string
-	poison     int
-	epochs     int
-	trainN     int
-	testN      int
-	batch      int
-	lr         float64
-	seed       uint64
-	dataDir    string
-	suspTol    float64
-	save       string
-	obs        *trustddl.ObsRegistry
-}
-
-// runCommittees drives the horizontal scale-out: sharded epochs across
-// N committees, Byzantine-robust delta aggregation and the global
-// suspicion rollup.
-func runCommittees(p committeeParams) error {
-	rule, err := trustddl.ParseAggregationRule(p.aggregate)
-	if err != nil {
-		return err
-	}
-	if p.poison > p.committees {
-		return fmt.Errorf("-poison-committee %d out of range (1..%d)", p.poison, p.committees)
-	}
-	var adversaries map[int]map[int]trustddl.Adversary
-	if p.poison > 0 {
-		// Colluding deltas (D, 2D, D): uniform deltas would self-cancel
-		// on reconstruction, while these make two reconstruction sets
-		// agree on the corrupted value, defeating the committee's own
-		// decision rule — only the coordinator's screening catches it.
-		const d = 1 << 32
-		adversaries = map[int]map[int]trustddl.Adversary{
-			p.poison: {
-				1: trustddl.ConsistentLiar{Delta: d},
-				2: trustddl.ConsistentLiar{Delta: 2 * d},
-				3: trustddl.ConsistentLiar{Delta: d},
-			},
-		}
-	}
-
-	train, test, _ := trustddl.LoadDataset(p.dataDir, p.trainN, p.testN, p.seed)
-	weights, err := trustddl.InitPaperWeights(p.seed)
-	if err != nil {
-		return err
-	}
-	coord, err := trustddl.NewCoordinator(trustddl.PaperArch(),
-		[]trustddl.Mat64{weights.Conv, weights.FC1, weights.FC2},
-		trustddl.CommitteeConfig{
-			Committees:         p.committees,
-			Rule:               rule,
-			Seed:               p.seed,
-			SuspicionTolerance: p.suspTol,
-			Adversaries:        adversaries,
-			Obs:                p.obs,
-		})
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-
-	fmt.Printf("TrustDDL scale-out — %d committees, %s aggregation\n", p.committees, rule)
-	if p.poison > 0 {
-		fmt.Printf("(committee %d fully poisoned: all three parties colluding consistent liars)\n", p.poison)
-	}
-	fmt.Printf("(%d epochs × %d training images, batch %d, lr %g)\n\n", p.epochs, p.trainN, p.batch, p.lr)
-
-	results, err := coord.Train(train, test, trustddl.CommitteeTrainConfig{
-		Epochs: p.epochs, Batch: p.batch, LR: p.lr, EvalLimit: p.testN,
-		OnEpoch: func(rep trustddl.CommitteeEpochReport, acc float64) {
-			fmt.Printf("  epoch %d: accuracy %.2f%% (aggregated %d", rep.Epoch, 100*acc, rep.Aggregated)
-			if len(rep.Flagged) > 0 {
-				fmt.Printf(", flagged %v", rep.Flagged)
-			}
-			if rep.Rerouted > 0 {
-				fmt.Printf(", re-routed %d shard(s)", rep.Rerouted)
-			}
-			if len(rep.Excluded) > 0 {
-				fmt.Printf(", excluded %v", rep.Excluded)
-			}
-			fmt.Println(")")
-		},
-	})
-	if err != nil {
-		return err
-	}
-
-	rep := coord.Suspicions()
-	fmt.Printf("\ntrustddl-train: %d epoch(s), final accuracy %.2f%%\n",
-		len(results), 100*finalCommitteeAccuracy(results))
-	if len(rep.Global.Convicted) > 0 {
-		fmt.Printf("global ledger convicted committee(s) %v:\n", rep.Global.Convicted)
-		for _, ev := range rep.Global.Evidence {
-			fmt.Printf("  committee %d: %s at %s (%s)\n", ev.Party, ev.Kind, ev.Session, ev.Step)
-		}
-	}
-	if p.save != "" {
-		if err := trustddl.SaveModel(p.save, coord.Arch(), coord.Weights()); err != nil {
-			return err
-		}
-		fmt.Printf("aggregated model saved to %s\n", p.save)
-	}
-	return nil
-}
-
-func finalCommitteeAccuracy(results []trustddl.CommitteeEpochResult) float64 {
-	if len(results) == 0 {
-		return 0
-	}
-	return results[len(results)-1].Accuracy
 }
 
 type sessionParams struct {

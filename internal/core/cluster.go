@@ -163,7 +163,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:           cfg,
 		revealed:      make(map[string]protocol.Mat),
 		rejoinPending: make(map[int]bool),
-		ledger:        suspicion.NewLedger(cfg.SuspicionThreshold),
+		ledger:        suspicion.NewLedger(cfg.SuspicionThreshold, cfg.Obs),
 	}
 	c.revealCond = sync.NewCond(&c.mu)
 	if cfg.Net != nil {
@@ -176,7 +176,6 @@ func New(cfg Config) (*Cluster, error) {
 		// Attach before any traffic flows so the registry mirror and the
 		// transport meter agree bit-for-bit.
 		transport.AttachObs(c.net, cfg.Obs)
-		c.ledger.SetObs(cfg.Obs)
 	}
 
 	newSource := func(tag uint64) sharing.Source {

@@ -11,11 +11,11 @@
 //
 // The gateway drives one or more engines (NewMulti): each engine gets
 // its own dispatcher goroutine pulling batches from the shared queue.
-// A secure pass holds its engine's whole three-party committee, so
+// A secure pass holds its engine's whole three-party cluster, so
 // passes are serialized per engine — with one engine, batching is the
-// only source of intra-pass parallelism; with N committee engines the
-// shared queue is itself the least-loaded dispatch policy, because an
-// engine competes for the next batch exactly when it is idle.
+// only source of intra-pass parallelism; with N engines the shared
+// queue is itself the least-loaded dispatch policy, because an engine
+// competes for the next batch exactly when it is idle.
 //
 // On top of dispatch sits the resilience layer (this file, DESIGN.md
 // §15): every pass runs under a deadline, a failed or expired batch is
@@ -77,8 +77,7 @@ type Config struct {
 	// pass to earn re-admission (default 1s).
 	ProbeEvery time.Duration
 	// Probe is the held-out probe batch a quarantined engine must
-	// classify cleanly before re-admission (the committee screening
-	// batch, in a committee deployment). Empty selects a plain cooldown:
+	// classify cleanly before re-admission. Empty selects a plain cooldown:
 	// after ProbeEvery the engine is re-admitted half-open and the next
 	// real batch decides.
 	Probe []mnist.Image
@@ -242,8 +241,8 @@ func New(inf Inferencer, cfg Config) *Gateway {
 	return NewMulti([]Inferencer{inf}, cfg)
 }
 
-// NewMulti starts a gateway over several engines — one per committee in
-// a scaled-out deployment. Each engine gets its own dispatcher pulling
+// NewMulti starts a gateway over several engines, each its own
+// three-party cluster. Each engine gets its own dispatcher pulling
 // from the shared admission queue, which yields least-loaded dispatch
 // without a balancer: an idle engine is exactly one that is back at the
 // queue competing for the next batch. Panics on an empty engine list.
@@ -311,7 +310,7 @@ func NewMulti(engines []Inferencer, cfg Config) *Gateway {
 	return g
 }
 
-// Engines returns the engine count (committees behind the gateway).
+// Engines returns the engine count.
 func (g *Gateway) Engines() int { return len(g.engines) }
 
 // HealthyEngines counts the engines currently in rotation (neither
@@ -354,11 +353,10 @@ func (g *Gateway) updateHealthGauges() {
 	g.evictedG.Set(int64(g.countState(engineEvicted)))
 }
 
-// Evict permanently removes an engine from rotation — the serving-side
-// mirror of the training path's committee exclusion. The committee
-// coordinator's suspicion rollup drives it: an engine whose committee
-// reaches an internal conviction majority can no longer be trusted
-// with passes, probe or not. Idempotent.
+// Evict permanently removes an engine from rotation. The owner's
+// suspicion watcher drives it: an engine whose ledger convicts a
+// majority of its parties can no longer be trusted with passes, probe
+// or not. Idempotent.
 func (g *Gateway) Evict(engine int) {
 	if engine < 0 || engine >= len(g.health) {
 		return

@@ -56,25 +56,6 @@ const (
 	// KindSpoof: a frame claimed to originate from a different actor
 	// than the authenticated transport attributed it to.
 	KindSpoof Kind = "spoof"
-
-	// The committee-tier kinds below are recorded against committee IDs
-	// (not party IDs) in the inter-committee coordinator's global
-	// ledger; see internal/committee.
-
-	// KindProbeFailure: a committee's epoch delta catastrophically
-	// degraded the coordinator's held-out probe loss (or produced
-	// non-finite weights). Honest SGD on any data shard cannot do this;
-	// only a committee whose majority is corrupted can.
-	KindProbeFailure Kind = "probe-failure"
-	// KindAggregateDeviation: a committee's epoch delta was a
-	// statistical outlier against the robust aggregate of its peers
-	// (or mildly regressed the probe loss). Repeated observations
-	// convict; a single one can be an unlucky shard.
-	KindAggregateDeviation Kind = "aggregate-deviation"
-	// KindCommitteeCompromise: a committee's own internal suspicion
-	// ledger convicted a majority of its parties, so the 3PC honest-
-	// majority assumption no longer holds inside it.
-	KindCommitteeCompromise Kind = "committee-compromise"
 )
 
 // Attributable reports whether evidence of this kind can only be
@@ -82,8 +63,7 @@ const (
 // link). Only attributable evidence counts toward a conviction.
 func (k Kind) Attributable() bool {
 	switch k {
-	case KindCommitViolation, KindDecisionDeviation, KindSpoof,
-		KindProbeFailure, KindAggregateDeviation, KindCommitteeCompromise:
+	case KindCommitViolation, KindDecisionDeviation, KindSpoof:
 		return true
 	}
 	return false
@@ -98,14 +78,9 @@ func (k Kind) Attributable() bool {
 // that caught it excludes its shares unilaterally, so the honest views
 // legitimately diverge and the victim's subsequent reconstruction sets
 // can deviate through no fault of its own.
-//
-// At the committee tier the same logic holds arithmetically rather
-// than cryptographically: a catastrophic probe failure or an internal
-// majority conviction can only come from the committee that produced
-// it, so one observation convicts the committee.
 func (k Kind) Proven() bool {
 	switch k {
-	case KindCommitViolation, KindSpoof, KindProbeFailure, KindCommitteeCompromise:
+	case KindCommitViolation, KindSpoof:
 		return true
 	}
 	return false
@@ -144,12 +119,15 @@ type ledgerKey struct {
 }
 
 // NewLedger returns an empty ledger convicting parties at the given
-// attributable-evidence threshold (<=0 selects DefaultThreshold).
-func NewLedger(threshold int) *Ledger {
+// attributable-evidence threshold (<=0 selects DefaultThreshold). With
+// a non-nil registry every Record bumps a per-kind
+// suspicion.evidence.<kind> counter and refreshes the
+// suspicion.convicted gauge.
+func NewLedger(threshold int, reg *obs.Registry) *Ledger {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
-	return &Ledger{threshold: threshold, recs: make(map[ledgerKey]*Evidence)}
+	return &Ledger{threshold: threshold, recs: make(map[ledgerKey]*Evidence), obs: reg}
 }
 
 // Threshold returns the conviction threshold.
@@ -160,18 +138,6 @@ func (l *Ledger) Threshold() int {
 	return l.threshold
 }
 
-// SetObs attaches a metrics registry: every Record bumps a per-kind
-// suspicion.evidence.<kind> counter and refreshes the
-// suspicion.convicted gauge. A nil registry detaches.
-func (l *Ledger) SetObs(reg *obs.Registry) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.obs = reg
-}
-
 // Record notes one observation of kind against party. The first
 // observation pins session and step; later ones only bump the count.
 func (l *Ledger) Record(party int, kind Kind, session, step string) {
@@ -179,7 +145,6 @@ func (l *Ledger) Record(party int, kind Kind, session, step string) {
 		return
 	}
 	l.mu.Lock()
-	reg := l.obs
 	key := ledgerKey{party: party, kind: kind}
 	if rec, ok := l.recs[key]; ok {
 		rec.Count++
@@ -187,9 +152,9 @@ func (l *Ledger) Record(party int, kind Kind, session, step string) {
 		l.recs[key] = &Evidence{Party: party, Kind: kind, Session: session, Step: step, Count: 1}
 	}
 	l.mu.Unlock()
-	if reg != nil {
-		reg.Counter("suspicion.evidence." + string(kind)).Inc()
-		reg.Gauge("suspicion.convicted").Set(int64(len(l.Convicted())))
+	if l.obs != nil {
+		l.obs.Counter("suspicion.evidence." + string(kind)).Inc()
+		l.obs.Gauge("suspicion.convicted").Set(int64(len(l.Convicted())))
 	}
 }
 

@@ -22,7 +22,7 @@ func TestKindAttributability(t *testing.T) {
 }
 
 func TestLedgerRecordAndEvidence(t *testing.T) {
-	l := NewLedger(0)
+	l := NewLedger(0, nil)
 	if got := l.Threshold(); got != DefaultThreshold {
 		t.Fatalf("Threshold() = %d, want default %d", got, DefaultThreshold)
 	}
@@ -48,7 +48,7 @@ func TestLedgerRecordAndEvidence(t *testing.T) {
 }
 
 func TestConvictionRequiresAttributableEvidence(t *testing.T) {
-	l := NewLedger(3)
+	l := NewLedger(3, nil)
 	// A flood of circumstantial evidence must never convict: crashes
 	// and slow links are not proof of malice.
 	for i := 0; i < 50; i++ {
@@ -99,7 +99,7 @@ func TestProvenOffenderSuppressesDeviationFallout(t *testing.T) {
 	// legitimately diverges, so the other parties pile up
 	// decision-deviation records against it. The proven offender must be
 	// convicted and the statistical fallout against the victim ignored.
-	l := NewLedger(3)
+	l := NewLedger(3, nil)
 	l.Record(2, KindCommitViolation, "train/2/l0", "ef/open")
 	for i := 0; i < 100; i++ {
 		l.Record(1, KindDecisionDeviation, "train/2/l2", "ef")
@@ -116,7 +116,7 @@ func TestProvenOffenderSuppressesDeviationFallout(t *testing.T) {
 }
 
 func TestSingleProvenObservationConvicts(t *testing.T) {
-	l := NewLedger(3)
+	l := NewLedger(3, nil)
 	l.Record(3, KindSpoof, "train/1", "ef/open")
 	got := l.Convicted()
 	if len(got) != 1 || got[0] != 3 {
@@ -143,7 +143,7 @@ func TestNilLedgerIsSafe(t *testing.T) {
 }
 
 func TestLedgerConcurrentRecord(t *testing.T) {
-	l := NewLedger(1)
+	l := NewLedger(1, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -162,7 +162,7 @@ func TestLedgerConcurrentRecord(t *testing.T) {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	l := NewLedger(2)
+	l := NewLedger(2, nil)
 	l.Record(2, KindCommitViolation, "train/1", "open")
 	l.Record(2, KindCommitViolation, "train/2", "open")
 	buf, err := l.Report().JSON()
