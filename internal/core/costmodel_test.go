@@ -22,7 +22,7 @@ type passCost struct {
 	// delegated softmax calls.
 	OwnerRequests int64
 	Exchanges     int64 // commit-and-open rounds, summed over the parties
-	Triples       int   // triples, pairs and auxiliary matrices dealt
+	Triples       int   // triples, pairs and comparison items dealt
 }
 
 // TestCostModelGolden pins the exact cost of the four operations the
@@ -81,10 +81,10 @@ func TestCostModelGolden(t *testing.T) {
 		op   func() error
 		want passCost
 	}{
-		{"cold b1 pass", infer(1), passCost{PartyBytes: 15017271, OwnerBytes: 7719129, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 7}},
-		{"warm b1 pass", infer(1), passCost{PartyBytes: 742803, OwnerBytes: 581913, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 7}},
-		{"warm b4 pass", infer(4), passCost{PartyBytes: 2949891, OwnerBytes: 2322441, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 7}},
-		{"b8 training step", func() error { return run.TrainBatch(images, 0.05) }, passCost{PartyBytes: 43848969, OwnerBytes: 34212810, Messages: 192, OwnerRequests: 15, Exchanges: 39, Triples: 13}},
+		{"cold b1 pass", infer(1), passCost{PartyBytes: 14861271, OwnerBytes: 7641153, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
+		{"warm b1 pass", infer(1), passCost{PartyBytes: 586803, OwnerBytes: 503937, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
+		{"warm b4 pass", infer(4), passCost{PartyBytes: 2327331, OwnerBytes: 2011185, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
+		{"b8 training step", func() error { return run.TrainBatch(images, 0.05) }, passCost{PartyBytes: 42604152, OwnerBytes: 33590346, Messages: 186, OwnerRequests: 12, Exchanges: 39, Triples: 11}},
 	} {
 		if got := measure(step.op); got != step.want {
 			t.Errorf("%s: cost %+v, pinned %+v", step.name, got, step.want)

@@ -119,27 +119,16 @@ func (v sliceView) ConvTriple(session, _ string, shape tensor.ConvShape, images,
 	return sharing.TripleBundle{A: bundleRows(t.A, lo, hi), B: t.B.Clone(), C: bundleRows(t.C, lo*positions, hi*positions)}, nil
 }
 
-// HadamardTriple implements TripleSource.
-func (v sliceView) HadamardTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
-	it, lo, hi, err := v.item(fmt.Sprintf("%s|hd|%d", session, cols), rows, func(rows int) sharing.BatchOrder {
-		return sharing.BatchOrder{Kind: sharing.TripleHadamard, M: rows, N: cols}
+// CompTriple implements TripleSource.
+func (v sliceView) CompTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
+	it, lo, hi, err := v.item(fmt.Sprintf("%s|cmp|%d", session, cols), rows, func(rows int) sharing.BatchOrder {
+		return sharing.BatchOrder{Aux: true, M: rows, N: cols}
 	})
 	if err != nil {
 		return sharing.TripleBundle{}, err
 	}
 	t := it.Triple[v.party-1]
 	return sharing.TripleBundle{A: bundleRows(t.A, lo, hi), B: bundleRows(t.B, lo, hi), C: bundleRows(t.C, lo, hi)}, nil
-}
-
-// AuxPositive implements TripleSource.
-func (v sliceView) AuxPositive(session string, rows, cols int) (sharing.Bundle, error) {
-	it, lo, hi, err := v.item(fmt.Sprintf("%s|ax|%d", session, cols), rows, func(rows int) sharing.BatchOrder {
-		return sharing.BatchOrder{Aux: true, M: rows, N: cols}
-	})
-	if err != nil {
-		return sharing.Bundle{}, err
-	}
-	return bundleRows(it.Aux[v.party-1], lo, hi), nil
 }
 
 // bundleRows copies rows [lo, hi) of every component of b.

@@ -116,8 +116,8 @@ func TestWeightMaskFreshPerWeightEpoch(t *testing.T) {
 	if got := maskOf(nets, 0); got.name != cold.name || !got.f.Equal(cold.f) || !got.b.Primary.Equal(cold.b.Primary) {
 		t.Fatal("a warm pass replaced the cached mask")
 	}
-	if dealt()-before != 4 { // two pairs, the ReLU's triple and auxiliary matrix
-		t.Fatalf("warm pass had %d items dealt, want 4", dealt()-before)
+	if dealt()-before != 3 { // two pairs and the ReLU's comparison item
+		t.Fatalf("warm pass had %d items dealt, want 3", dealt()-before)
 	}
 
 	// A training step takes single-use triples and drops the mask.

@@ -76,9 +76,7 @@ func (n *SecureNetwork) forwardPlan(plan *[]protocol.TripleRequest, session stri
 			*plan = append(*plan, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: s + "/t", M: batch, N: l.in, P: l.out, Mask: maskName(s)})
 			width = l.out
 		case *SecureReLU:
-			*plan = append(*plan,
-				protocol.TripleRequest{Kind: protocol.ReqAux, Session: s + "/aux", M: batch, N: width},
-				protocol.TripleRequest{Kind: protocol.ReqHadamard, Session: s + "/t", M: batch, N: width})
+			*plan = append(*plan, protocol.TripleRequest{Kind: protocol.ReqAux, Session: s + "/aux", M: batch, N: width})
 		case *SecureConv:
 			if in := l.Shape.InSize(); width != in {
 				return 0, fmt.Errorf("nn: plan layer %d: conv input width %d, want %d", i, width, in)
@@ -93,9 +91,7 @@ func (n *SecureNetwork) forwardPlan(plan *[]protocol.TripleRequest, session stri
 			slots := l.Shape.Window * l.Shape.Window
 			for j := 1; j < slots; j++ {
 				ss := fmt.Sprintf("%s/cmp%d", s, j)
-				*plan = append(*plan,
-					protocol.TripleRequest{Kind: protocol.ReqAux, Session: ss + "/aux", M: batch, N: out},
-					protocol.TripleRequest{Kind: protocol.ReqHadamard, Session: ss + "/t", M: batch, N: out})
+				*plan = append(*plan, protocol.TripleRequest{Kind: protocol.ReqAux, Session: ss + "/aux", M: batch, N: out})
 			}
 			width = out
 		case *SecureAvgPool:

@@ -30,14 +30,9 @@ func (r *recordingSource) ConvTriple(session, mask string, shape tensor.ConvShap
 	return r.inner.ConvTriple(session, mask, shape, images, outChannels)
 }
 
-func (r *recordingSource) HadamardTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
-	r.reqs = append(r.reqs, protocol.TripleRequest{Kind: protocol.ReqHadamard, Session: session, M: rows, N: cols})
-	return r.inner.HadamardTriple(session, rows, cols)
-}
-
-func (r *recordingSource) AuxPositive(session string, rows, cols int) (sharing.Bundle, error) {
+func (r *recordingSource) CompTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
 	r.reqs = append(r.reqs, protocol.TripleRequest{Kind: protocol.ReqAux, Session: session, M: rows, N: cols})
-	return r.inner.AuxPositive(session, rows, cols)
+	return r.inner.CompTriple(session, rows, cols)
 }
 
 // planTestNet builds, per party, a network exercising every plannable

@@ -188,15 +188,11 @@ func (m *SecureMaxPool) Forward(ctx *protocol.Ctx, ts TripleSource, session stri
 		// Public comparison: sign(cand − best), the same leakage class
 		// as the ReLU mask.
 		stepSession := fmt.Sprintf("%s/cmp%d", session, j)
-		aux, err := ts.AuxPositive(stepSession+"/aux", best.Rows(), best.Cols())
+		triple, err := ts.CompTriple(stepSession+"/aux", best.Rows(), best.Cols())
 		if err != nil {
 			return sharing.Bundle{}, err
 		}
-		triple, err := ts.HadamardTriple(stepSession+"/t", best.Rows(), best.Cols())
-		if err != nil {
-			return sharing.Bundle{}, err
-		}
-		sign, err := protocol.SecCompBT(ctx, stepSession, cand, best, aux, triple)
+		sign, err := protocol.SecCompBT(ctx, stepSession, cand, best, triple.B, triple)
 		if err != nil {
 			return sharing.Bundle{}, err
 		}

@@ -17,10 +17,10 @@ import (
 type Mat = tensor.Matrix[int64]
 
 // TripleSource supplies the correlated randomness each secure operation
-// consumes: Beaver triples and the auxiliary positive matrices of
-// SecComp-BT. Implementations: OwnerSource (the model owner deals on
-// demand over the network, §III-A) and PreDealer views (offline
-// precomputation, used to separate offline from online cost).
+// consumes: Beaver triples and the comparison items of SecComp-BT.
+// Implementations: OwnerSource (the model owner deals on demand over
+// the network, §III-A) and PreDealer views (offline precomputation,
+// used to separate offline from online cost).
 type TripleSource interface {
 	// MatMulTriple returns this party's share of an m×n × n×p Beaver
 	// triple for the given session. mask names the weight-side mask b
@@ -35,10 +35,10 @@ type TripleSource interface {
 	// but with A dealt at image shape (images × shape.InSize()) and C
 	// the convolution of A with b (protocol.ConvRequest).
 	ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error)
-	// HadamardTriple returns an element-wise triple of shape rows×cols.
-	HadamardTriple(session string, rows, cols int) (sharing.TripleBundle, error)
-	// AuxPositive returns shares of a random positive matrix.
-	AuxPositive(session string, rows, cols int) (sharing.Bundle, error)
+	// CompTriple returns this party's share of a comparison item of
+	// shape rows×cols: a random positive matrix t as B, with A and
+	// C = A⊙t (sharing.Dealer.CompTriple).
+	CompTriple(session string, rows, cols int) (sharing.TripleBundle, error)
 }
 
 // OwnerSource requests correlated randomness from the model owner over
@@ -60,14 +60,9 @@ func (s OwnerSource) ConvTriple(session, mask string, shape tensor.ConvShape, im
 	return protocol.RequestConvTriple(s.Ctx, session, mask, shape, images, outChannels)
 }
 
-// HadamardTriple implements TripleSource.
-func (s OwnerSource) HadamardTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
-	return protocol.RequestHadamardTriple(s.Ctx, session, rows, cols)
-}
-
-// AuxPositive implements TripleSource.
-func (s OwnerSource) AuxPositive(session string, rows, cols int) (sharing.Bundle, error) {
-	return protocol.RequestAuxPositive(s.Ctx, session, rows, cols)
+// CompTriple implements TripleSource.
+func (s OwnerSource) CompTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
+	return protocol.RequestCompTriple(s.Ctx, session, rows, cols)
 }
 
 // SecureLayer is one stage of the secret-shared network. Each computing
@@ -358,15 +353,11 @@ func NewSecureReLU() *SecureReLU { return &SecureReLU{} }
 // Forward implements SecureLayer.
 func (r *SecureReLU) Forward(ctx *protocol.Ctx, ts TripleSource, session string, x sharing.Bundle) (sharing.Bundle, error) {
 	rows, cols := x.Rows(), x.Cols()
-	aux, err := ts.AuxPositive(session+"/aux", rows, cols)
+	triple, err := ts.CompTriple(session+"/aux", rows, cols)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
-	triple, err := ts.HadamardTriple(session+"/t", rows, cols)
-	if err != nil {
-		return sharing.Bundle{}, err
-	}
-	sign, err := protocol.SecCompBT(ctx, session, x, zeroBundle(rows, cols), aux, triple)
+	sign, err := protocol.SecCompBT(ctx, session, x, zeroBundle(rows, cols), triple.B, triple)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}

@@ -70,6 +70,19 @@ func FuzzDecodeTripleBatch(f *testing.F) {
 	}
 	conv := rawConvBatch(fuzzBatchReqs[0])
 	f.Add(conv[:len(conv)-len(fuzzBatchReqs[0].Mask)-2-convWireLen/2])
+	// Comparison items: the two ReLU items of a Table I pass, one that
+	// names a mask (an Aux item is never dealt against one), and one
+	// flagged with conv geometry.
+	relus, err := EncodeTripleBatch([]TripleRequest{
+		{Kind: ReqAux, Session: "infer/0?me=1/l1/aux", M: 1, N: 980},
+		{Kind: ReqAux, Session: "infer/0?me=1/l3/aux", M: 1, N: 100},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(relus)
+	f.Add(append(binary.LittleEndian.AppendUint16(append([]byte(nil), relus...), 1), 'm'))
+	f.Add(rawConvBatch(TripleRequest{Kind: ReqAux, Session: "s", M: 196, N: 25, Conv: paperConv}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs, err := DecodeTripleBatch(data)
 		if err != nil {
@@ -186,6 +199,9 @@ func FuzzTripleBatchRoundTrip(f *testing.F) {
 	seed(byte(ReqMatMul), "s", 196, 24, 5, "", paper)                             // N is not the patch
 	seed(byte(ReqHadamard), "s", 196, 25, 0, "", paper)                           // geometry on an element-wise item
 	seed(byte(ReqMatMul), "s", 1, 1, 1, "", [6]int{1, 1 << 24, 2, 1, 1 << 24, 0}) // image width past the cap
+	seed(byte(ReqAux), "infer/7?me=2/l1/aux", 4, 980, 0, "", noConv)              // a ReLU's comparison item
+	seed(byte(ReqAux), "s", 1, 100, 0, "me=2/l3", noConv)                         // comparison item naming a mask
+	seed(byte(ReqAux), "s", 196, 25, 0, "", paper)                                // geometry on a comparison item
 	f.Fuzz(func(t *testing.T, kind byte, session string, m, n, p int, mask string, ch, h, w, k, st, pad int) {
 		req := TripleRequest{Kind: TripleReqKind(kind), Session: session, M: m, N: n, P: p, Mask: mask,
 			Conv: tensor.ConvShape{InChannels: ch, Height: h, Width: w, Kernel: k, Stride: st, Pad: pad}}

@@ -55,16 +55,13 @@ func TestOptimisticSecCompBTHonest(t *testing.T) {
 	x, _ := tensor.FromSlice(1, 4, []float64{1.0, -3.5, 2.0, 0.0})
 	y, _ := tensor.FromSlice(1, 4, []float64{0.5, 1.0, 2.0, -4.0})
 	bx, by := shareFloats(t, env, x), shareFloats(t, env, y)
-	bt, err := env.dealer.AuxPositive(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	triples, err := env.dealer.HadamardTriple(1, 4)
+	triples, err := env.dealer.CompTriple(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	signs := runAll(t, env, func(ctx *Ctx) (Mat, error) {
-		return SecCompBT(ctx, "ocmp", bx[ctx.Index-1], by[ctx.Index-1], bt[ctx.Index-1], triples[ctx.Index-1])
+		tr := triples[ctx.Index-1]
+		return SecCompBT(ctx, "ocmp", bx[ctx.Index-1], by[ctx.Index-1], tr.B, tr)
 	})
 	want := []int64{1, -1, 0, 1}
 	for p := 0; p < sharing.NumParties; p++ {

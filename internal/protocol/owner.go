@@ -41,7 +41,8 @@ type SinkFunc func(session string, value Mat, dec sharing.Decision)
 
 // OwnerStats summarizes one owner service run.
 type OwnerStats struct {
-	// TriplesDealt counts Beaver triples and auxiliary matrices dealt.
+	// TriplesDealt counts the items dealt: Beaver triples and
+	// comparison items.
 	TriplesDealt int
 	// Calls counts delegated function evaluations.
 	Calls int
@@ -51,7 +52,7 @@ type OwnerStats struct {
 }
 
 // OwnerService runs the request loop of a trusted owner actor: it deals
-// Beaver triples and auxiliary values on demand (model-owner role,
+// Beaver triples and comparison items on demand (model-owner role,
 // §III-A), evaluates delegated functions over validated reconstructions
 // (softmax, §III-C), and accepts revealed values. Both the model owner
 // and the data owner instantiate it with their own handler sets.
@@ -112,8 +113,6 @@ type OwnerService struct {
 
 type tripleEntry struct {
 	bundles [sharing.NumParties]sharing.TripleBundle
-	aux     [sharing.NumParties]sharing.Bundle
-	isAux   bool
 	// maskName is the mask the request named. mask is the plaintext b
 	// this deal drew under that name, kept until a second party
 	// collects the entry and the name is retained; it is empty for an
@@ -134,9 +133,6 @@ type tripleEntry struct {
 // against a retained mask has no B to send: its two bundles (A, C)
 // tell the requester to use the B it kept.
 func (e *tripleEntry) bundlesFor(party int) []sharing.Bundle {
-	if e.isAux {
-		return []sharing.Bundle{e.aux[party-1]}
-	}
 	t := e.bundles[party-1]
 	if t.B.Primary.IsZeroShape() {
 		return []sharing.Bundle{t.A, t.C}
@@ -366,7 +362,7 @@ func (s *OwnerService) ensureDealt(reqs []TripleRequest) ([]*tripleEntry, error)
 				entries[i] = existing
 				continue
 			}
-			e := &tripleEntry{bundles: items[oi].Triple, aux: items[oi].Aux, isAux: items[oi].IsAux, dealtAt: now}
+			e := &tripleEntry{bundles: items[oi].Triple, dealtAt: now}
 			if e.maskName = reqs[i].Mask; e.maskName != "" {
 				e.mask = items[oi].Mask
 			}
@@ -647,20 +643,10 @@ func requestTriple(ctx *Ctx, r TripleRequest) (sharing.TripleBundle, error) {
 	return t, err
 }
 
-// RequestAuxPositive asks the model owner for the auxiliary positive
-// matrix consumed by SecComp-BT.
-func RequestAuxPositive(ctx *Ctx, session string, rows, cols int) (sharing.Bundle, error) {
-	payload := encodeDims(rows, cols)
-	if err := ctx.Router.Send(transport.ModelOwner, session, stepAuxPositive, payload); err != nil {
-		return sharing.Bundle{}, err
-	}
-	msg, err := ctx.Router.Expect(transport.ModelOwner, session, stepAuxPositive+respSuffix)
-	if err != nil {
-		return sharing.Bundle{}, err
-	}
-	b, err := transport.DecodeBundle(msg.Payload)
-	msg.Release()
-	return b, err
+// RequestCompTriple asks the model owner for the comparison item
+// consumed by SecComp-BT: A, B = t and C = A⊙t for a random positive t.
+func RequestCompTriple(ctx *Ctx, session string, rows, cols int) (sharing.TripleBundle, error) {
+	return requestTriple(ctx, TripleRequest{Kind: ReqAux, Session: session, M: rows, N: cols})
 }
 
 // CallOwner evaluates the delegated function `name` at actor `owner`

@@ -89,17 +89,13 @@ func TestOwnerDealsMatMulTripleAndAux(t *testing.T) {
 	want, _ := x.MatMul(y)
 	floatsClose(t, env.params, decideBundles(t, outs, nil), want, 16)
 
-	// Aux request path.
+	// Comparison item path.
 	signs := runAll(t, env.partyEnv, func(ctx *Ctx) (Mat, error) {
-		aux, err := RequestAuxPositive(ctx, "cmp9", 1, 2)
+		triple, err := RequestCompTriple(ctx, "cmp9", 1, 2)
 		if err != nil {
 			return Mat{}, err
 		}
-		triple, err := RequestHadamardTriple(ctx, "cmp9", 1, 2)
-		if err != nil {
-			return Mat{}, err
-		}
-		return SecCompBT(ctx, "cmp9", bx[ctx.Index-1], bx[ctx.Index-1], aux, triple)
+		return SecCompBT(ctx, "cmp9", bx[ctx.Index-1], bx[ctx.Index-1], triple.B, triple)
 	})
 	for p := 0; p < sharing.NumParties; p++ {
 		for i := range signs[p].Data {

@@ -19,7 +19,9 @@ const (
 	ReqHadamard TripleReqKind = iota + 1
 	// ReqMatMul is a matrix-product Beaver triple (SecMatMul-BT).
 	ReqMatMul
-	// ReqAux is an auxiliary positive matrix (SecComp-BT).
+	// ReqAux is SecComp-BT's comparison item: a random positive
+	// matrix t with an element-wise triple dealt against it, A, B = t
+	// and C = A⊙t (sharing.BatchOrder.Aux).
 	ReqAux
 )
 
@@ -43,9 +45,10 @@ func (k TripleReqKind) String() string {
 // these per forward pass or training step — a triple plan — is known
 // before the first protocol round; the prefetch pipeline issues plan
 // segments ahead of the layers that consume them. Hadamard and Aux
-// requests use the M×N shape with P zero; MatMul requests describe a
-// (M×N)·(N×P) product and may name the weight-side mask it is dealt
-// against.
+// requests use the M×N shape with P zero; an Aux request is one whole
+// comparison, its positive mask and the triple dealt against it.
+// MatMul requests describe a (M×N)·(N×P) product and may name the
+// weight-side mask it is dealt against.
 type TripleRequest struct {
 	Kind    TripleReqKind
 	Session string
@@ -263,7 +266,7 @@ func reqFromWire(step string, payload []byte) (TripleRequest, error) {
 // keep a Byzantine requester from ballooning the owner's decode work.
 const (
 	// maxBatchItems bounds one batch deal message. Far above any real
-	// plan segment (a Table I training step plans 13 items).
+	// plan segment (a Table I training step plans 11 items).
 	maxBatchItems = 1024
 	// maxBatchSessionLen bounds one item's session string.
 	maxBatchSessionLen = 512

@@ -12,10 +12,11 @@ import (
 // carries. The first segment must arrive before the first layer can
 // run, so it is kept small; every later one is requested as its
 // predecessor arrives and has until the layers reach it to come back.
-// At 4, the Table I inference plan (7 requests) is two owner messages
-// per party, the second hidden behind the conv, ReLU and fc1 rounds,
-// and a training step (13) is four. One whole-plan message was slower
-// (DESIGN.md §9): the first layer then waits for every layer's deal.
+// At 4, the Table I inference plan (5 requests) is two owner messages
+// per party, the second hidden behind the conv, ReLU, fc1 and ReLU
+// rounds, and a training step (11) is three. One whole-plan message
+// was slower (DESIGN.md §9): the first layer then waits for every
+// layer's deal.
 const segmentSize = 4
 
 // PrefetchSource is a party's online dealing path for one pass: it
@@ -110,22 +111,21 @@ func (p *PrefetchSource) recv() error {
 // take deals req from the segment in hand when req is the plan's next
 // request, and on demand otherwise. A segment's frame is released as
 // soon as its last item is decoded.
-func take[T any](p *PrefetchSource, req TripleRequest, decode func([]byte) (T, error), onDemand func() (T, error)) (T, error) {
+func (p *PrefetchSource) take(req TripleRequest) (sharing.TripleBundle, error) {
 	if p.next >= len(p.plan) || p.plan[p.next] != req {
-		return onDemand()
+		return requestTriple(p.ctx, req)
 	}
 	if p.next/segmentSize == p.recvd {
 		if err := p.recv(); err != nil {
-			var zero T
-			return zero, err
+			return sharing.TripleBundle{}, err
 		}
 	}
-	v, err := decode(p.items[p.next%segmentSize])
+	t, err := decodeTriple(p.items[p.next%segmentSize])
 	p.next++
 	if p.next%segmentSize == 0 || p.next == len(p.plan) {
 		p.release()
 	}
-	return v, err
+	return t, err
 }
 
 // release returns the frame of the segment in hand.
@@ -136,26 +136,17 @@ func (p *PrefetchSource) release() {
 
 // MatMulTriple implements the TripleSource contract of internal/nn.
 func (p *PrefetchSource) MatMulTriple(session, mask string, m, n, pp int) (sharing.TripleBundle, error) {
-	return take(p, TripleRequest{Kind: ReqMatMul, Session: session, M: m, N: n, P: pp, Mask: mask}, decodeTriple,
-		func() (sharing.TripleBundle, error) { return RequestMatMulTriple(p.ctx, session, mask, m, n, pp) })
+	return p.take(TripleRequest{Kind: ReqMatMul, Session: session, M: m, N: n, P: pp, Mask: mask})
 }
 
 // ConvTriple implements the TripleSource contract of internal/nn.
 func (p *PrefetchSource) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error) {
-	req := ConvRequest(session, mask, shape, images, outChannels)
-	return take(p, req, decodeTriple, func() (sharing.TripleBundle, error) { return requestTriple(p.ctx, req) })
+	return p.take(ConvRequest(session, mask, shape, images, outChannels))
 }
 
-// HadamardTriple implements the TripleSource contract of internal/nn.
-func (p *PrefetchSource) HadamardTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
-	return take(p, TripleRequest{Kind: ReqHadamard, Session: session, M: rows, N: cols}, decodeTriple,
-		func() (sharing.TripleBundle, error) { return RequestHadamardTriple(p.ctx, session, rows, cols) })
-}
-
-// AuxPositive implements the TripleSource contract of internal/nn.
-func (p *PrefetchSource) AuxPositive(session string, rows, cols int) (sharing.Bundle, error) {
-	return take(p, TripleRequest{Kind: ReqAux, Session: session, M: rows, N: cols}, transport.DecodeBundle,
-		func() (sharing.Bundle, error) { return RequestAuxPositive(p.ctx, session, rows, cols) })
+// CompTriple implements the TripleSource contract of internal/nn.
+func (p *PrefetchSource) CompTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
+	return p.take(TripleRequest{Kind: ReqAux, Session: session, M: rows, N: cols})
 }
 
 // Close ends the pass. A segment still in flight — the pass failed or

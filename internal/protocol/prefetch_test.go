@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,54 +16,53 @@ func ownerRequests(env *ownerEnv) int64 {
 	return env.net.Stats().PerActor[transport.ModelOwner].RecvMessages
 }
 
-// TestPrefetchSourceDeliversPlan pushes a six-request plan — two
-// segments — through the pipeline on all parties and feeds randomness
-// from the second segment into a real SecMulBT, proving the batch-dealt
-// shares are cross-party consistent and arrive in plan order, one owner
-// message per segment per party.
+// TestPrefetchSourceDeliversPlan pushes a five-request plan — two
+// segments — through the pipeline on all parties and feeds the
+// comparison item from the second segment into a real SecCompBT,
+// proving the batch-dealt shares are cross-party consistent and arrive
+// in plan order, one owner message per segment per party.
 func TestPrefetchSourceDeliversPlan(t *testing.T) {
 	env := newOwnerEnv(t)
 	plan := []TripleRequest{
 		{Kind: ReqMatMul, Session: "pf/l0/t", M: 1, N: 2, P: 1},
 		{Kind: ReqAux, Session: "pf/l1/aux", M: 2, N: 2},
-		{Kind: ReqHadamard, Session: "pf/l1/t", M: 2, N: 2},
-		{Kind: ReqHadamard, Session: "pf/l2/t", M: 1, N: 1},
-		{Kind: ReqHadamard, Session: "pf/l3/t", M: 1, N: 1},
-		{Kind: ReqHadamard, Session: "pf/l4/t", M: 2, N: 2},
+		{Kind: ReqAux, Session: "pf/l2/aux", M: 1, N: 1},
+		{Kind: ReqAux, Session: "pf/l3/aux", M: 1, N: 1},
+		{Kind: ReqAux, Session: "pf/l4/aux", M: 2, N: 2},
 	}
 	x, _ := tensor.FromSlice(2, 2, []float64{1, 2, 3, 4})
-	y, _ := tensor.FromSlice(2, 2, []float64{5, 6, 7, 8})
+	y, _ := tensor.FromSlice(2, 2, []float64{0.5, 6, 3, -1})
 	bx, by := shareFloats(t, env.partyEnv, x), shareFloats(t, env.partyEnv, y)
-	outs := runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.Bundle, error) {
+	signs := runAll(t, env.partyEnv, func(ctx *Ctx) (Mat, error) {
 		ps := NewPrefetchSource(ctx, plan)
 		defer ps.Close()
 		mt, err := ps.MatMulTriple("pf/l0/t", "", 1, 2, 1)
 		if err != nil {
-			return sharing.Bundle{}, err
+			return Mat{}, err
 		}
 		if mt.C.Primary.Rows != 1 || mt.C.Primary.Cols != 1 {
-			return sharing.Bundle{}, fmt.Errorf("matmul triple product shape %dx%d, want 1x1", mt.C.Primary.Rows, mt.C.Primary.Cols)
+			return Mat{}, fmt.Errorf("matmul triple product shape %dx%d, want 1x1", mt.C.Primary.Rows, mt.C.Primary.Cols)
 		}
-		aux, err := ps.AuxPositive("pf/l1/aux", 2, 2)
-		if err != nil {
-			return sharing.Bundle{}, err
-		}
-		if aux.Primary.Size() != 4 {
-			return sharing.Bundle{}, fmt.Errorf("aux shape wrong: %d elements", aux.Primary.Size())
-		}
-		for _, r := range plan[2:5] {
-			if _, err := ps.HadamardTriple(r.Session, r.M, r.N); err != nil {
-				return sharing.Bundle{}, err
+		for _, r := range plan[1:4] {
+			ct, err := ps.CompTriple(r.Session, r.M, r.N)
+			if err != nil {
+				return Mat{}, err
+			}
+			if ct.B.Primary.Size() != r.M*r.N {
+				return Mat{}, fmt.Errorf("%s: t has %d elements, want %d", r.Session, ct.B.Primary.Size(), r.M*r.N)
 			}
 		}
-		triple, err := ps.HadamardTriple("pf/l4/t", 2, 2)
+		triple, err := ps.CompTriple("pf/l4/aux", 2, 2)
 		if err != nil {
-			return sharing.Bundle{}, err
+			return Mat{}, err
 		}
-		return SecMulBT(ctx, "pf/l4/t", bx[ctx.Index-1], by[ctx.Index-1], triple)
+		return SecCompBT(ctx, "pf/l4", bx[ctx.Index-1], by[ctx.Index-1], triple.B, triple)
 	})
-	want, _ := x.Hadamard(y)
-	floatsClose(t, env.params, decideBundles(t, outs, nil), want, 8)
+	for p := range signs {
+		if want := []int64{1, -1, 0, 1}; !slices.Equal(signs[p].Data, want) {
+			t.Fatalf("party %d: signs %v, want %v", p+1, signs[p].Data, want)
+		}
+	}
 	if st := env.svc.Stats(); st.TriplesDealt != len(plan) {
 		t.Fatalf("triples dealt = %d, want %d (one per plan entry, shared across parties)", st.TriplesDealt, len(plan))
 	}
@@ -75,15 +75,15 @@ func TestPrefetchSourceDeliversPlan(t *testing.T) {
 // plan transparently takes the on-demand dealing path.
 func TestPrefetchSourceFallsBackOffPlan(t *testing.T) {
 	env := newOwnerEnv(t)
-	plan := []TripleRequest{{Kind: ReqHadamard, Session: "fb/t", M: 1, N: 2}}
+	plan := []TripleRequest{{Kind: ReqAux, Session: "fb/aux", M: 1, N: 2}}
 	outs := runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.TripleBundle, error) {
 		ps := NewPrefetchSource(ctx, plan)
 		defer ps.Close()
-		if _, err := ps.HadamardTriple("fb/t", 1, 2); err != nil {
+		if _, err := ps.CompTriple("fb/aux", 1, 2); err != nil {
 			return sharing.TripleBundle{}, err
 		}
 		// A shape the plan never promised: must fall back, not fail.
-		return ps.HadamardTriple("fb/extra", 3, 3)
+		return ps.CompTriple("fb/extra", 3, 3)
 	})
 	for p := 0; p < sharing.NumParties; p++ {
 		if outs[p].A.Primary.Size() != 9 {
@@ -101,11 +101,11 @@ func TestPrefetchSourceCloseDrains(t *testing.T) {
 	env := newOwnerEnv(t)
 	var plan []TripleRequest
 	for k := 0; k < segmentSize+1; k++ {
-		plan = append(plan, TripleRequest{Kind: ReqHadamard, Session: fmt.Sprintf("dr/%d", k), M: 1, N: 1})
+		plan = append(plan, TripleRequest{Kind: ReqAux, Session: fmt.Sprintf("dr/%d", k), M: 1, N: 1})
 	}
 	outs := runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.TripleBundle, error) {
 		ps := NewPrefetchSource(ctx, plan)
-		if _, err := ps.HadamardTriple("dr/0", 1, 1); err != nil {
+		if _, err := ps.CompTriple("dr/0", 1, 1); err != nil {
 			return sharing.TripleBundle{}, err
 		}
 		ps.Close()
@@ -134,7 +134,7 @@ func TestPrefetchSourceEmptyPlan(t *testing.T) {
 	runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.TripleBundle, error) {
 		ps := NewPrefetchSource(ctx, nil)
 		defer ps.Close()
-		return ps.HadamardTriple("ep/t", 1, 1)
+		return ps.CompTriple("ep/aux", 1, 1)
 	})
 	if got := ownerRequests(env); got != sharing.NumParties {
 		t.Fatalf("owner received %d messages, want %d (one on-demand deal per party)", got, sharing.NumParties)

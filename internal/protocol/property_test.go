@@ -73,16 +73,13 @@ func TestPropertyProtocolSuiteUnderRandomAdversaries(t *testing.T) {
 			floatsClose(t, env.params, decideBundles(t, outs, flagged), wantMul, 8)
 
 			// Comparison.
-			aux, err := env.dealer.AuxPositive(rows, cols)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpTriples, err := env.dealer.HadamardTriple(rows, cols)
+			cmpTriples, err := env.dealer.CompTriple(rows, cols)
 			if err != nil {
 				t.Fatal(err)
 			}
 			signs := runAll(t, env, func(ctx *Ctx) (Mat, error) {
-				return SecCompBT(ctx, fmt.Sprintf("p%d/cmp", round), bx[ctx.Index-1], by[ctx.Index-1], aux[ctx.Index-1], cmpTriples[ctx.Index-1])
+				tr := cmpTriples[ctx.Index-1]
+				return SecCompBT(ctx, fmt.Sprintf("p%d/cmp", round), bx[ctx.Index-1], by[ctx.Index-1], tr.B, tr)
 			})
 			for p := 0; p < sharing.NumParties; p++ {
 				if p+1 == byz {

@@ -416,21 +416,27 @@ func TestSecMulBTDroppedOpenMessages(t *testing.T) {
 	floatsClose(t, params, got, want, 8)
 }
 
+// TestSecCompBTHonest also pins that SecCompBT takes its t argument as
+// the triple's right operand and does not reject a triple whose own B
+// differs from it: with C = A⊙t the signs are right whatever B holds.
 func TestSecCompBTHonest(t *testing.T) {
 	env := newPartyEnv(t, true)
 	x, _ := tensor.FromSlice(1, 4, []float64{1.0, -3.5, 2.0, 0.0})
 	y, _ := tensor.FromSlice(1, 4, []float64{0.5, 1.0, 2.0, -4.0})
 	bx, by := shareFloats(t, env, x), shareFloats(t, env, y)
-	bt, err := env.dealer.AuxPositive(1, 4)
+	triples, err := env.dealer.CompTriple(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	triples, err := env.dealer.HadamardTriple(1, 4)
+	other, err := env.dealer.HadamardTriple(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	signs := runAll(t, env, func(ctx *Ctx) (Mat, error) {
-		return SecCompBT(ctx, "cmp1", bx[ctx.Index-1], by[ctx.Index-1], bt[ctx.Index-1], triples[ctx.Index-1])
+		tr := triples[ctx.Index-1]
+		mask := tr.B
+		tr.B = other[ctx.Index-1].B
+		return SecCompBT(ctx, "cmp1", bx[ctx.Index-1], by[ctx.Index-1], mask, tr)
 	})
 	want := []int64{1, -1, 0, 1}
 	for p := 0; p < sharing.NumParties; p++ {
@@ -449,16 +455,13 @@ func TestSecCompBTWithByzantineParty(t *testing.T) {
 	x, _ := tensor.FromSlice(1, 3, []float64{5, -5, 1})
 	y, _ := tensor.FromSlice(1, 3, []float64{1, 1, 1})
 	bx, by := shareFloats(t, env, x), shareFloats(t, env, y)
-	bt, err := env.dealer.AuxPositive(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	triples, err := env.dealer.HadamardTriple(1, 3)
+	triples, err := env.dealer.CompTriple(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	signs := runAll(t, env, func(ctx *Ctx) (Mat, error) {
-		return SecCompBT(ctx, "cmpbyz", bx[ctx.Index-1], by[ctx.Index-1], bt[ctx.Index-1], triples[ctx.Index-1])
+		tr := triples[ctx.Index-1]
+		return SecCompBT(ctx, "cmpbyz", bx[ctx.Index-1], by[ctx.Index-1], tr.B, tr)
 	})
 	want := []int64{1, -1, 0}
 	for p := 0; p < sharing.NumParties; p++ {
@@ -470,6 +473,35 @@ func TestSecCompBTWithByzantineParty(t *testing.T) {
 				t.Fatalf("honest party %d element %d: sign %d, want %d", p+1, i, signs[p].Data[i], w)
 			}
 		}
+	}
+}
+
+// TestSecCompBTRejectsItemWithoutMask: a comparison reply in the
+// two-bundle form of a pair dealt against a retained mask decodes to a
+// triple without B. SecCompBT must refuse it, at every party and
+// before any exchange, instead of panicking on the missing t.
+func TestSecCompBTRejectsItemWithoutMask(t *testing.T) {
+	env := newPartyEnv(t, true)
+	x, _ := tensor.FromSlice(1, 2, []float64{1, -1})
+	bx := shareFloats(t, env, x)
+	items, err := env.dealer.CompTriple(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ctx := range env.ctxs {
+		tr, err := decodeTriple(transport.EncodeBundles(items[i].A, items[i].C))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tr.B.Primary.IsZeroShape() {
+			t.Fatal("a two-bundle reply decoded with a B")
+		}
+		if _, err := SecCompBT(ctx, "nomask", bx[i], bx[i], tr.B, tr); err == nil {
+			t.Fatalf("party %d: comparison without its positive mask accepted", i+1)
+		}
+	}
+	if got := env.net.Stats().Messages; got != 0 {
+		t.Fatalf("%d messages sent for a refused comparison", got)
 	}
 }
 

@@ -4,25 +4,36 @@ import (
 	"fmt"
 
 	"github.com/trustddl/trustddl/internal/sharing"
+	"github.com/trustddl/trustddl/internal/tensor"
 )
 
 // SecCompBT is Algorithm 5: Byzantine-tolerant element-wise secure
 // comparison. It returns the public sign matrix sign(x − y) with
 // entries in {−1, 0, +1}.
 //
-// t must be a bundle of random positive values (Dealer.AuxPositive) so
-// that sign(t·(x−y)) = sign(x−y); the triple must match the operand
-// shape. Revealing the sign is the protocol's defined output — the
-// ReLU mask it computes is public by design (§III-C).
+// t must be a bundle of random positive values so that
+// sign(t⊙(x−y)) = sign(x−y), and the triple is the comparison item
+// dealt against it (Dealer.CompTriple): B = t and C = A⊙t. t is the
+// triple's right operand whatever the triple's own B holds, so
+// F = t − B is zero and public without an opening: only e = α − A is
+// opened before β, where α = x − y. Revealing the sign is the
+// protocol's defined output — the ReLU mask it computes is public by
+// design (§III-C).
 func SecCompBT(ctx *Ctx, session string, x, y, t sharing.Bundle, triple sharing.TripleBundle) (Mat, error) {
 	// Line 1: α = x − y.
 	alpha, err := x.Sub(y)
 	if err != nil {
 		return Mat{}, fmt.Errorf("protocol: SecCompBT alpha: %w", err)
 	}
-	// Line 2: β = SecMul(t, α). The untruncated product keeps sub-ulp
-	// sign information intact; only the sign of β is ever revealed.
-	beta, err := secMulBTRaw(ctx, session+"/mul", t, alpha, triple, mulHadamard)
+	// Line 2: β = SecMul(α, t) with F = 0. The untruncated product
+	// keeps sub-ulp sign information intact; only the sign of β is
+	// ever revealed.
+	f, err := tensor.New[int64](alpha.Rows(), alpha.Cols())
+	if err != nil {
+		return Mat{}, fmt.Errorf("protocol: SecCompBT: %w", err)
+	}
+	triple.B = t
+	beta, _, err := secMulBT(ctx, session+"/mul", alpha, t, triple, f, product{kind: mulHadamard}, false)
 	if err != nil {
 		return Mat{}, err
 	}

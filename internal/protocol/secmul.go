@@ -97,14 +97,6 @@ func SecConvWeightBT(ctx *Ctx, session string, shape tensor.ConvShape, x, w shar
 	return secMulBT(ctx, session, x, w, triple, f, product{kind: mulConv, conv: shape}, true)
 }
 
-// secMulBTRaw is the untruncated variant used by SecComp-BT, where the
-// product is only ever inspected for its sign and skipping the local
-// truncation avoids collapsing sub-ulp differences to zero.
-func secMulBTRaw(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.TripleBundle, kind mulKind) (sharing.Bundle, error) {
-	z, _, err := secMulBT(ctx, session, x, y, triple, Mat{}, product{kind: kind}, false)
-	return z, err
-}
-
 // secMulBT opens whichever of e = x − a and f = y − b is not public
 // yet (f is, when the caller passes it) in one commit-and-open
 // exchange, and returns z with the f it used.

@@ -8,16 +8,19 @@ import (
 )
 
 // BatchOrder describes one correlated-randomness item of a batched
-// deal: either a Beaver triple (Kind selects Hadamard or MatMul) or an
-// auxiliary positive matrix for SecComp-BT (Aux). Hadamard and aux
-// items use the M×N shape; MatMul items describe a (M×N)·(N×P)
-// product.
+// deal: a Beaver triple (Kind selects Hadamard or MatMul) or the
+// comparison item of SecComp-BT (Aux). Hadamard and Aux items use the
+// M×N shape; MatMul items describe a (M×N)·(N×P) product.
 type BatchOrder struct {
 	Kind TripleKind
-	Aux  bool
-	M    int
-	N    int
-	P    int
+	// Aux asks for SecComp-BT's comparison item, whatever Kind says: an
+	// element-wise triple whose b is a positive mask t, drawn uniformly
+	// from [0.5, 8). B is t and C = A⊙t, so the comparison β = α⊙t
+	// opens only α − A.
+	Aux bool
+	M   int
+	N   int
+	P   int
 	// Against, when set on a MatMul order, is a weight-side mask b
 	// (N×P) the dealer drew earlier and still holds: the item is then
 	// the input-side pair (A, C = A·b) with B left empty — the
@@ -51,12 +54,9 @@ func (o BatchOrder) ConvImages() (int, error) {
 	return o.M / positions, nil
 }
 
-// BatchItem is one dealt item of a batch: the per-party triple bundles
-// or, for IsAux, the per-party bundles of the auxiliary matrix.
+// BatchItem is one dealt item of a batch: the per-party triple bundles.
 type BatchItem struct {
 	Triple [NumParties]TripleBundle
-	Aux    [NumParties]Bundle
-	IsAux  bool
 	// Mask is the plaintext b of a freshly drawn MatMul triple, for a
 	// dealer-side caller that retains it to deal later input-side
 	// pairs against (BatchOrder.Against). It never leaves the dealer.
@@ -64,22 +64,22 @@ type BatchItem struct {
 }
 
 // DealBatch deals all items of one batch; it is the dealer's only
-// dealing routine (HadamardTriple, MatMulTriple and AuxPositive are
-// one-order batches). A batch draws from the dealer's Source exactly
-// as the same orders dealt one batch each would. Keeping the streams
-// identical is a correctness contract, not cosmetics: fixed-point
-// truncation is share-local, so opened protocol outputs depend (at the
-// ulp level) on the share randomness, and a pipelined multi-order
-// fetch must stay bit-identical to on-demand single-order deals. All
-// randomness is therefore drawn serially per item — operands, then the
-// share masks of a, b and c in that order; only the CPU-bound triple
-// products c = a·b / a⊙b / conv(a, b), which consume no randomness, run
-// concurrently across items (each additionally fanning out over the
-// parallel tensor kernels). The c share sets are assembled afterwards
-// from masks pre-drawn in phase 1. An order dealt Against a retained
-// mask skips exactly the draws of b and of b's shares, and a conv order
-// draws a at image shape, so a stream with neither is the stream it
-// always was.
+// dealing routine (HadamardTriple, MatMulTriple, CompTriple and
+// AuxPositive are one-order batches). A batch draws from the dealer's
+// Source exactly as the same orders dealt one batch each would.
+// Keeping the streams identical is a correctness contract, not
+// cosmetics: fixed-point truncation is share-local, so opened protocol
+// outputs depend (at the ulp level) on the share randomness, and a
+// pipelined multi-order fetch must stay bit-identical to on-demand
+// single-order deals. All randomness is therefore drawn serially per
+// item — operands, then the share masks of a, b and c in that order;
+// only the CPU-bound triple products c = a·b / a⊙b / conv(a, b), which
+// consume no randomness, run concurrently across items (each
+// additionally fanning out over the parallel tensor kernels). The c
+// share sets are assembled afterwards from masks pre-drawn in phase 1. An order dealt Against a retained
+// mask skips exactly the draws of b and of b's shares, a conv order
+// draws a at image shape, and an Aux order draws its b as the positive
+// mask t; a stream with none of them is the stream it always was.
 func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 	type pending struct {
 		a, b   Mat // triple operands
@@ -96,16 +96,7 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 	// Phase 1 — serial: every source draw, in the individual-deal order.
 	for i, o := range orders {
 		if o.Aux {
-			t, err := d.auxMatrix(o.M, o.N)
-			if err != nil {
-				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-			}
-			bs, err := d.Share(t)
-			if err != nil {
-				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-			}
-			out[i] = BatchItem{Aux: bs, IsAux: true}
-			continue
+			o.Kind = TripleHadamard
 		}
 		bShape := [2]int{o.M, o.N}
 		cShape := [2]int{o.M, o.N}
@@ -135,8 +126,12 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
 		}
 		ops[i].b = o.Against
+		draw := d.uniform
+		if o.Aux {
+			draw = d.auxMatrix
+		}
 		if fresh {
-			if ops[i].b, err = d.uniform(bShape[0], bShape[1]); err != nil {
+			if ops[i].b, err = draw(bShape[0], bShape[1]); err != nil {
 				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
 			}
 		}
@@ -162,15 +157,12 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 	var wg sync.WaitGroup
 	errs := make([]error, len(orders))
 	for i := range orders {
-		if orders[i].Aux {
-			continue
-		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			var err error
 			switch o := orders[i]; {
-			case o.Kind == TripleHadamard:
+			case o.Kind == TripleHadamard || o.Aux:
 				ops[i].c, err = ops[i].a.Hadamard(ops[i].b)
 			case o.isConv():
 				ops[i].c, err = tensor.Conv2DBatch(o.Conv, ops[i].a, ops[i].b)
@@ -190,9 +182,6 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 	// Phase 3 — assembly, no randomness: build c's bundles from the
 	// phase-1 masks and combine the triples.
 	for i := range orders {
-		if orders[i].Aux {
-			continue
-		}
 		cs, err := shareWithMasks(ops[i].c, ops[i].cMasks)
 		if err != nil {
 			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
@@ -227,7 +216,7 @@ func shareWithMasks(s Mat, masks [NumParties]Mat) ([NumParties]Bundle, error) {
 	return distribute(sets), nil
 }
 
-// auxMatrix draws the SecComp-BT masking matrix of AuxPositive.
+// auxMatrix draws the positive mask t of a comparison item.
 func (d *Dealer) auxMatrix(rows, cols int) (Mat, error) {
 	t, err := tensor.New[int64](rows, cols)
 	if err != nil {

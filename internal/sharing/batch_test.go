@@ -46,8 +46,7 @@ func TestDealBatchMatchesIndividualStream(t *testing.T) {
 		var want BatchItem
 		switch {
 		case o.Aux:
-			want.IsAux = true
-			want.Aux, err = ind.AuxPositive(o.M, o.N)
+			want.Triple, err = ind.CompTriple(o.M, o.N)
 		case o.Kind == TripleHadamard:
 			want.Triple, err = ind.HadamardTriple(o.M, o.N)
 		case o.isConv():
@@ -148,6 +147,51 @@ func TestDealBatchConvTriple(t *testing.T) {
 	} {
 		if _, err := d.DealBatch([]BatchOrder{bad}); err == nil {
 			t.Fatalf("order %+v accepted", bad)
+		}
+	}
+}
+
+// TestDealBatchCompTriple: an Aux order deals the comparison item — B
+// opens to a t in [0.5, 8), C to exactly A⊙t — whatever its Kind says,
+// its bundles own their storage, and it cannot be dealt against a
+// retained mask or carry conv geometry.
+func TestDealBatchCompTriple(t *testing.T) {
+	d := batchDealer(26)
+	orders := []BatchOrder{{Aux: true, M: 3, N: 4}, {Aux: true, Kind: TripleMatMul, M: 2, N: 5}}
+	items, err := d.DealBatch(orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := d.Params().FromFloat(0.5), d.Params().FromFloat(8)
+	for i, it := range items {
+		a, b, c := openTriple(t, it.Triple)
+		if b.Rows != orders[i].M || b.Cols != orders[i].N {
+			t.Fatalf("item %d: t is %dx%d, want %dx%d", i, b.Rows, b.Cols, orders[i].M, orders[i].N)
+		}
+		for k, v := range b.Data {
+			if v < lo || v >= hi {
+				t.Fatalf("item %d: t element %d = %d outside [%d, %d)", i, k, v, lo, hi)
+			}
+		}
+		want, err := a.Hadamard(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matEqual(t, c, want, fmt.Sprintf("item %d: c = a⊙t", i))
+		if !it.Mask.IsZeroShape() {
+			t.Fatalf("item %d reports a retained mask", i)
+		}
+		as, bs, cs := components(it.Triple)
+		ownStorage(t, fmt.Sprintf("item %d", i), as, bs, cs)
+	}
+
+	mask := Mat{Rows: 3, Cols: 4, Data: make([]int64, 12)}
+	for _, bad := range []BatchOrder{
+		{Aux: true, M: 3, N: 4, Against: mask},
+		{Aux: true, Kind: TripleMatMul, M: 6, N: testConv.PatchSize(), P: 2, Conv: testConv},
+	} {
+		if _, err := d.DealBatch([]BatchOrder{bad}); err == nil {
+			t.Fatalf("comparison order %+v accepted", bad)
 		}
 	}
 }

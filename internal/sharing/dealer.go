@@ -135,15 +135,27 @@ func (d *Dealer) MatMulTriple(m, n, p int) ([NumParties]TripleBundle, error) {
 	return it.Triple, err
 }
 
-// AuxPositive deals shares of a matrix t of random positive reals used
-// by SecComp-BT to mask the sign comparison: sign(t·(x−y)) = sign(x−y)
-// because every element of t is positive (§II). Elements are drawn
-// uniformly from [0.5, 8); reconstructing t·(x−y) therefore reveals the
-// comparison magnitude only up to that factor, matching the leakage the
-// paper accepts for its comparison protocol.
-func (d *Dealer) AuxPositive(rows, cols int) ([NumParties]Bundle, error) {
+// CompTriple deals SecComp-BT's comparison item (BatchOrder.Aux): an
+// element-wise triple whose b is a matrix t of random positive reals,
+// so A, B = t and C = A⊙t. sign(t⊙(x−y)) = sign(x−y) because every
+// element of t is positive (§II). Elements are drawn uniformly from
+// [0.5, 8); reconstructing t⊙(x−y) therefore reveals the comparison
+// magnitude only up to that factor, matching the leakage the paper
+// accepts for its comparison protocol.
+func (d *Dealer) CompTriple(rows, cols int) ([NumParties]TripleBundle, error) {
 	it, err := d.dealOne(BatchOrder{Aux: true, M: rows, N: cols})
-	return it.Aux, err
+	return it.Triple, err
+}
+
+// AuxPositive deals a comparison item and returns only the shares of
+// its positive mask t.
+func (d *Dealer) AuxPositive(rows, cols int) ([NumParties]Bundle, error) {
+	tr, err := d.CompTriple(rows, cols)
+	var t [NumParties]Bundle
+	for p := range t {
+		t[p] = tr[p].B
+	}
+	return t, err
 }
 
 // dealOne deals a single order: every dealing routine is DealBatch.

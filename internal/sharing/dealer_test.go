@@ -153,13 +153,20 @@ func TestDealtBundlesOwnTheirStorage(t *testing.T) {
 		as, bs, cs := components(it.Triple)
 		sharings = append(sharings, as, bs, cs)
 	}
+	ownStorage(t, "dealing", sharings...)
+}
+
+// ownStorage fails if any two matrices of the given sharings share a
+// backing array.
+func ownStorage(t *testing.T, what string, sharings ...[NumParties]Bundle) {
+	t.Helper()
+	seen := map[*int64]string{}
 	for k, bundles := range sharings {
-		seen := map[*int64]string{}
 		for p, b := range bundles {
 			for name, m := range map[string]Mat{"Primary": b.Primary, "Hat": b.Hat, "Second": b.Second} {
-				where := fmt.Sprintf("party %d %s", p+1, name)
+				where := fmt.Sprintf("sharing %d party %d %s", k, p+1, name)
 				if other, dup := seen[&m.Data[0]]; dup {
-					t.Fatalf("sharing %d: %s and %s share storage", k, other, where)
+					t.Fatalf("%s: %s and %s share storage", what, other, where)
 				}
 				seen[&m.Data[0]] = where
 			}

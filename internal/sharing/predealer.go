@@ -23,7 +23,6 @@ type PreDealer struct {
 	mu      sync.Mutex
 	dealer  *Dealer
 	triples map[string]*preTriple
-	auxes   map[string]*preAux
 	masks   MaskTable
 }
 
@@ -32,17 +31,11 @@ type preTriple struct {
 	served  int
 }
 
-type preAux struct {
-	bundles [NumParties]Bundle
-	served  int
-}
-
 // NewPreDealer wraps a dealer for offline-phase distribution.
 func NewPreDealer(d *Dealer) *PreDealer {
 	return &PreDealer{
 		dealer:  d,
 		triples: make(map[string]*preTriple),
-		auxes:   make(map[string]*preAux),
 	}
 }
 
@@ -82,35 +75,24 @@ func (p *PreDealer) matMul(session, mask string, conv tensor.ConvShape, m, n, q 
 	return e, nil
 }
 
-func (p *PreDealer) hadamard(session string, rows, cols int) (*preTriple, error) {
+// compKey names the entry of a comparison item.
+func compKey(session string, rows, cols int) string {
+	return fmt.Sprintf("%s|cmp|%dx%d", session, rows, cols)
+}
+
+func (p *PreDealer) comp(session string, rows, cols int) (*preTriple, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	key := fmt.Sprintf("%s|hd|%dx%d", session, rows, cols)
+	key := compKey(session, rows, cols)
 	if e, ok := p.triples[key]; ok {
 		return e, nil
 	}
-	bs, err := p.dealer.HadamardTriple(rows, cols)
+	bs, err := p.dealer.CompTriple(rows, cols)
 	if err != nil {
 		return nil, err
 	}
 	e := &preTriple{bundles: bs}
 	p.triples[key] = e
-	return e, nil
-}
-
-func (p *PreDealer) aux(session string, rows, cols int) (*preAux, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	key := fmt.Sprintf("%s|ax|%dx%d", session, rows, cols)
-	if e, ok := p.auxes[key]; ok {
-		return e, nil
-	}
-	bs, err := p.dealer.AuxPositive(rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	e := &preAux{bundles: bs}
-	p.auxes[key] = e
 	return e, nil
 }
 
@@ -121,12 +103,6 @@ func (p *PreDealer) retire(key string) {
 		e.served++
 		if e.served >= NumParties {
 			delete(p.triples, key)
-		}
-	}
-	if e, ok := p.auxes[key]; ok {
-		e.served++
-		if e.served >= NumParties {
-			delete(p.auxes, key)
 		}
 	}
 }
@@ -161,26 +137,14 @@ func (v *PreView) matMul(session, mask string, conv tensor.ConvShape, m, n, q in
 	return t, nil
 }
 
-// HadamardTriple returns this party's share of the session's
-// element-wise Beaver triple.
-func (v *PreView) HadamardTriple(session string, rows, cols int) (TripleBundle, error) {
-	e, err := v.dealer.hadamard(session, rows, cols)
+// CompTriple returns this party's share of the session's comparison
+// item: A, B = t and C = A⊙t (Dealer.CompTriple).
+func (v *PreView) CompTriple(session string, rows, cols int) (TripleBundle, error) {
+	e, err := v.dealer.comp(session, rows, cols)
 	if err != nil {
 		return TripleBundle{}, err
 	}
 	t := e.bundles[v.party-1]
-	v.dealer.retire(fmt.Sprintf("%s|hd|%dx%d", session, rows, cols))
+	v.dealer.retire(compKey(session, rows, cols))
 	return t, nil
-}
-
-// AuxPositive returns this party's share of the session's auxiliary
-// positive matrix.
-func (v *PreView) AuxPositive(session string, rows, cols int) (Bundle, error) {
-	e, err := v.dealer.aux(session, rows, cols)
-	if err != nil {
-		return Bundle{}, err
-	}
-	b := e.bundles[v.party-1]
-	v.dealer.retire(fmt.Sprintf("%s|ax|%dx%d", session, rows, cols))
-	return b, nil
 }
