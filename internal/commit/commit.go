@@ -1,23 +1,30 @@
 // Package commit implements the commitment phase of TrustDDL's
-// Byzantine-tolerant protocols (§III-B).
+// Byzantine-tolerant protocols (§III-B): SHA-256 over the opening's
+// wire encoding.
 //
 // Before exchanging intermediate shares, every computing party sends
-// the SHA-256 digest of the share vector it is about to open (the paper
-// uses SHA-256, §IV-A). Shares are exchanged only after all commitment
-// values arrived; receivers then recompute the digests and compare.
-// A Byzantine party that commits to one share vector but opens another
-// is detected (Case 1/2 of the security analysis); a party that commits
-// to incorrect shares consistently survives the hash check but cannot
-// force agreement between the reconstructions it corrupts, because it
-// committed before seeing any honest share.
+// the SHA-256 digest (the paper uses SHA-256, §IV-A) of the payload it
+// is about to open. Shares are exchanged only after all commitment
+// values arrived; receivers then hash the bytes they received and
+// compare. A Byzantine party that commits to one share vector but opens
+// another is detected (Case 1/2 of the security analysis); a party that
+// commits to incorrect shares consistently survives the hash check but
+// cannot force agreement between the reconstructions it corrupts,
+// because it committed before seeing any honest share.
+//
+// Hashing the received bytes binds the decoded shares as tightly as
+// hashing the shares themselves: the wire decoder is strict (it checks
+// the count, every shape and the length, and rejects trailing bytes),
+// so the encoding is injective and a payload decodes to a given share
+// vector exactly when its bytes equal that vector's encoding.
 package commit
 
 import (
 	"crypto/sha256"
 	"crypto/subtle"
-	"encoding/binary"
 
 	"github.com/trustddl/trustddl/internal/tensor"
+	"github.com/trustddl/trustddl/internal/transport"
 )
 
 // Size is the digest length in bytes.
@@ -31,31 +38,15 @@ func (d Digest) Equal(o Digest) bool {
 	return subtle.ConstantTimeCompare(d[:], o[:]) == 1
 }
 
-// Matrices commits to a sequence of ring matrices. The encoding is
-// canonical and injective: each matrix contributes its dimensions and
-// its row-major elements as fixed-width little-endian words, so two
-// distinct share vectors cannot collide except by breaking SHA-256.
-func Matrices(ms ...tensor.Matrix[int64]) Digest {
-	h := sha256.New()
-	var buf [8]byte
-	writeWord := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	writeWord(uint64(len(ms)))
-	for _, m := range ms {
-		writeWord(uint64(m.Rows))
-		writeWord(uint64(m.Cols))
-		for _, v := range m.Data {
-			writeWord(uint64(v))
-		}
-	}
-	var d Digest
-	h.Sum(d[:0])
-	return d
+// Bytes commits to an encoded opening: the digest of the payload as it
+// is sent and as it is received.
+func Bytes(payload []byte) Digest {
+	return sha256.Sum256(payload)
 }
 
-// Verify recomputes the commitment over ms and compares it to want.
-func Verify(want Digest, ms ...tensor.Matrix[int64]) bool {
-	return Matrices(ms...).Equal(want)
+// Matrices commits to a sequence of ring matrices: the digest of their
+// transport.EncodeMatrices form, so Matrices(ms...) equals the Bytes of
+// the payload that opens ms.
+func Matrices(ms ...tensor.Matrix[int64]) Digest {
+	return Bytes(transport.EncodeMatrices(ms...))
 }

@@ -239,13 +239,16 @@ func (ctx *Ctx) exchangeBundles(session, step string, bundles []sharing.Bundle) 
 	}
 
 	commitStep, openStep := step+"/commit", step+"/open"
+	// The opening is encoded once; the same read-only slice goes to
+	// every peer unless the adversary rewrites it after committing.
+	payload := transport.EncodeBundles(own...)
 	var digests [sharing.NumParties + 1]commit.Digest
 	var haveDigest [sharing.NumParties + 1]bool
 	if ctx.Commitment {
 		commitStart := ctx.obsStart()
-		// Commit round: hash of the full share vector (§III-B, lines
-		// 3–8 of Algorithm 4).
-		d := commit.Matrices(flattenBundles(own)...)
+		// Commit round: hash of the opening as it will be sent
+		// (§III-B, lines 3–8 of Algorithm 4).
+		d := commit.Bytes(payload)
 		if err := ctx.Router.Broadcast(peers, session, commitStep, d[:]); err != nil {
 			return res, fmt.Errorf("protocol: commit round: %w", err)
 		}
@@ -270,11 +273,11 @@ func (ctx *Ctx) exchangeBundles(session, step string, bundles []sharing.Bundle) 
 	// Open round (lines 9–14).
 	openStart := ctx.obsStart()
 	for _, p := range peers {
-		toSend := own
+		toSend := payload
 		if ctx.Adversary != nil {
-			toSend = ctx.Adversary.CorruptPostCommit(p, session, openStep, cloneBundles(own))
+			toSend = transport.EncodeBundles(ctx.Adversary.CorruptPostCommit(p, session, openStep, cloneBundles(own))...)
 		}
-		if err := ctx.Router.Send(p, session, openStep, transport.EncodeBundles(toSend...)); err != nil {
+		if err := ctx.Router.Send(p, session, openStep, toSend); err != nil {
 			return res, fmt.Errorf("protocol: open round: %w", err)
 		}
 	}
@@ -301,29 +304,13 @@ func (ctx *Ctx) exchangeBundles(session, step string, bundles []sharing.Bundle) 
 			res.bundles[p] = zeroBundlesLike(own)
 			continue
 		}
-		bs, err := transport.DecodeBundles(msg.Payload, len(own))
-		// DecodeBundles copies every share out of the payload, so the
-		// frame buffer can recycle regardless of the verdict below.
+		bs, kind := checkOpening(msg.Payload, own, ctx.Commitment, haveDigest[p], digests[p])
+		// checkOpening hashes the payload and copies every share out of
+		// it, so the frame buffer can recycle regardless of the verdict.
 		msg.Release()
-		if err != nil || !shapesMatch(bs, own) {
-			// A delivered-but-malformed opening is the sender's doing,
-			// not the network's: only the opener shapes its payload.
+		if kind != "" {
 			res.flagged[p] = true
-			ctx.Ledger.Record(p, suspicion.KindCommitViolation, session, openStep)
-			res.bundles[p] = zeroBundlesLike(own)
-			continue
-		}
-		if ctx.Commitment {
-			// Recompute and verify the committed digest (line 12).
-			if !haveDigest[p] || !commit.Verify(digests[p], flattenBundles(bs)...) {
-				res.flagged[p] = true
-				if haveDigest[p] {
-					ctx.Ledger.Record(p, suspicion.KindCommitViolation, session, openStep)
-				} else {
-					// Digest never arrived: indistinguishable from a drop.
-					ctx.Ledger.Record(p, suspicion.KindOpenTimeout, session, openStep)
-				}
-			}
+			ctx.Ledger.Record(p, kind, session, openStep)
 		}
 		res.bundles[p] = bs
 	}
@@ -399,12 +386,24 @@ func cloneBundles(bs []sharing.Bundle) []sharing.Bundle {
 	return out
 }
 
-func flattenBundles(bs []sharing.Bundle) []Mat {
-	out := make([]Mat, 0, 3*len(bs))
-	for _, b := range bs {
-		out = append(out, b.Primary, b.Hat, b.Second)
+// checkOpening decodes a peer's opening of len(own) bundles and checks
+// the bytes as received against the peer's digest (line 12 of Algorithm
+// 4), returning the suspicion kind to record (empty when it passes). A
+// malformed payload is a violation whether or not a digest arrived —
+// only the opener shapes it — and reads as zero bundles shaped like own.
+func checkOpening(payload []byte, own []sharing.Bundle, commitment, haveDigest bool, digest commit.Digest) (bs []sharing.Bundle, kind suspicion.Kind) {
+	bs, err := transport.DecodeBundles(payload, len(own))
+	switch {
+	case err != nil || !shapesMatch(bs, own):
+		return zeroBundlesLike(own), suspicion.KindCommitViolation
+	case !commitment:
+		return bs, ""
+	case !haveDigest:
+		return bs, suspicion.KindOpenTimeout
+	case !commit.Bytes(payload).Equal(digest):
+		return bs, suspicion.KindCommitViolation
 	}
-	return out
+	return bs, ""
 }
 
 func zeroBundlesLike(bs []sharing.Bundle) []sharing.Bundle {

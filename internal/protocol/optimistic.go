@@ -91,13 +91,15 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 	voteStep := step + "/vote"
 	hatStep := step + "/open-hats"
 
-	// Round 1: commitments to the partial opening and the hats.
+	// Round 1: commitments to the partial opening and the hats, each the
+	// hash of the one payload that goes to every peer (exchangeBundles).
+	partialPayload := transport.EncodeMatrices(partialMats(own)...)
+	hatPayload := transport.EncodeMatrices(hatMats(own)...)
 	var digests [sharing.NumParties + 1][2]commit.Digest
 	var haveDigest [sharing.NumParties + 1]bool
 	if ctx.Commitment {
 		commitStart := ctx.obsStart()
-		dPartial := commit.Matrices(partialMats(own)...)
-		dHats := commit.Matrices(hatMats(own)...)
+		dPartial, dHats := commit.Bytes(partialPayload), commit.Bytes(hatPayload)
 		payload := append(append([]byte(nil), dPartial[:]...), dHats[:]...)
 		if err := ctx.Router.Broadcast(peers, session, commitStep, payload); err != nil {
 			return res, fmt.Errorf("protocol: optimistic commit: %w", err)
@@ -123,11 +125,11 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 	// Round 2: partial opening.
 	openStart := ctx.obsStart()
 	for _, p := range peers {
-		toSend := own
+		toSend := partialPayload
 		if ctx.Adversary != nil {
-			toSend = ctx.Adversary.CorruptPostCommit(p, session, partialStep, cloneBundles(own))
+			toSend = transport.EncodeMatrices(partialMats(ctx.Adversary.CorruptPostCommit(p, session, partialStep, cloneBundles(own)))...)
 		}
-		if err := ctx.Router.Send(p, session, partialStep, transport.EncodeMatrices(partialMats(toSend)...)); err != nil {
+		if err := ctx.Router.Send(p, session, partialStep, toSend); err != nil {
 			return res, fmt.Errorf("protocol: optimistic open: %w", err)
 		}
 	}
@@ -146,8 +148,9 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 			continue
 		}
 		ms, err := transport.DecodeMatrices(msg.Payload)
-		// DecodeMatrices copies every share out of the payload, so the
-		// frame buffer can recycle regardless of the verdict below.
+		committed := haveDigest[p] && commit.Bytes(msg.Payload).Equal(digests[p][0])
+		// Hashed, and decoded shares own their storage, so the frame
+		// buffer can recycle regardless of the verdict below.
 		msg.Release()
 		if err != nil || len(ms) != 2*len(own) {
 			// Delivered but malformed: the opener shapes its own payload.
@@ -157,7 +160,7 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 		}
 		// A peer whose digests never arrived was flagged in round 1 and
 		// not waited for here, so a failed check is a violation.
-		if ctx.Commitment && (!haveDigest[p] || !commit.Verify(digests[p][0], ms...)) {
+		if ctx.Commitment && !committed {
 			flag(p, suspicion.KindCommitViolation, partialStep)
 		}
 		pairs := make([][2]Mat, len(own))
@@ -254,11 +257,11 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 
 	// Fallback: open the redundant hat copies and run the full rule.
 	for _, p := range peers {
-		toSend := own
+		toSend := hatPayload
 		if ctx.Adversary != nil {
-			toSend = ctx.Adversary.CorruptPostCommit(p, session, hatStep, cloneBundles(own))
+			toSend = transport.EncodeMatrices(hatMats(ctx.Adversary.CorruptPostCommit(p, session, hatStep, cloneBundles(own)))...)
 		}
-		if err := ctx.Router.Send(p, session, hatStep, transport.EncodeMatrices(hatMats(toSend)...)); err != nil {
+		if err := ctx.Router.Send(p, session, hatStep, toSend); err != nil {
 			return res, err
 		}
 	}
@@ -276,13 +279,14 @@ func (ctx *Ctx) exchangeOptimistic(session, step string, bundles []sharing.Bundl
 			continue
 		}
 		ms, err := transport.DecodeMatrices(msg.Payload)
-		msg.Release() // decoded hat copies own their storage
+		committed := haveDigest[p] && commit.Bytes(msg.Payload).Equal(digests[p][1])
+		msg.Release() // hashed, and decoded hat copies own their storage
 		if err != nil || len(ms) != len(own) {
 			flag(p, suspicion.KindCommitViolation, hatStep)
 			hats[p] = hatMats(zeroBundlesLike(own))
 			continue
 		}
-		if ctx.Commitment && (!haveDigest[p] || !commit.Verify(digests[p][1], ms...)) {
+		if ctx.Commitment && !committed {
 			flag(p, suspicion.KindCommitViolation, hatStep)
 		}
 		shapeOK := true

@@ -13,6 +13,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Element is the set of element domains matrices are defined over:
@@ -76,11 +77,10 @@ func (m Matrix[T]) At(r, c int) T { return m.Data[r*m.Cols+c] }
 // Set writes the element at (r, c).
 func (m Matrix[T]) Set(r, c int, v T) { m.Data[r*m.Cols+c] = v }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. slices.Clone allocates without zeroing
+// the storage the copy then overwrites.
 func (m Matrix[T]) Clone() Matrix[T] {
-	out := Matrix[T]{Rows: m.Rows, Cols: m.Cols, Data: make([]T, len(m.Data))}
-	copy(out.Data, m.Data)
-	return out
+	return Matrix[T]{Rows: m.Rows, Cols: m.Cols, Data: slices.Clone(m.Data)}
 }
 
 // Add returns m + o.

@@ -46,6 +46,10 @@ func ActorName(id int) string {
 // Message is one protocol datagram. Session and Step name the protocol
 // instance and round so receivers can demultiplex out-of-order arrivals
 // (e.g. "fwd/3/fc1/mul" / "commit").
+//
+// Payload is read-only once sent, and one slice may go to several
+// receivers (Broadcast's digest; an opening, encoded once and committed
+// to by its hash). A SendInterceptor that rewrites a payload copies it.
 type Message struct {
 	From    int
 	To      int
