@@ -368,7 +368,7 @@ func (c *Cluster) decideAtDataOwner(ctx context.Context, session, step string) (
 	// row's reveal independent of the other rows' truncation carries.
 	value, _, err := rec.DecideRows()
 	if err == nil {
-		suspect := rec.Suspect(value, c.dataTolerance())
+		suspect := rec.Suspect(c.dataTolerance())
 		suspectMissing := false
 		c.mu.Lock()
 		if suspect != 0 {

@@ -349,7 +349,7 @@ func (a *SecureAvgPool) Forward(ctx *protocol.Ctx, _ TripleSource, _ string, x s
 		}
 	}
 	inv := ctx.Params.FromFloat(1 / float64(len(plan)))
-	return sum.Scale(inv).Truncate(ctx.Params.FracBits), nil
+	return sum.Scale(inv).TruncateInPlace(ctx.Params.FracBits), nil
 }
 
 // Backward implements SecureLayer.
@@ -362,7 +362,7 @@ func (a *SecureAvgPool) Backward(ctx *protocol.Ctx, _ TripleSource, _ string, dy
 	}
 	plan := a.Shape.plan()
 	inv := ctx.Params.FromFloat(1 / float64(len(plan)))
-	scaled := dy.Scale(inv).Truncate(ctx.Params.FracBits)
+	scaled := dy.Scale(inv).TruncateInPlace(ctx.Params.FracBits)
 	return transformBundle(scaled, func(m Mat) (Mat, error) {
 		dx := tensor.Matrix[int64]{Rows: m.Rows, Cols: a.Shape.InSize(), Data: make([]int64, m.Rows*a.Shape.InSize())}
 		for _, idx := range plan {

@@ -307,7 +307,7 @@ func (d *SecureDense) Update(params fixed.Params, lr float64) error {
 	if err != nil {
 		return fmt.Errorf("nn: secure dense momentum: %w", err)
 	}
-	step := eff.Scale(params.FromFloat(lr)).Truncate(params.FracBits)
+	step := eff.Scale(params.FromFloat(lr)).TruncateInPlace(params.FracBits)
 	w, err := d.W.Sub(step)
 	if err != nil {
 		return fmt.Errorf("nn: secure dense update: %w", err)
@@ -326,7 +326,7 @@ func applyMomentumBundle(vel *sharing.Bundle, dW sharing.Bundle, mu float64, par
 		*vel = dW.Clone()
 		return *vel, nil
 	}
-	scaled := vel.Scale(params.FromFloat(mu)).Truncate(params.FracBits)
+	scaled := vel.Scale(params.FromFloat(mu)).TruncateInPlace(params.FracBits)
 	next, err := scaled.Add(dW)
 	if err != nil {
 		return sharing.Bundle{}, err
@@ -491,7 +491,7 @@ func (c *SecureConv) Update(params fixed.Params, lr float64) error {
 	if err != nil {
 		return fmt.Errorf("nn: secure conv momentum: %w", err)
 	}
-	step := eff.Scale(params.FromFloat(lr)).Truncate(params.FracBits)
+	step := eff.Scale(params.FromFloat(lr)).TruncateInPlace(params.FracBits)
 	w, err := c.W.Sub(step)
 	if err != nil {
 		return fmt.Errorf("nn: secure conv update: %w", err)
@@ -595,7 +595,7 @@ func (n *SecureNetwork) TrainBatch(ctx *protocol.Ctx, ts TripleSource, session s
 	if err != nil {
 		return fmt.Errorf("nn: loss gradient: %w", err)
 	}
-	grad := diff.Scale(ctx.Params.FromFloat(1.0 / float64(batch))).Truncate(ctx.Params.FracBits)
+	grad := diff.Scale(ctx.Params.FromFloat(1.0 / float64(batch))).TruncateInPlace(ctx.Params.FracBits)
 	reg := ctx.Obs()
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		start := layerStart(reg)

@@ -328,20 +328,20 @@ func (ctx *Ctx) exchangeBundles(session, step string, bundles []sharing.Bundle) 
 	return res, nil
 }
 
-// recordDeviations scores each reconstruction set against the decided
-// value and records a decision-rule deviation for a suspect party. A
-// consistent liar (Case 3) is invisible to the commitment check, so
-// this is the only site that produces attributable evidence against
-// it. Parties flagged this round are skipped: their zero-filled sets
+// recordDeviations scores each decided reconstruction set against the
+// value it decided and records a decision-rule deviation for a suspect
+// party. A consistent liar (Case 3) is invisible to the commitment
+// check, so this is the only site that produces attributable evidence
+// against it. Parties flagged this round are skipped: their zero-filled sets
 // trivially deviate, but the underlying fault (a timeout) was already
 // recorded as circumstantial evidence at its detection site.
-func (ctx *Ctx) recordDeviations(session, step string, res exchangeResult, recs []*sharing.Reconstructions, decided []Mat) {
+func (ctx *Ctx) recordDeviations(session, step string, res exchangeResult, recs []*sharing.Reconstructions) {
 	if ctx.Ledger == nil {
 		return
 	}
 	tol := ctx.suspicionTolerance()
-	for i, rec := range recs {
-		if s := rec.Suspect(decided[i], tol); s >= 1 && s <= sharing.NumParties && !res.flagged[s] {
+	for _, rec := range recs {
+		if s := rec.Suspect(tol); s >= 1 && s <= sharing.NumParties && !res.flagged[s] {
 			ctx.Ledger.Record(s, suspicion.KindDecisionDeviation, session, step)
 		}
 	}

@@ -14,25 +14,20 @@ import (
 // bits, and a matrix-global pair choice would let one batch row's
 // carries select the reconstruction used for another row — the batched
 // step would then diverge from its sequential replay
-// (nn.TestBatchDenseForwardBitIdentical fails under such a rule). The
-// returned Decision reports the worst (maximum-distance) row across all
-// sets, the distance deviation detection compares against its
-// tolerance.
-func decideJoint(recs ...*sharing.Reconstructions) ([]Mat, sharing.Decision, error) {
+// (nn.TestBatchDenseForwardBitIdentical fails under such a rule). Each
+// set keeps its candidates' deviations from the decided value for
+// Suspect.
+func decideJoint(recs ...*sharing.Reconstructions) ([]Mat, error) {
 	if len(recs) == 0 {
-		return nil, sharing.Decision{}, sharing.ErrNoConsensus
+		return nil, sharing.ErrNoConsensus
 	}
 	out := make([]Mat, len(recs))
-	var worst sharing.Decision
 	for i, r := range recs {
-		v, dec, err := r.DecideRows()
+		v, _, err := r.DecideRows()
 		if err != nil {
-			return nil, sharing.Decision{}, err
+			return nil, err
 		}
 		out[i] = v
-		if i == 0 || dec.Distance > worst.Distance {
-			worst = dec
-		}
 	}
-	return out, worst, nil
+	return out, nil
 }

@@ -52,7 +52,7 @@ func SecCompBT(ctx *Ctx, session string, x, y, t sharing.Bundle, triple sharing.
 		return Mat{}, err
 	}
 	// Line 17: minimum-distance decision.
-	vals, _, err := decideJoint(rec)
+	vals, err := decideJoint(rec)
 	if err != nil {
 		return Mat{}, fmt.Errorf("protocol: SecCompBT decide: %w", err)
 	}

@@ -132,7 +132,8 @@ func secMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.Trip
 	// without shipping the hat copies; otherwise decide them here.
 	vals := res.decided
 	if vals == nil {
-		// Lines 15–19: the six reconstructions of each opened value.
+		// Lines 15–19: the share sets of each opened value (DecideRows
+		// forms the six reconstructions from them, row by row).
 		recStart := ctx.obsStart()
 		recs := make([]*sharing.Reconstructions, len(opening))
 		for k := range opening {
@@ -143,12 +144,12 @@ func secMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.Trip
 		ctx.obsPhase(ctx.obsReconstruct, recStart)
 		// Line 20: joint minimum-distance decision.
 		decideStart := ctx.obsStart()
-		vals, _, err = decideJoint(recs...)
+		vals, err = decideJoint(recs...)
 		if err != nil {
 			return sharing.Bundle{}, Mat{}, fmt.Errorf("protocol: SecMulBT decide: %w", err)
 		}
 		ctx.obsPhase(ctx.obsDecide, decideStart)
-		ctx.recordDeviations(session, step, res, recs, vals)
+		ctx.recordDeviations(session, step, res, recs)
 	}
 	if len(vals) == 2 {
 		f = vals[1]

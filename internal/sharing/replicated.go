@@ -88,7 +88,7 @@ func (b Bundle) Sub(o Bundle) (Bundle, error) {
 
 // Scale multiplies every share by the public ring constant k
 // (multiplication by a constant is local, §II). Callers multiplying by
-// a fixed-point-encoded constant must follow up with Truncate.
+// a fixed-point-encoded constant must follow up with TruncateInPlace.
 func (b Bundle) Scale(k int64) Bundle {
 	return Bundle{Primary: b.Primary.Scale(k), Hat: b.Hat.Scale(k), Second: b.Second.Scale(k)}
 }
@@ -112,22 +112,16 @@ func (b Bundle) HadamardPublic(mask Mat) (Bundle, error) {
 	return Bundle{Primary: p, Hat: h, Second: s}, nil
 }
 
-// Truncate arithmetic-shifts every share right by frac bits: the local
-// fixed-point rescaling applied after every multiplication. See package
-// fixed for the error bound.
-func (b Bundle) Truncate(frac uint) Bundle {
-	tr := func(v int64) int64 { return v >> frac }
-	return Bundle{Primary: b.Primary.Map(tr), Hat: b.Hat.Map(tr), Second: b.Second.Map(tr)}
-}
-
-// TruncateInPlace is Truncate over b's own storage, for bundles the
-// caller exclusively owns (e.g. a fresh Beaver combination) — the
-// secure step's hot path uses it to avoid cloning all three shares.
-func (b Bundle) TruncateInPlace(frac uint) {
+// TruncateInPlace arithmetic-shifts every share right by frac bits in
+// b's own storage and returns b: the local fixed-point rescaling after
+// every multiplication (error bound: package fixed), for a bundle the
+// caller exclusively owns, such as a Beaver combination or Scale result.
+func (b Bundle) TruncateInPlace(frac uint) Bundle {
 	tr := func(v int64) int64 { return v >> frac }
 	b.Primary.MapInplace(tr)
 	b.Hat.MapInplace(tr)
 	b.Second.MapInplace(tr)
+	return b
 }
 
 // SetShares groups, for one share set j, everything the collecting
@@ -163,32 +157,34 @@ func CollectSets(bundles [NumParties]Bundle) ([NumParties]SetShares, error) {
 	return out, nil
 }
 
-// Reconstructions holds the six candidate reconstructions of §III-B:
-// s^j = [s]^j_1 + [s]^j_2 and ŝ^j = [ŝ]^j_1 + [s]^j_2, together with the
+// Reconstructions holds what the decision rule of §III-B needs for one
+// opened value: the three share sets, from which the six candidates
+// s^j = [s]^j_1 + [s]^j_2 and ŝ^j = [ŝ]^j_1 + [s]^j_2 are formed, and the
 // commitment-phase flags of Algorithm 4 (true = all contributing shares
-// passed the commit check).
+// passed the commit check). DecideRows forms the candidates one row at
+// a time, never as whole matrices, and keeps their deviations for Suspect.
 type Reconstructions struct {
-	Plain   [NumParties]Mat
-	Hat     [NumParties]Mat
+	sets    [NumParties]SetShares
 	PlainOK [NumParties]bool
 	HatOK   [NumParties]bool
+	// decided is set by a successful DecideRows; dev[j] and
+	// dev[NumParties+k] are then max |decided − s^j| and |decided − ŝ^k|
+	// (+Inf where the candidate was flagged or mis-shaped).
+	decided bool
+	dev     [2 * NumParties]float64
 }
 
-// ReconstructSix computes all six reconstructions from the per-set
-// shares. All flags start true; callers clear them per the commitment
-// checks before calling DecideRows.
+// ReconstructSix arranges the per-set shares for the decision rule,
+// checking that each set's shares can be summed. All flags start true;
+// callers clear them per the commitment checks before calling
+// DecideRows.
 func ReconstructSix(sets [NumParties]SetShares) (Reconstructions, error) {
-	var rec Reconstructions
-	for j := 0; j < NumParties; j++ {
-		plain, err := sets[j].First.Add(sets[j].Second)
-		if err != nil {
-			return rec, fmt.Errorf("sharing: set %d: %w", j+1, err)
+	rec := Reconstructions{sets: sets}
+	for j, s := range sets {
+		if !s.First.SameShape(s.Second) || !s.HatFirst.SameShape(s.Second) {
+			return rec, fmt.Errorf("sharing: set %d: shares %dx%d, hat %dx%d, second %dx%d", j+1,
+				s.First.Rows, s.First.Cols, s.HatFirst.Rows, s.HatFirst.Cols, s.Second.Rows, s.Second.Cols)
 		}
-		hat, err := sets[j].HatFirst.Add(sets[j].Second)
-		if err != nil {
-			return rec, fmt.Errorf("sharing: set %d (hat): %w", j+1, err)
-		}
-		rec.Plain[j], rec.Hat[j] = plain, hat
 		rec.PlainOK[j], rec.HatOK[j] = true, true
 	}
 	return rec, nil
@@ -203,6 +199,12 @@ func (r *Reconstructions) FlagParty(p int) {
 	r.HatOK[p2-1] = false
 	r.PlainOK[p3-1] = false
 	r.HatOK[p3-1] = false
+}
+
+// pairOK reports whether (s^j, ŝ^k), 0-based, is a pair the decision
+// rule may choose.
+func (r *Reconstructions) pairOK(j, k int) bool {
+	return j != k && r.PlainOK[j] && r.HatOK[k]
 }
 
 // Decision reports which reconstruction pair the decision rule selected.
@@ -240,7 +242,7 @@ const HonestSlack = 16
 // canonical preference among plausibly-honest candidates: each row
 // first finds its minimum pair distance, then picks the
 // lexicographically first unflagged pair (j, k) whose distance is
-// within HonestSlack of that minimum, and reveals Plain[j]'s row.
+// within HonestSlack of that minimum, and reveals s^j's row.
 //
 // Both refinements exist to make the decision a pure function of the
 // honest data, independent of shape and flag context:
@@ -265,114 +267,156 @@ const HonestSlack = 16
 //     while corrupted sets (distance >> HonestSlack above the minimum)
 //     are still excluded.
 //
+// One pass does it all, row by row: the six candidates are summed into
+// a 6 × cols scratch, pair distances are integer |Δ| maxima (float64 of
+// |Δ| as uint64 equals math.Abs(float64(Δ)) and conversion is monotone,
+// so the rule decides as over float distances), the decided row is
+// written out, and each candidate's distance to it is folded into the
+// deviations Suspect reads — for a hat, the pair distance already known.
+//
 // The returned Decision describes the worst (maximum-distance) row: the
 // distance deviation detection compares against its tolerance.
 func (r *Reconstructions) DecideRows() (Mat, Decision, error) {
+	r.decided = false
 	rows, cols := 0, 0
-	for j := 0; j < NumParties; j++ {
+	for j, s := range r.sets {
 		if r.PlainOK[j] {
-			rows, cols = r.Plain[j].Rows, r.Plain[j].Cols
+			rows, cols = s.First.Rows, s.First.Cols
 			break
 		}
 	}
 	if rows == 0 && cols == 0 {
 		return Mat{}, Decision{}, ErrNoConsensus
 	}
+	fits := func(m Mat) bool { return m.Rows == rows && m.Cols == cols }
+	paired := false
+	for j := range NumParties {
+		for k := range NumParties {
+			if !r.pairOK(j, k) {
+				continue
+			}
+			if plain, hat := r.sets[j].First, r.sets[k].HatFirst; !fits(plain) || !fits(hat) {
+				return Mat{}, Decision{}, fmt.Errorf("sharing: reconstruction shape mismatch (plain %d: %dx%d, hat %d: %dx%d)",
+					j+1, plain.Rows, plain.Cols, k+1, hat.Rows, hat.Cols)
+			}
+			paired = true
+		}
+	}
+	if !paired {
+		return Mat{}, Decision{}, ErrNoConsensus
+	}
+	// Candidate j < NumParties is s^j, candidate NumParties+k is ŝ^k;
+	// on marks the unflagged ones of the decided shape.
+	var on [2 * NumParties]bool
+	for j, s := range r.sets {
+		on[j], on[NumParties+j] = r.PlainOK[j] && fits(s.First), r.HatOK[j] && fits(s.HatFirst)
+	}
 	out := Mat{Rows: rows, Cols: cols, Data: make([]int64, rows*cols)}
+	scratch := make([]int64, 2*NumParties*cols)
+	cand := func(i int) []int64 { return scratch[i*cols : (i+1)*cols] }
+	var devMax [2 * NumParties]uint64
 	worst := Decision{Distance: math.Inf(-1)}
-	for row := 0; row < rows; row++ {
-		var dist [NumParties][NumParties]float64
-		minDist := math.Inf(1)
-		found := false
-		for j := 0; j < NumParties; j++ {
-			if !r.PlainOK[j] {
-				continue
+	for lo := 0; lo < len(out.Data); lo += cols {
+		hi := lo + cols
+		for j, s := range r.sets {
+			if on[j] {
+				addRow(cand(j), s.First.Data[lo:hi], s.Second.Data[lo:hi])
 			}
-			for k := 0; k < NumParties; k++ {
-				if k == j || !r.HatOK[k] {
-					continue
-				}
-				if r.Plain[j].Rows != rows || r.Plain[j].Cols != cols ||
-					r.Hat[k].Rows != rows || r.Hat[k].Cols != cols {
-					return Mat{}, Decision{}, fmt.Errorf("sharing: reconstruction shape mismatch (plain %d: %dx%d, hat %d: %dx%d)",
-						j+1, r.Plain[j].Rows, r.Plain[j].Cols, k+1, r.Hat[k].Rows, r.Hat[k].Cols)
-				}
-				d := 0.0
-				for c := row * cols; c < (row+1)*cols; c++ {
-					// Ring difference first, as in Mat.MaxAbsDiff: exact
-					// near the int64 extremes where float64 conversion
-					// of each operand would round the delta away.
-					diff := math.Abs(float64(r.Plain[j].Data[c] - r.Hat[k].Data[c]))
-					if diff > d {
-						d = diff
-					}
-				}
-				dist[j][k] = d
-				if d < minDist {
-					minDist = d
-					found = true
+			if on[NumParties+j] {
+				addRow(cand(NumParties+j), s.HatFirst.Data[lo:hi], s.Second.Data[lo:hi])
+			}
+		}
+		var dist [NumParties][NumParties]uint64
+		minDist := uint64(math.MaxUint64)
+		for j := range NumParties {
+			for k := range NumParties {
+				if r.pairOK(j, k) {
+					dist[j][k] = maxAbsDiff(cand(j), cand(NumParties+k))
+					minDist = min(minDist, dist[j][k])
 				}
 			}
 		}
-		if !found {
-			return Mat{}, Decision{}, ErrNoConsensus
-		}
-		// Canonical choice: the first pair within slack of the minimum.
-		best := Decision{}
+		// Canonical choice: the first pair within slack of the minimum,
+		// compared in float64 as the distances are reported.
+		limit := float64(minDist) + HonestSlack
+		pj, pk := 0, 0
 	pick:
-		for j := 0; j < NumParties; j++ {
-			if !r.PlainOK[j] {
-				continue
-			}
-			for k := 0; k < NumParties; k++ {
-				if k == j || !r.HatOK[k] {
-					continue
-				}
-				if dist[j][k] <= minDist+HonestSlack {
-					best = Decision{PlainSet: j + 1, HatSet: k + 1, Distance: dist[j][k]}
+		for j := range NumParties {
+			for k := range NumParties {
+				if r.pairOK(j, k) && float64(dist[j][k]) <= limit {
+					pj, pk = j, k
 					break pick
 				}
 			}
 		}
-		copy(out.Data[row*cols:(row+1)*cols], r.Plain[best.PlainSet-1].Data[row*cols:(row+1)*cols])
-		if best.Distance > worst.Distance {
-			worst = best
+		decided := cand(pj)
+		copy(out.Data[lo:hi], decided)
+		if d := float64(dist[pj][pk]); d > worst.Distance {
+			worst = Decision{PlainSet: pj + 1, HatSet: pk + 1, Distance: d}
+		}
+		for i, ok := range on {
+			switch k := i - NumParties; {
+			case !ok || i == pj: // nothing measured, or the decided row itself
+			case k >= 0 && k != pj:
+				devMax[i] = max(devMax[i], dist[pj][k])
+			default:
+				devMax[i] = max(devMax[i], maxAbsDiff(decided, cand(i)))
+			}
 		}
 	}
+	for i, ok := range on {
+		r.dev[i] = math.Inf(1)
+		if ok {
+			r.dev[i] = float64(devMax[i])
+		}
+	}
+	r.decided = true
 	return out, worst, nil
 }
 
-// Suspect inspects the six reconstructions and reports which party is
-// most plausibly Byzantine, given the decided value and tolerance tol
-// (in raw ring units). It returns 0 when every reconstruction is within
+// addRow sets dst = a + b over the ring.
+func addRow(dst, a, b []int64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] + b[i]
+	}
+}
+
+// maxAbsDiff returns max |a − b| of the ring differences as uint64,
+// without a sign branch: |MinInt64| = 2⁶³ is exact.
+func maxAbsDiff(a, b []int64) uint64 {
+	b = b[:len(a)]
+	var m uint64
+	for i, x := range a {
+		d := x - b[i]
+		s := d >> 63
+		m = max(m, uint64((d^s)-s))
+	}
+	return m
+}
+
+// Suspect reports which party is most plausibly Byzantine, given
+// tolerance tol (in raw ring units): the party with the most
+// reconstructions that deviate from the value the last DecideRows
+// decided by more than tol, or were flagged in the commitment phase.
+// Before DecideRows, or after it failed, every candidate counts as
+// deviating. It returns 0 when every reconstruction is within
 // tolerance (no suspicion). This powers the detection logic the paper
 // describes for Case 3 of the security analysis.
-func (r *Reconstructions) Suspect(decided Mat, tol float64) int {
+func (r *Reconstructions) Suspect(tol float64) int {
 	// A Byzantine party p corrupts: plain p1, hat p2, plain+hat p3.
 	// Score each party by how many of "its" reconstructions deviate.
-	deviates := func(m Mat, ok bool) bool {
-		if !ok {
-			return true // flagged in the commitment phase
+	deviates := func(i int, ok bool) int {
+		if !ok || !r.decided || r.dev[i] > tol {
+			return 1
 		}
-		d, err := decided.MaxAbsDiff(m)
-		return err != nil || d > tol
+		return 0
 	}
 	bestParty, bestScore := 0, 0
 	for p := 1; p <= NumParties; p++ {
 		p1, p2, p3 := SetsOf(p)
-		score := 0
-		if deviates(r.Plain[p1-1], r.PlainOK[p1-1]) {
-			score++
-		}
-		if deviates(r.Hat[p2-1], r.HatOK[p2-1]) {
-			score++
-		}
-		if deviates(r.Plain[p3-1], r.PlainOK[p3-1]) {
-			score++
-		}
-		if deviates(r.Hat[p3-1], r.HatOK[p3-1]) {
-			score++
-		}
+		score := deviates(p1-1, r.PlainOK[p1-1]) + deviates(NumParties+p2-1, r.HatOK[p2-1]) +
+			deviates(p3-1, r.PlainOK[p3-1]) + deviates(NumParties+p3-1, r.HatOK[p3-1])
 		if score > bestScore {
 			bestParty, bestScore = p, score
 		}
