@@ -17,7 +17,9 @@ import (
 // falconLayer is one stage of the RSS network.
 type falconLayer interface {
 	forward(ctx *rssCtx, session string, x rssShare) (rssShare, error)
-	backward(ctx *rssCtx, session string, dy rssShare) (rssShare, error)
+	// backward caches the weight gradient and returns the input
+	// gradient, or an empty one unless inputGrad asks for it.
+	backward(ctx *rssCtx, session string, dy rssShare, inputGrad bool) (rssShare, error)
 	update(ctx *rssCtx, session string, lr float64) error
 }
 
@@ -32,12 +34,15 @@ func (d *falconDense) forward(ctx *rssCtx, session string, x rssShare) (rssShare
 	return rssMul(ctx, session, x, d.w, true /* matmul */, false /* raw */)
 }
 
-func (d *falconDense) backward(ctx *rssCtx, session string, dy rssShare) (rssShare, error) {
+func (d *falconDense) backward(ctx *rssCtx, session string, dy rssShare, inputGrad bool) (rssShare, error) {
 	dW, err := rssMul(ctx, session+"/dw", d.x.transpose(), dy, true, false)
 	if err != nil {
 		return rssShare{}, err
 	}
 	d.dW = dW
+	if !inputGrad {
+		return rssShare{}, nil
+	}
 	return rssMul(ctx, session+"/dx", dy, d.w.transpose(), true, false)
 }
 
@@ -86,7 +91,7 @@ func (r *falconReLU) forward(ctx *rssCtx, session string, x rssShare) (rssShare,
 	return x.maskPublic(r.mask)
 }
 
-func (r *falconReLU) backward(_ *rssCtx, _ string, dy rssShare) (rssShare, error) {
+func (r *falconReLU) backward(_ *rssCtx, _ string, dy rssShare, _ bool) (rssShare, error) {
 	if r.mask.IsZeroShape() {
 		return rssShare{}, fmt.Errorf("baselines: falcon relu backward before forward")
 	}
@@ -130,7 +135,7 @@ func (c *falconConv) forward(ctx *rssCtx, session string, x rssShare) (rssShare,
 	return rssShare{Cur: cur, Next: next}, nil
 }
 
-func (c *falconConv) backward(ctx *rssCtx, session string, dy rssShare) (rssShare, error) {
+func (c *falconConv) backward(ctx *rssCtx, session string, dy rssShare, inputGrad bool) (rssShare, error) {
 	if c.cols.Cur.IsZeroShape() {
 		return rssShare{}, fmt.Errorf("baselines: falcon conv backward before forward")
 	}
@@ -150,6 +155,9 @@ func (c *falconConv) backward(ctx *rssCtx, session string, dy rssShare) (rssShar
 		return rssShare{}, err
 	}
 	c.dW = dW
+	if !inputGrad {
+		return rssShare{}, nil
+	}
 	dCols, err := rssMul(ctx, session+"/dx", dY, c.w.transpose(), true, false)
 	if err != nil {
 		return rssShare{}, err
@@ -251,8 +259,9 @@ func (n *falconNetwork) trainBatch(ctx *rssCtx, session string, x, oneHot rssSha
 	if err != nil {
 		return err
 	}
+	// The first layer's input gradient is read by nobody.
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad, err = n.layers[i].backward(ctx, fmt.Sprintf("%s/b%d", session, i), grad)
+		grad, err = n.layers[i].backward(ctx, fmt.Sprintf("%s/b%d", session, i), grad, i > 0)
 		if err != nil {
 			return fmt.Errorf("baselines: falcon layer %d backward: %w", i, err)
 		}

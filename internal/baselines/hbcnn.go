@@ -88,7 +88,9 @@ func sendPlainSink(ctx *protocol.HbCCtx, owner int, name, session string, share 
 // hbcLayer is one stage of the 2-party HbC network.
 type hbcLayer interface {
 	forward(ctx *protocol.HbCCtx, ac assistClient, session string, x Mat) (Mat, error)
-	backward(ctx *protocol.HbCCtx, ac assistClient, session string, dy Mat) (Mat, error)
+	// backward caches the weight gradient and returns the input
+	// gradient, or an empty one unless inputGrad asks for it.
+	backward(ctx *protocol.HbCCtx, ac assistClient, session string, dy Mat, inputGrad bool) (Mat, error)
 	update(ctx *protocol.HbCCtx, lr float64) error
 }
 
@@ -108,7 +110,7 @@ func (d *hbcDense) forward(ctx *protocol.HbCCtx, ac assistClient, session string
 	return protocol.SecMatMul(ctx, session, x, d.w, triple, ctx.Parties[0])
 }
 
-func (d *hbcDense) backward(ctx *protocol.HbCCtx, ac assistClient, session string, dy Mat) (Mat, error) {
+func (d *hbcDense) backward(ctx *protocol.HbCCtx, ac assistClient, session string, dy Mat, inputGrad bool) (Mat, error) {
 	tw, err := ac.matMulTriple(session+"/dw/t", d.in, dy.Rows, d.out)
 	if err != nil {
 		return Mat{}, err
@@ -118,6 +120,9 @@ func (d *hbcDense) backward(ctx *protocol.HbCCtx, ac assistClient, session strin
 		return Mat{}, err
 	}
 	d.dW = dW
+	if !inputGrad {
+		return Mat{}, nil
+	}
 	tx, err := ac.matMulTriple(session+"/dx/t", dy.Rows, d.out, d.in)
 	if err != nil {
 		return Mat{}, err
@@ -166,7 +171,7 @@ func (r *hbcReLU) forward(ctx *protocol.HbCCtx, ac assistClient, session string,
 	return x.Hadamard(r.mask)
 }
 
-func (r *hbcReLU) backward(_ *protocol.HbCCtx, _ assistClient, _ string, dy Mat) (Mat, error) {
+func (r *hbcReLU) backward(_ *protocol.HbCCtx, _ assistClient, _ string, dy Mat, _ bool) (Mat, error) {
 	if r.mask.IsZeroShape() {
 		return Mat{}, fmt.Errorf("baselines: relu backward before forward")
 	}
@@ -202,7 +207,7 @@ func (c *hbcConv) forward(ctx *protocol.HbCCtx, ac assistClient, session string,
 	return y.Reshape(batch, positions*c.outChannels)
 }
 
-func (c *hbcConv) backward(ctx *protocol.HbCCtx, ac assistClient, session string, dy Mat) (Mat, error) {
+func (c *hbcConv) backward(ctx *protocol.HbCCtx, ac assistClient, session string, dy Mat, inputGrad bool) (Mat, error) {
 	if c.cols.IsZeroShape() {
 		return Mat{}, fmt.Errorf("baselines: conv backward before forward")
 	}
@@ -221,6 +226,9 @@ func (c *hbcConv) backward(ctx *protocol.HbCCtx, ac assistClient, session string
 		return Mat{}, err
 	}
 	c.dW = dW
+	if !inputGrad {
+		return Mat{}, nil
+	}
 	tx, err := ac.matMulTriple(session+"/dx/t", batch*positions, c.outChannels, c.shape.PatchSize())
 	if err != nil {
 		return Mat{}, err
@@ -279,8 +287,9 @@ func (n *hbcNetwork) trainBatch(ctx *protocol.HbCCtx, ac assistClient, session s
 	}
 	grad := diff.Scale(ctx.Params.FromFloat(1.0 / float64(batch))).
 		Map(func(v int64) int64 { return v >> ctx.Params.FracBits })
+	// The first layer's input gradient is read by nobody.
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad, err = n.layers[i].backward(ctx, ac, fmt.Sprintf("%s/b%d", session, i), grad)
+		grad, err = n.layers[i].backward(ctx, ac, fmt.Sprintf("%s/b%d", session, i), grad, i > 0)
 		if err != nil {
 			return fmt.Errorf("baselines: layer %d backward: %w", i, err)
 		}

@@ -84,7 +84,7 @@ func TestCostModelGolden(t *testing.T) {
 		{"cold b1 pass", infer(1), passCost{PartyBytes: 14861271, OwnerBytes: 7641153, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
 		{"warm b1 pass", infer(1), passCost{PartyBytes: 586803, OwnerBytes: 503937, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
 		{"warm b4 pass", infer(4), passCost{PartyBytes: 2327331, OwnerBytes: 2011185, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
-		{"b8 training step", func() error { return run.TrainBatch(images, 0.05) }, passCost{PartyBytes: 42604152, OwnerBytes: 33590346, Messages: 186, OwnerRequests: 12, Exchanges: 39, Triples: 11}},
+		{"b8 training step", func() error { return run.TrainBatch(images, 0.05) }, passCost{PartyBytes: 27199350, OwnerBytes: 23065830, Messages: 168, OwnerRequests: 9, Exchanges: 36, Triples: 8}},
 	} {
 		if got := measure(step.op); got != step.want {
 			t.Errorf("%s: cost %+v, pinned %+v", step.name, got, step.want)

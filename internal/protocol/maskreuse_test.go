@@ -14,7 +14,7 @@ func dealTo(t *testing.T, env *ownerEnv, parties []int, session, mask string, m,
 	t.Helper()
 	out := make(map[int]sharing.TripleBundle, len(parties))
 	for _, i := range parties {
-		tr, err := RequestMatMulTriple(env.ctxs[i-1], session, mask, m, n, p)
+		tr, err := RequestTriple(env.ctxs[i-1], TripleRequest{Kind: ReqMatMul, Session: session, M: m, N: n, P: p, Mask: mask})
 		if err != nil {
 			t.Fatalf("party %d %s: %v", i, session, err)
 		}
@@ -186,12 +186,12 @@ func TestOwnerKeysConvDealsByGeometry(t *testing.T) {
 		t.Fatal("the forged geometry must lower to the honest dims")
 	}
 	for _, r := range []TripleRequest{plain, forged} {
-		if _, err := requestTriple(env.ctxs[1], r); err != nil {
+		if _, err := RequestTriple(env.ctxs[1], r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, i := range []int{0, 2} {
-		tr, err := requestTriple(env.ctxs[i], honest)
+		tr, err := RequestTriple(env.ctxs[i], honest)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"github.com/trustddl/trustddl/internal/obs"
 	"github.com/trustddl/trustddl/internal/sharing"
 	"github.com/trustddl/trustddl/internal/suspicion"
-	"github.com/trustddl/trustddl/internal/tensor"
 	"github.com/trustddl/trustddl/internal/transport"
 )
 
@@ -131,11 +130,15 @@ type tripleEntry struct {
 // bundlesFor lists one party's share of the entry, encoded alike by
 // the individual and the batched response paths. A triple dealt
 // against a retained mask has no B to send: its two bundles (A, C)
-// tell the requester to use the B it kept.
+// tell the requester to use the B it kept. A triple dealt with its
+// backward pair sends five, A, B, C, A′, C′.
 func (e *tripleEntry) bundlesFor(party int) []sharing.Bundle {
 	t := e.bundles[party-1]
 	if t.B.Primary.IsZeroShape() {
 		return []sharing.Bundle{t.A, t.C}
+	}
+	if !t.Back.A.Primary.IsZeroShape() {
+		return []sharing.Bundle{t.A, t.B, t.C, t.Back.A, t.Back.C}
 	}
 	return []sharing.Bundle{t.A, t.B, t.C}
 }
@@ -243,7 +246,7 @@ func Shutdown(ep transport.Endpoint, owner int) error {
 
 func (s *OwnerService) dispatch(msg transport.Message) error {
 	switch {
-	case msg.Step == stepTripleHadamard || msg.Step == stepTripleMatMul || msg.Step == stepTripleConv || msg.Step == stepAuxPositive:
+	case isDealStep(strings.TrimSuffix(msg.Step, backPairSuffix)):
 		return s.handleDeal(msg)
 	case msg.Step == stepTripleBatch:
 		return s.handleBatchDeal(msg)
@@ -263,6 +266,15 @@ func (s *OwnerService) dispatch(msg transport.Message) error {
 		// to crash the owner with garbage.
 		return nil
 	}
+}
+
+// isDealStep reports whether step is an individual deal's.
+func isDealStep(step string) bool {
+	switch step {
+	case stepTripleHadamard, stepTripleMatMul, stepTripleConv, stepAuxPositive:
+		return true
+	}
+	return false
 }
 
 func (s *OwnerService) handleDeal(msg transport.Message) error {
@@ -606,27 +618,12 @@ func (s *OwnerService) finishGather(session string, g *gatherEntry) error {
 // RequestHadamardTriple asks the model owner for an element-wise Beaver
 // triple. All three parties must request the same session.
 func RequestHadamardTriple(ctx *Ctx, session string, rows, cols int) (sharing.TripleBundle, error) {
-	return requestTriple(ctx, TripleRequest{Kind: ReqHadamard, Session: session, M: rows, N: cols})
+	return RequestTriple(ctx, TripleRequest{Kind: ReqHadamard, Session: session, M: rows, N: cols})
 }
 
-// RequestMatMulTriple asks the model owner for a matrix-product Beaver
-// triple with a m×n and b n×p, dealt against the named mask (empty: a
-// single-use b). The returned B is empty when the owner still held the
-// named mask and dealt only (A, C = A·b).
-func RequestMatMulTriple(ctx *Ctx, session, mask string, m, n, p int) (sharing.TripleBundle, error) {
-	return requestTriple(ctx, TripleRequest{Kind: ReqMatMul, Session: session, M: m, N: n, P: p, Mask: mask})
-}
-
-// RequestConvTriple asks the model owner for the triple of a
-// convolution over images images and outChannels filters
-// (ConvRequest): A at image shape, B and the mask rule as for
-// RequestMatMulTriple.
-func RequestConvTriple(ctx *Ctx, session, mask string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error) {
-	return requestTriple(ctx, ConvRequest(session, mask, shape, images, outChannels))
-}
-
-// requestTriple deals one triple request in an individual round trip.
-func requestTriple(ctx *Ctx, r TripleRequest) (sharing.TripleBundle, error) {
+// RequestTriple deals one triple request in an individual round trip.
+// All three parties must make the same request.
+func RequestTriple(ctx *Ctx, r TripleRequest) (sharing.TripleBundle, error) {
 	step, err := r.step()
 	if err != nil {
 		return sharing.TripleBundle{}, err
@@ -638,7 +635,7 @@ func requestTriple(ctx *Ctx, r TripleRequest) (sharing.TripleBundle, error) {
 	if err != nil {
 		return sharing.TripleBundle{}, err
 	}
-	t, err := decodeTriple(msg.Payload)
+	t, err := decodeTriple(msg.Payload, r.BackPair)
 	msg.Release() // triple shares are copied out of the payload
 	return t, err
 }
@@ -646,7 +643,7 @@ func requestTriple(ctx *Ctx, r TripleRequest) (sharing.TripleBundle, error) {
 // RequestCompTriple asks the model owner for the comparison item
 // consumed by SecComp-BT: A, B = t and C = A⊙t for a random positive t.
 func RequestCompTriple(ctx *Ctx, session string, rows, cols int) (sharing.TripleBundle, error) {
-	return requestTriple(ctx, TripleRequest{Kind: ReqAux, Session: session, M: rows, N: cols})
+	return RequestTriple(ctx, TripleRequest{Kind: ReqAux, Session: session, M: rows, N: cols})
 }
 
 // CallOwner evaluates the delegated function `name` at actor `owner`
@@ -688,18 +685,32 @@ func AnnounceRejoin(ctx *Ctx) error {
 }
 
 // decodeTriple parses a deal response: three bundles (A, B, C), or two
-// (A, C) for a triple dealt against a mask the owner retained.
-func decodeTriple(payload []byte) (sharing.TripleBundle, error) {
+// (A, C) for a triple dealt against a mask the owner retained, or —
+// exactly when the request asked for the backward pair — five
+// (A, B, C, A′, C′), A′ and C′ of one row count and of the widths of B
+// and Bᵀ.
+func decodeTriple(payload []byte, backPair bool) (sharing.TripleBundle, error) {
 	want := 3
-	if len(payload) >= 8 && binary.LittleEndian.Uint64(payload) == 6 { // the matrix count of two bundles
+	switch {
+	case backPair:
+		want = 5
+	case len(payload) >= 8 && binary.LittleEndian.Uint64(payload) == 6: // the matrix count of two bundles
 		want = 2
 	}
 	bs, err := transport.DecodeBundles(payload, want)
 	if err != nil {
 		return sharing.TripleBundle{}, err
 	}
-	if want == 2 {
+	switch want {
+	case 2:
 		return sharing.TripleBundle{A: bs[0], C: bs[1]}, nil
+	case 5:
+		b, a2, c2 := bs[1], bs[3], bs[4]
+		if a2.Rows() != c2.Rows() || a2.Cols() != b.Cols() || c2.Cols() != b.Rows() {
+			return sharing.TripleBundle{}, fmt.Errorf("protocol: backward pair %dx%d, %dx%d for a %dx%d mask",
+				a2.Rows(), a2.Cols(), c2.Rows(), c2.Cols(), b.Rows(), b.Cols())
+		}
+		return sharing.TripleBundle{A: bs[0], B: b, C: bs[2], Back: sharing.Pair{A: a2, C: c2}}, nil
 	}
 	return sharing.TripleBundle{A: bs[0], B: bs[1], C: bs[2]}, nil
 }

@@ -80,7 +80,7 @@ func TestOwnerDealsMatMulTripleAndAux(t *testing.T) {
 	y, _ := tensor.FromSlice(2, 1, []float64{2, 4})
 	bx, by := shareFloats(t, env.partyEnv, x), shareFloats(t, env.partyEnv, y)
 	outs := runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.Bundle, error) {
-		triple, err := RequestMatMulTriple(ctx, "mm9", "", 1, 2, 1)
+		triple, err := RequestTriple(ctx, TripleRequest{Kind: ReqMatMul, Session: "mm9", M: 1, N: 2, P: 1})
 		if err != nil {
 			return sharing.Bundle{}, err
 		}
@@ -256,7 +256,7 @@ func TestOwnerBatchDealMatchesIndividual(t *testing.T) {
 			if len(items) != 1 {
 				return sharing.Bundle{}, fmt.Errorf("batch response carried %d items, want 1", len(items))
 			}
-			triple, err = decodeTriple(items[0])
+			triple, err = decodeTriple(items[0], false)
 		} else {
 			triple, err = RequestHadamardTriple(ctx, "bi1", 2, 2)
 		}
@@ -320,7 +320,7 @@ func TestOwnerIgnoresMalformedBatch(t *testing.T) {
 		if err != nil {
 			return sharing.TripleBundle{}, err
 		}
-		return decodeTriple(items[0])
+		return decodeTriple(items[0], false)
 	})
 	for p := 0; p < sharing.NumParties; p++ {
 		if outs[p].C.Primary.Rows != 1 || outs[p].C.Primary.Cols != 3 {

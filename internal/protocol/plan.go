@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"github.com/trustddl/trustddl/internal/sharing"
 	"github.com/trustddl/trustddl/internal/tensor"
@@ -65,6 +66,11 @@ type TripleRequest struct {
 	// requester opens its input mask before the lowering. Zero for any
 	// other request.
 	Conv tensor.ConvShape
+	// BackPair, on a MatMul request that names no mask, also asks for
+	// the triple's backward pair (sharing.BatchOrder.BackPair): a
+	// training step's forward takes it so its backward multiplies under
+	// the same b. The reply then carries five bundles, A, B, C, A′, C′.
+	BackPair bool
 }
 
 // ConvRequest is the request of a convolution's triple over images
@@ -82,26 +88,45 @@ func ConvRequest(session, mask string, shape tensor.ConvShape, images, outChanne
 func (r TripleRequest) isConv() bool { return r.Conv != (tensor.ConvShape{}) }
 
 // Key is the canonical identity of a request: kind, session, dims,
-// conv geometry and mask name. Two requests with equal keys are
-// interchangeable — the owner deals one entry per key, however each
-// party asks for it; a conv and a plain request for the same product
-// are different deals (their A differ in shape).
+// conv geometry, mask name and backward pair. Two requests with equal
+// keys are interchangeable — the owner deals one entry per key, however
+// each party asks for it; a conv and a plain request for the same
+// product are different deals (their A differ in shape), and so are
+// requests with and without the backward pair.
 func (r TripleRequest) Key() string {
 	c := r.Conv
-	return fmt.Sprintf("%d|%s|%dx%dx%d|c%d:%dx%d:k%ds%dp%d|%s", r.Kind, r.Session, r.M, r.N, r.P,
-		c.InChannels, c.Height, c.Width, c.Kernel, c.Stride, c.Pad, r.Mask)
+	return fmt.Sprintf("%d|%s|%dx%dx%d|c%d:%dx%d:k%ds%dp%d|%s|%t", r.Kind, r.Session, r.M, r.N, r.P,
+		c.InChannels, c.Height, c.Width, c.Kernel, c.Stride, c.Pad, r.Mask, r.BackPair)
 }
 
-// step maps the kind onto the owner wire-protocol step label.
+// checkBackPair rejects a backward pair anywhere but on a MatMul
+// request that names no mask: the pair rides on the deal that draws a
+// fresh b, which a named request may not do.
+func (r TripleRequest) checkBackPair() error {
+	if r.BackPair && (r.Kind != ReqMatMul || r.Mask != "") {
+		return fmt.Errorf("protocol: backward pair on a %s request naming mask %q", r.Kind, r.Mask)
+	}
+	return nil
+}
+
+// step maps the kind onto the owner wire-protocol step label; a
+// request for the backward pair has backPairSuffix appended.
 func (r TripleRequest) step() (string, error) {
+	if err := r.checkBackPair(); err != nil {
+		return "", err
+	}
 	switch r.Kind {
 	case ReqHadamard:
 		return stepTripleHadamard, nil
 	case ReqMatMul:
+		step := stepTripleMatMul
 		if r.isConv() {
-			return stepTripleConv, nil
+			step = stepTripleConv
 		}
-		return stepTripleMatMul, nil
+		if r.BackPair {
+			step += backPairSuffix
+		}
+		return step, nil
 	case ReqAux:
 		return stepAuxPositive, nil
 	default:
@@ -202,14 +227,16 @@ func (r TripleRequest) order() sharing.BatchOrder {
 	case ReqAux:
 		return sharing.BatchOrder{Aux: true, M: r.M, N: r.N}
 	default:
-		return sharing.BatchOrder{Kind: sharing.TripleMatMul, M: r.M, N: r.N, P: r.P, Conv: r.Conv}
+		return sharing.BatchOrder{Kind: sharing.TripleMatMul, M: r.M, N: r.N, P: r.P, Conv: r.Conv, BackPair: r.BackPair}
 	}
 }
 
 // reqFromWire reassembles a request from an individual deal message
-// (TripleRequest.payload; the session travels in the message header).
+// (TripleRequest.payload; the session travels in the message header,
+// the backward pair in the step's suffix).
 func reqFromWire(step string, payload []byte) (TripleRequest, error) {
 	var r TripleRequest
+	step, r.BackPair = strings.CutSuffix(step, backPairSuffix)
 	switch step {
 	case stepTripleHadamard:
 		r.Kind = ReqHadamard
@@ -253,6 +280,9 @@ func reqFromWire(step string, payload []byte) (TripleRequest, error) {
 			return TripleRequest{}, err
 		}
 	}
+	if err := r.checkBackPair(); err != nil {
+		return TripleRequest{}, err
+	}
 	return r, nil
 }
 
@@ -260,13 +290,15 @@ func reqFromWire(step string, payload []byte) (TripleRequest, error) {
 // `count · (kind byte, u16 session length, session bytes, dims as LE
 // u32s — 2 for Hadamard/Aux, 3 for MatMul — and, for MatMul, the conv
 // geometry when the kind byte has its convItem bit set, u16 mask
-// length, mask bytes)` after a LE u32 count; the response frame
-// carries, in request order, one length-prefixed item payload each
-// (the identical bytes an individual deal response would carry). Caps
-// keep a Byzantine requester from ballooning the owner's decode work.
+// length, mask bytes)` after a LE u32 count, a MatMul item's kind byte
+// carrying its backPairItem bit when it asks for the backward pair;
+// the response frame carries, in request order, one length-prefixed
+// item payload each (the identical bytes an individual deal response
+// would carry). Caps keep a Byzantine requester from ballooning the
+// owner's decode work.
 const (
 	// maxBatchItems bounds one batch deal message. Far above any real
-	// plan segment (a Table I training step plans 11 items).
+	// plan segment (a Table I training step plans 8 items).
 	maxBatchItems = 1024
 	// maxBatchSessionLen bounds one item's session string.
 	maxBatchSessionLen = 512
@@ -278,6 +310,12 @@ const (
 	// convItem marks, on a batch item's kind byte, a MatMul item that
 	// carries conv geometry.
 	convItem = 0x80
+	// backPairItem marks, on a batch item's kind byte, a MatMul item
+	// that asks for the backward pair.
+	backPairItem = 0x40
+	// backPairSuffix marks the step of an individual deal that asks for
+	// the backward pair.
+	backPairSuffix = "+bp"
 )
 
 // EncodeTripleBatch serializes a batch dealing request.
@@ -302,6 +340,9 @@ func EncodeTripleBatch(reqs []TripleRequest) ([]byte, error) {
 		kind := byte(r.Kind)
 		if r.isConv() {
 			kind |= convItem
+		}
+		if r.BackPair {
+			kind |= backPairItem
 		}
 		buf = append(buf, kind)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Session)))
@@ -340,7 +381,7 @@ func DecodeTripleBatch(buf []byte) ([]TripleRequest, error) {
 		if len(buf) < 3 {
 			return nil, fmt.Errorf("protocol: batch item %d truncated", i)
 		}
-		r := TripleRequest{Kind: TripleReqKind(buf[0] &^ convItem)}
+		r := TripleRequest{Kind: TripleReqKind(buf[0] &^ (convItem | backPairItem)), BackPair: buf[0]&backPairItem != 0}
 		conv := buf[0]&convItem != 0
 		slen := int(binary.LittleEndian.Uint16(buf[1:]))
 		buf = buf[3:]
@@ -397,6 +438,9 @@ func DecodeTripleBatch(buf []byte) ([]TripleRequest, error) {
 			buf = buf[mlen:]
 		}
 		if err := r.checkConv(); err != nil {
+			return nil, fmt.Errorf("protocol: batch item %d: %w", i, err)
+		}
+		if err := r.checkBackPair(); err != nil {
 			return nil, fmt.Errorf("protocol: batch item %d: %w", i, err)
 		}
 		out = append(out, r)

@@ -14,7 +14,7 @@ import (
 // predecessor arrives and has until the layers reach it to come back.
 // At 4, the Table I inference plan (5 requests) is two owner messages
 // per party, the second hidden behind the conv, ReLU, fc1 and ReLU
-// rounds, and a training step (11) is three. One whole-plan message
+// rounds, and a training step (8) is two. One whole-plan message
 // was slower (DESIGN.md §9): the first layer then waits for every
 // layer's deal.
 const segmentSize = 4
@@ -113,14 +113,14 @@ func (p *PrefetchSource) recv() error {
 // soon as its last item is decoded.
 func (p *PrefetchSource) take(req TripleRequest) (sharing.TripleBundle, error) {
 	if p.next >= len(p.plan) || p.plan[p.next] != req {
-		return requestTriple(p.ctx, req)
+		return RequestTriple(p.ctx, req)
 	}
 	if p.next/segmentSize == p.recvd {
 		if err := p.recv(); err != nil {
 			return sharing.TripleBundle{}, err
 		}
 	}
-	t, err := decodeTriple(p.items[p.next%segmentSize])
+	t, err := decodeTriple(p.items[p.next%segmentSize], req.BackPair)
 	p.next++
 	if p.next%segmentSize == 0 || p.next == len(p.plan) {
 		p.release()
@@ -135,13 +135,15 @@ func (p *PrefetchSource) release() {
 }
 
 // MatMulTriple implements the TripleSource contract of internal/nn.
-func (p *PrefetchSource) MatMulTriple(session, mask string, m, n, pp int) (sharing.TripleBundle, error) {
-	return p.take(TripleRequest{Kind: ReqMatMul, Session: session, M: m, N: n, P: pp, Mask: mask})
+func (p *PrefetchSource) MatMulTriple(session, mask string, m, n, pp int, backPair bool) (sharing.TripleBundle, error) {
+	return p.take(TripleRequest{Kind: ReqMatMul, Session: session, M: m, N: n, P: pp, Mask: mask, BackPair: backPair})
 }
 
 // ConvTriple implements the TripleSource contract of internal/nn.
-func (p *PrefetchSource) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int) (sharing.TripleBundle, error) {
-	return p.take(ConvRequest(session, mask, shape, images, outChannels))
+func (p *PrefetchSource) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int, backPair bool) (sharing.TripleBundle, error) {
+	r := ConvRequest(session, mask, shape, images, outChannels)
+	r.BackPair = backPair
+	return p.take(r)
 }
 
 // CompTriple implements the TripleSource contract of internal/nn.

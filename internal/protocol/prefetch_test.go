@@ -36,7 +36,7 @@ func TestPrefetchSourceDeliversPlan(t *testing.T) {
 	signs := runAll(t, env.partyEnv, func(ctx *Ctx) (Mat, error) {
 		ps := NewPrefetchSource(ctx, plan)
 		defer ps.Close()
-		mt, err := ps.MatMulTriple("pf/l0/t", "", 1, 2, 1)
+		mt, err := ps.MatMulTriple("pf/l0/t", "", 1, 2, 1, false)
 		if err != nil {
 			return Mat{}, err
 		}

@@ -489,7 +489,7 @@ func TestSecCompBTRejectsItemWithoutMask(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ctx := range env.ctxs {
-		tr, err := decodeTriple(transport.EncodeBundles(items[i].A, items[i].C))
+		tr, err := decodeTriple(transport.EncodeBundles(items[i].A, items[i].C), false)
 		if err != nil {
 			t.Fatal(err)
 		}

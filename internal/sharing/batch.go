@@ -33,6 +33,12 @@ type BatchOrder struct {
 	// a that is never lowered, so the requester opens x − a at image
 	// shape. b, Against and c are as for the lowered order.
 	Conv tensor.ConvShape
+	// BackPair, on a MatMul order, also deals the triple's backward
+	// pair (TripleBundle.Back): a uniform A′ of M×P and C′ = A′·bᵀ of
+	// M×N, drawn right after the triple's own draws. A training step's
+	// forward asks for it, so that its backward can multiply the
+	// gradient by the transposed weights under the same b.
+	BackPair bool
 }
 
 // isConv reports whether the order carries conv geometry.
@@ -76,10 +82,12 @@ type BatchItem struct {
 // only the CPU-bound triple products c = a·b / a⊙b / conv(a, b), which
 // consume no randomness, run concurrently across items (each
 // additionally fanning out over the parallel tensor kernels). The c
-// share sets are assembled afterwards from masks pre-drawn in phase 1. An order dealt Against a retained
-// mask skips exactly the draws of b and of b's shares, a conv order
-// draws a at image shape, and an Aux order draws its b as the positive
-// mask t; a stream with none of them is the stream it always was.
+// share sets are assembled afterwards from masks pre-drawn in phase 1.
+// An order dealt Against a retained mask skips exactly the draws of b
+// and of b's shares, a conv order draws a at image shape, an Aux order
+// draws its b as the positive mask t, and a BackPair order follows its
+// own draws with the pair's (a′, a′'s shares, c′'s masks); a stream
+// with none of them is the stream it always was.
 func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 	type pending struct {
 		a, b   Mat // triple operands
@@ -89,6 +97,10 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 		// drawn for c — pre-drawn so sharing c after the concurrent
 		// product phase consumes no randomness.
 		cMasks [NumParties]Mat
+		// The backward pair of a BackPair order, drawn and shared alike.
+		a2, c2  Mat
+		a2s     [NumParties]Bundle
+		c2Masks [NumParties]Mat
 	}
 	out := make([]BatchItem, len(orders))
 	ops := make([]pending, len(orders))
@@ -113,6 +125,9 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 		if !fresh && (o.Kind != TripleMatMul || o.Against.Rows != o.N || o.Against.Cols != o.P) {
 			return nil, fmt.Errorf("sharing: batch item %d: %dx%d mask for a (%dx%d)·(%dx%d) order",
 				i, o.Against.Rows, o.Against.Cols, o.M, o.N, bShape[0], bShape[1])
+		}
+		if o.BackPair && o.Kind != TripleMatMul {
+			return nil, fmt.Errorf("sharing: batch item %d: backward pair on a non-matmul order", i)
 		}
 		aShape := [2]int{o.M, o.N}
 		if o.isConv() {
@@ -151,6 +166,20 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
 			}
 		}
+		if !o.BackPair {
+			continue
+		}
+		if ops[i].a2, err = d.uniform(o.M, o.P); err != nil {
+			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
+		}
+		if ops[i].a2s, err = d.Share(ops[i].a2); err != nil {
+			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
+		}
+		for j := 0; j < NumParties; j++ {
+			if ops[i].c2Masks[j], err = d.uniform(o.M, o.N); err != nil {
+				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
+			}
+		}
 	}
 
 	// Phase 2 — concurrent: the triple products, the CPU-bound part.
@@ -168,6 +197,9 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 				ops[i].c, err = tensor.Conv2DBatch(o.Conv, ops[i].a, ops[i].b)
 			default:
 				ops[i].c, err = ops[i].a.MatMul(ops[i].b)
+			}
+			if err == nil && orders[i].BackPair {
+				ops[i].c2, err = ops[i].a2.MatMul(ops[i].b.Transpose())
 			}
 			errs[i] = err
 		}(i)
@@ -188,6 +220,16 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 		}
 		for p := 0; p < NumParties; p++ {
 			out[i].Triple[p] = TripleBundle{A: ops[i].as[p], B: ops[i].bs[p], C: cs[p]}
+		}
+		if !orders[i].BackPair {
+			continue
+		}
+		c2s, err := shareWithMasks(ops[i].c2, ops[i].c2Masks)
+		if err != nil {
+			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
+		}
+		for p := 0; p < NumParties; p++ {
+			out[i].Triple[p].Back = Pair{A: ops[i].a2s[p], C: c2s[p]}
 		}
 	}
 	return out, nil

@@ -36,6 +36,10 @@ func TestDealBatchMatchesIndividualStream(t *testing.T) {
 		{Kind: TripleMatMul, M: 4, N: 1, P: 2},
 		convOrder(2, 3),
 		{Kind: TripleHadamard, M: 2, N: 2},
+		// A training step's forward orders, with their backward pairs.
+		{Kind: TripleMatMul, M: 2, N: 3, P: 4, BackPair: true},
+		withBackPair(convOrder(2, 3)),
+		{Kind: TripleHadamard, M: 1, N: 2},
 	}
 	batched, err := batchDealer(99).DealBatch(orders)
 	if err != nil {
@@ -49,7 +53,7 @@ func TestDealBatchMatchesIndividualStream(t *testing.T) {
 			want.Triple, err = ind.CompTriple(o.M, o.N)
 		case o.Kind == TripleHadamard:
 			want.Triple, err = ind.HadamardTriple(o.M, o.N)
-		case o.isConv():
+		case o.isConv() || o.BackPair:
 			want, err = ind.dealOne(o)
 			want.Mask = Mat{}
 		default:
@@ -66,12 +70,49 @@ func TestDealBatchMatchesIndividualStream(t *testing.T) {
 	}
 }
 
+func withBackPair(o BatchOrder) BatchOrder {
+	o.BackPair = true
+	return o
+}
+
+// TestDealBatchBackPairFollowsTheTriple: an order's backward pair is
+// drawn after everything its triple draws, so the triple is the one
+// the same order without the pair deals, plain and conv alike; only a
+// matrix triple has one.
+func TestDealBatchBackPairFollowsTheTriple(t *testing.T) {
+	for _, o := range []BatchOrder{{Kind: TripleMatMul, M: 3, N: 4, P: 2}, convOrder(2, 3)} {
+		plain, err := batchDealer(5).DealBatch([]BatchOrder{o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		paired, err := batchDealer(5).DealBatch([]BatchOrder{withBackPair(o)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range paired[0].Triple {
+			got := paired[0].Triple[p]
+			if got.Back.A.Primary.IsZeroShape() {
+				t.Fatalf("party %d was dealt no backward pair", p+1)
+			}
+			got.Back = Pair{}
+			if !reflect.DeepEqual(got, plain[0].Triple[p]) {
+				t.Fatalf("party %d: the pair changed the triple it rides on", p+1)
+			}
+		}
+	}
+	if _, err := batchDealer(5).DealBatch([]BatchOrder{{Aux: true, M: 2, N: 2, BackPair: true}}); err == nil {
+		t.Fatal("backward pair dealt on a comparison item")
+	}
+}
+
 // TestDealBatchTriplesAreConsistent reconstructs a, b, c of each dealt
-// triple and checks c is the exact ring product.
+// triple and checks c is the exact ring product, and for a backward
+// pair that c′ = a′·bᵀ.
 func TestDealBatchTriplesAreConsistent(t *testing.T) {
 	orders := []BatchOrder{
 		{Kind: TripleHadamard, M: 2, N: 2},
 		{Kind: TripleMatMul, M: 2, N: 3, P: 2},
+		{Kind: TripleMatMul, M: 4, N: 3, P: 2, BackPair: true},
 	}
 	items, err := batchDealer(7).DealBatch(orders)
 	if err != nil {
@@ -101,6 +142,19 @@ func TestDealBatchTriplesAreConsistent(t *testing.T) {
 		}
 		if !reflect.DeepEqual(c, want) {
 			t.Fatalf("item %d: c is not the ring product of a and b", i)
+		}
+		if !orders[i].BackPair {
+			continue
+		}
+		var a2s, c2s [NumParties]Bundle
+		for p := 0; p < NumParties; p++ {
+			a2s[p], c2s[p] = it.Triple[p].Back.A, it.Triple[p].Back.C
+		}
+		if want, err = open(a2s).MatMul(b.Transpose()); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(open(c2s), want) {
+			t.Fatalf("item %d: c′ is not the ring product of a′ and bᵀ", i)
 		}
 	}
 }

@@ -117,6 +117,18 @@ type TripleBundle struct {
 	A Bundle
 	B Bundle
 	C Bundle
+	// Back is the backward pair of a matrix triple dealt with
+	// BatchOrder.BackPair, empty otherwise.
+	Back Pair
+}
+
+// Pair is one party's slice of a matrix triple's backward pair: bundles
+// of a fresh A′ and of C′ = A′·bᵀ. With the transpose of its share of b
+// as B it is a Beaver triple for a product by the transposed weights
+// that b masks, whose f is the transpose of the f already opened.
+type Pair struct {
+	A Bundle
+	C Bundle
 }
 
 // HadamardTriple deals a fresh element-wise Beaver triple of the given

@@ -78,7 +78,7 @@ func TestPreDealerReusesNamedMask(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out[p-1], err = v.MatMulTriple(session, mask, m, 3, 2); err != nil {
+			if out[p-1], err = v.MatMulTriple(session, mask, m, 3, 2, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -121,7 +121,7 @@ func TestPreDealerConvTriple(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out[p-1], err = v.ConvTriple(session, "conv", testConv, images, 2); err != nil {
+			if out[p-1], err = v.ConvTriple(session, "conv", testConv, images, 2, false); err != nil {
 				t.Fatal(err)
 			}
 		}

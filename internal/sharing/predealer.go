@@ -16,7 +16,8 @@ import (
 //
 // A matrix triple requested against a named weight mask follows the
 // reuse rule of the online owner: the first deal under a name draws and
-// retains b, later ones deal only the input-side pair against it.
+// retains b, later ones deal only the input-side pair against it. A
+// matrix triple requested with its backward pair carries it in Back.
 //
 // PreDealer is safe for concurrent use by the three party goroutines.
 type PreDealer struct {
@@ -48,21 +49,21 @@ func (p *PreDealer) View(party int) (*PreView, error) {
 	return &PreView{dealer: p, party: party}, nil
 }
 
-// matMulKey names the entry of a matrix triple; conv geometry is part
-// of it, since a conv order deals its a at another shape.
-func matMulKey(session string, conv tensor.ConvShape, m, n, q int) string {
-	return fmt.Sprintf("%s|mm|%dx%dx%d|%v", session, m, n, q, conv)
+// matMulKey names the entry of a matrix triple; conv geometry and the
+// backward pair are part of it, since they change what is dealt.
+func matMulKey(session string, conv tensor.ConvShape, m, n, q int, backPair bool) string {
+	return fmt.Sprintf("%s|mm|%dx%dx%d|%v|%t", session, m, n, q, conv, backPair)
 }
 
-func (p *PreDealer) matMul(session, mask string, conv tensor.ConvShape, m, n, q int) (*preTriple, error) {
+func (p *PreDealer) matMul(session, mask string, conv tensor.ConvShape, m, n, q int, backPair bool) (*preTriple, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	key := matMulKey(session, conv, m, n, q)
+	key := matMulKey(session, conv, m, n, q, backPair)
 	if e, ok := p.triples[key]; ok {
 		return e, nil
 	}
 	// A one-order batch draws exactly what MatMulTriple would.
-	order := BatchOrder{Kind: TripleMatMul, M: m, N: n, P: q, Against: p.masks.Get(mask, n, q), Conv: conv}
+	order := BatchOrder{Kind: TripleMatMul, M: m, N: n, P: q, Against: p.masks.Get(mask, n, q), Conv: conv, BackPair: backPair}
 	items, err := p.dealer.DealBatch([]BatchOrder{order})
 	if err != nil {
 		return nil, err
@@ -115,25 +116,26 @@ type PreView struct {
 
 // MatMulTriple returns this party's share of the session's matrix
 // Beaver triple; B is empty when the triple was dealt against a mask
-// the dealer already held under that name.
-func (v *PreView) MatMulTriple(session, mask string, m, n, q int) (TripleBundle, error) {
-	return v.matMul(session, mask, tensor.ConvShape{}, m, n, q)
+// the dealer already held under that name, and Back holds the backward
+// pair when backPair asks for it (BatchOrder.BackPair).
+func (v *PreView) MatMulTriple(session, mask string, m, n, q int, backPair bool) (TripleBundle, error) {
+	return v.matMul(session, mask, tensor.ConvShape{}, m, n, q, backPair)
 }
 
 // ConvTriple returns this party's share of the session's convolution
 // triple: the matrix triple of the lowered product over images images
 // and outChannels filters, with A at image shape (BatchOrder.Conv).
-func (v *PreView) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int) (TripleBundle, error) {
-	return v.matMul(session, mask, shape, images*shape.OutHeight()*shape.OutWidth(), shape.PatchSize(), outChannels)
+func (v *PreView) ConvTriple(session, mask string, shape tensor.ConvShape, images, outChannels int, backPair bool) (TripleBundle, error) {
+	return v.matMul(session, mask, shape, images*shape.OutHeight()*shape.OutWidth(), shape.PatchSize(), outChannels, backPair)
 }
 
-func (v *PreView) matMul(session, mask string, conv tensor.ConvShape, m, n, q int) (TripleBundle, error) {
-	e, err := v.dealer.matMul(session, mask, conv, m, n, q)
+func (v *PreView) matMul(session, mask string, conv tensor.ConvShape, m, n, q int, backPair bool) (TripleBundle, error) {
+	e, err := v.dealer.matMul(session, mask, conv, m, n, q, backPair)
 	if err != nil {
 		return TripleBundle{}, err
 	}
 	t := e.bundles[v.party-1]
-	v.dealer.retire(matMulKey(session, conv, m, n, q))
+	v.dealer.retire(matMulKey(session, conv, m, n, q, backPair))
 	return t, nil
 }
 
