@@ -258,17 +258,6 @@ func BenchmarkAblation_RedundancyOff(b *testing.B) {
 	benchFramework(b, func() (baselines.Framework, error) { return baselines.NewSecureNN(1) }, "infer")
 }
 
-// Ablation: the reduced-redundancy (optimistic) opening — the paper's
-// §V future work implemented. Honest-case traffic drops by roughly the
-// hat-copy volume; corruption falls back to the full rule.
-func BenchmarkAblation_OptimisticOn(b *testing.B) {
-	benchInference(b, trustddl.Config{Mode: trustddl.Malicious, Optimistic: true})
-}
-
-func BenchmarkAblation_OptimisticOff(b *testing.B) {
-	benchInference(b, trustddl.Config{Mode: trustddl.Malicious, Optimistic: false})
-}
-
 // Ablation: simulated WAN latency. The paper's testbed is a LAN; this
 // replays the Table II inference microbenchmark under a 5 ms one-way
 // delay to expose the protocols' round complexity.

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	trustddl-infer [-model FILE] [-n 10] [-data DIR] [-seed 1]
-//	               [-byzantine 0] [-hbc] [-optimistic]
+//	               [-byzantine 0] [-hbc]
 package main
 
 import (
@@ -33,7 +33,6 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 1, "deterministic seed")
 	byz := fs.Int("byzantine", 0, "inject a consistently lying adversary at this party (1..3; 0 = none)")
 	hbc := fs.Bool("hbc", false, "honest-but-curious mode (no commitment phase)")
-	optimistic := fs.Bool("optimistic", false, "reduced-redundancy opening (§V future work)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -59,7 +58,7 @@ func run(args []string) error {
 		fmt.Println("no -model given: using freshly initialized (untrained) Table I weights")
 	}
 
-	cfg := trustddl.Config{Mode: trustddl.Malicious, Seed: *seed, Optimistic: *optimistic}
+	cfg := trustddl.Config{Mode: trustddl.Malicious, Seed: *seed}
 	if *hbc {
 		cfg.Mode = trustddl.HonestButCurious
 	}

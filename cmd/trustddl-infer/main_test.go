@@ -23,7 +23,7 @@ func TestInferFromSavedModel(t *testing.T) {
 	if err := trustddl.SaveModel(path, arch, weights); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-model", path, "-n", "1", "-byzantine", "3", "-optimistic"}); err != nil {
+	if err := run([]string{"-model", path, "-n", "1", "-byzantine", "3"}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -32,7 +32,7 @@
 //
 //	trustddl-serve [-addr 127.0.0.1:8088] [-max-batch 8] [-max-delay 2ms]
 //	               [-queue 256] [-metrics-addr :9090] [-model FILE]
-//	               [-seed 1] [-hbc] [-optimistic]
+//	               [-seed 1] [-hbc]
 //	               [-committees 1]
 //	               [-request-timeout 30s] [-retry-budget 1] [-probe-every 1s]
 //	               [-chaos-stall-committee 0] [-chaos-stall-after 5s] [-chaos-stall-for 10s]
@@ -109,7 +109,6 @@ func run(args []string) error {
 	modelPath := fs.String("model", "", "model file saved by trustddl-train -save (empty: fresh Table I weights)")
 	seed := fs.Uint64("seed", 1, "deterministic seed")
 	hbc := fs.Bool("hbc", false, "honest-but-curious mode (no commitment phase)")
-	optimistic := fs.Bool("optimistic", false, "reduced-redundancy opening (§V future work)")
 	committees := fs.Int("committees", 1, "independent 3-party committees serving in parallel (one gateway dispatcher each)")
 	requestTimeout := fs.Duration("request-timeout", 30*time.Second, "per-pass deadline; an expired batch is retried on another engine (negative: no deadline)")
 	retryBudget := fs.Int("retry-budget", 1, "re-dispatches allowed per request after a failed or expired pass (negative: none)")
@@ -169,10 +168,9 @@ func run(args []string) error {
 	// it while the server runs.
 	var stallGate byzantine.Gate
 	cfgs := engineConfigs(trustddl.Config{
-		Mode:       mode,
-		Seed:       *seed,
-		Optimistic: *optimistic,
-		Obs:        reg,
+		Mode: mode,
+		Seed: *seed,
+		Obs:  reg,
 	}, *committees, *chaosStallCommittee, byzantine.StallWhile(&stallGate, ""))
 	clusters := make([]*trustddl.Cluster, len(cfgs))
 	engines := make([]serve.Inferencer, len(cfgs))

@@ -4,10 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/trustddl/trustddl/internal/byzantine"
 	"github.com/trustddl/trustddl/internal/mnist"
 	"github.com/trustddl/trustddl/internal/nn"
-	"github.com/trustddl/trustddl/internal/protocol"
 	"github.com/trustddl/trustddl/internal/tensor"
 	"github.com/trustddl/trustddl/internal/transport"
 )
@@ -153,46 +151,6 @@ func TestServedPartiesCustomArch(t *testing.T) {
 	}
 	if len(trained) != 2 {
 		t.Fatalf("%d recovered matrices", len(trained))
-	}
-}
-
-func TestOptimisticClusterInference(t *testing.T) {
-	// The reduced-redundancy opening (paper §V future work) must
-	// preserve predictions while cutting traffic.
-	w := paperWeights(t)
-	img := mnist.Synthetic(47, 1).Images[0]
-	measure := func(optimistic bool, adversaries map[int]protocol.Adversary) (int, int64) {
-		c := newTestCluster(t, Config{
-			Mode:        Malicious,
-			Seed:        47,
-			Optimistic:  optimistic,
-			Adversaries: adversaries,
-		})
-		run, err := c.NewRun(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.ResetStats()
-		label, err := run.Infer(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return label, c.Stats().Bytes
-	}
-	wantLabel, stdBytes := measure(false, nil)
-	optLabel, optBytes := measure(true, nil)
-	if optLabel != wantLabel {
-		t.Fatalf("optimistic prediction %d, standard %d", optLabel, wantLabel)
-	}
-	if optBytes >= stdBytes {
-		t.Fatalf("optimistic traffic %d not below standard %d", optBytes, stdBytes)
-	}
-	byzLabel, byzBytes := measure(true, map[int]protocol.Adversary{2: byzantine.ConsistentLiar{}})
-	if byzLabel != wantLabel {
-		t.Fatalf("optimistic prediction under Byzantine party %d, want %d", byzLabel, wantLabel)
-	}
-	if byzBytes <= optBytes {
-		t.Fatalf("fallback under corruption should cost more than the fast path (%d vs %d)", byzBytes, optBytes)
 	}
 }
 

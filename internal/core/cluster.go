@@ -85,11 +85,6 @@ type Config struct {
 	// Interceptors rewrites the listed parties' outbound traffic
 	// (drops, delays, bit flips).
 	Interceptors map[int]transport.SendInterceptor
-	// Optimistic enables the reduced-redundancy opening (the paper's
-	// §V future work): redundant hat copies are exchanged only when the
-	// partial reconstructions disagree, trading one vote round for one
-	// third of the opening volume in the honest case.
-	Optimistic bool
 	// RemoteParties indicates the computing parties run in other
 	// processes (cmd/trustddl-party with ServeParty); the cluster then
 	// acts purely as the owners' driver and does not attach the party
@@ -216,7 +211,6 @@ func New(cfg Config) (*Cluster, error) {
 		if adv, ok := cfg.Adversaries[i]; ok {
 			ctx.Adversary = adv
 		}
-		ctx.Optimistic = cfg.Optimistic
 		ctx.Ledger = c.ledger
 		ctx.SuspicionTolerance = cfg.SuspicionTolerance
 		if cfg.Obs != nil {

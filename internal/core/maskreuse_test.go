@@ -224,20 +224,3 @@ func TestMaskNameSpamCannotUnbindHonestMasks(t *testing.T) {
 		t.Fatalf("honest parties gained evidence: %v", ev)
 	}
 }
-
-// TestOptimisticCommitViolatorIsConvicted: the optimistic exchange
-// used to exclude a commit violator without recording anything, so it
-// could be flagged forever and never convicted.
-func TestOptimisticCommitViolatorIsConvicted(t *testing.T) {
-	f := newMaskFixture(t, Config{
-		Optimistic:  true,
-		Adversaries: map[int]protocol.Adversary{3: byzantine.CommitViolator{}},
-	})
-	f.pass(t, 0, 1)
-	if got := f.c.Suspicions().Convicted; !reflect.DeepEqual(got, []int{3}) {
-		t.Fatalf("convicted %v under the optimistic exchange, want [3]:\n%s", got, f.c.Suspicions())
-	}
-	if ev := honestEvidence(f.c, 3, nil); len(ev) != 0 {
-		t.Fatalf("honest parties gained evidence: %v", ev)
-	}
-}

@@ -92,7 +92,6 @@ func (s *PartySupervisor) start(p int, rejoin bool) error {
 		_ = ep.Close()
 		return err
 	}
-	ctx.Optimistic = cfg.Optimistic
 	ctx.Ledger = s.c.ledger
 	ctx.SuspicionTolerance = cfg.SuspicionTolerance
 	ctx.Router.OnSpoof = s.c.recordSpoof

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	mathrand "math/rand/v2"
 	"strings"
 	"sync"
@@ -219,4 +220,60 @@ func TestColdPassUnderAdversaryCachesTheHonestMask(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEquivocatorTargetKeepsConsistentShares: honest parties must
+// decide the same public value at every opening, so after a secure
+// Dense → ReLU forward with party 1 equivocating towards party 2, every
+// share set must still reconstruct the honest output (ROADMAP 14(a)).
+// Until the target's decision rule is fixed, the sets that hold party
+// 2's shares drift from the one that does not, and this is a known gap.
+func TestEquivocatorTargetKeepsConsistentShares(t *testing.T) {
+	t.Run("known/equivocator-target", func(t *testing.T) {
+		env := newSecureEnv(t)
+		env.ctxs[0].Adversary = byzantine.Equivocator{Target: 2}
+		rng := mathrand.New(mathrand.NewPCG(14, 1))
+		w1, _ := tinyWeights(rng)
+		x := tensor.MustNew[float64](2, 6)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+		}
+		bw, bx := shareMat(t, env, w1), shareMat(t, env, x)
+		outs := runSecure(t, env, func(i int) (sharing.Bundle, error) {
+			d, err := NewSecureDense(bw[i])
+			if err != nil {
+				return sharing.Bundle{}, err
+			}
+			h, err := d.Forward(env.ctxs[i], env.views[i], "eq/dense", bx[i])
+			if err != nil {
+				return sharing.Bundle{}, err
+			}
+			return NewSecureReLU().Forward(env.ctxs[i], env.views[i], "eq/relu", h)
+		})
+		sets, err := sharing.CollectSets(outs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// s^j = [s]^j_1 + [s]^j_2: sets 1 and 2 hold party 2's shares,
+		// set 3 does not.
+		var s [sharing.NumParties]Mat
+		for j := range sets {
+			if s[j], err = sets[j].First.Add(sets[j].Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var gap float64
+		for _, j := range []int{0, 1} {
+			d, err := s[j].MaxAbsDiff(s[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			gap = max(gap, d)
+		}
+		if gap < 1<<30 {
+			t.Fatalf("gap closed (sets holding party 2's shares are %v raw units from set 3): make the equivocator's target a regression", gap)
+		}
+		t.Skipf("known gap: with party 1 equivocating towards party 2, the sets holding party 2's shares reconstruct 2^%.1f raw units from set 3 after Dense → ReLU",
+			math.Log2(gap))
+	})
 }

@@ -55,14 +55,6 @@ type Ctx struct {
 	Commitment bool
 	// Adversary, when non-nil, makes this party Byzantine.
 	Adversary Adversary
-	// Optimistic enables the reduced-redundancy opening (the paper's
-	// §V future work, see optimistic.go): hat copies are exchanged only
-	// when the partial reconstructions disagree. All parties must agree
-	// on this setting.
-	Optimistic bool
-	// OptimisticTolerance bounds honest candidate disagreement in raw
-	// ring units (0 selects DefaultOptimisticTolerance).
-	OptimisticTolerance float64
 	// Flagged records parties this party has independently convicted of
 	// violating the commitment phase or dropping messages; their shares
 	// are excluded from all later reconstructions ("exclude the
@@ -198,18 +190,12 @@ type exchangeResult struct {
 	// flagged[p] is true when p violated the commitment phase, timed
 	// out, or was convicted earlier.
 	flagged [sharing.NumParties + 1]bool
-	// decided, when non-nil, carries the already-agreed masked values
-	// (the optimistic fast path); bundles is then unset.
-	decided []Mat
 }
 
 // exchangeBundles runs the commitment phase (when enabled) and the
 // share-opening round of Algorithms 4–5 for a vector of bundles (e.g.
 // the e and f vectors of SecMul-BT travel together in one round).
 func (ctx *Ctx) exchangeBundles(session, step string, bundles []sharing.Bundle) (exchangeResult, error) {
-	if ctx.Optimistic {
-		return ctx.exchangeOptimistic(session, step, bundles)
-	}
 	ctx.obsExchanges.Inc()
 	var res exchangeResult
 	peers := ctx.Peers()

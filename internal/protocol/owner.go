@@ -615,12 +615,6 @@ func (s *OwnerService) finishGather(session string, g *gatherEntry) error {
 
 // --- Party-side client calls ---
 
-// RequestHadamardTriple asks the model owner for an element-wise Beaver
-// triple. All three parties must request the same session.
-func RequestHadamardTriple(ctx *Ctx, session string, rows, cols int) (sharing.TripleBundle, error) {
-	return RequestTriple(ctx, TripleRequest{Kind: ReqHadamard, Session: session, M: rows, N: cols})
-}
-
 // RequestTriple deals one triple request in an individual round trip.
 // All three parties must make the same request.
 func RequestTriple(ctx *Ctx, r TripleRequest) (sharing.TripleBundle, error) {

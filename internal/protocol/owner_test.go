@@ -61,7 +61,7 @@ func TestOwnerDealsTriples(t *testing.T) {
 	y, _ := tensor.FromSlice(2, 2, []float64{5, 6, 7, 8})
 	bx, by := shareFloats(t, env.partyEnv, x), shareFloats(t, env.partyEnv, y)
 	outs := runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.Bundle, error) {
-		triple, err := RequestHadamardTriple(ctx, "op7", 2, 2)
+		triple, err := RequestTriple(ctx, TripleRequest{Kind: ReqHadamard, Session: "op7", M: 2, N: 2})
 		if err != nil {
 			return sharing.Bundle{}, err
 		}
@@ -215,7 +215,7 @@ func TestOwnerIgnoresGarbage(t *testing.T) {
 	bx := shareFloats(t, env.partyEnv, x)
 	_ = bx
 	outs := runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.TripleBundle, error) {
-		return RequestHadamardTriple(ctx, "ok1", 1, 1)
+		return RequestTriple(ctx, TripleRequest{Kind: ReqHadamard, Session: "ok1", M: 1, N: 1})
 	})
 	if outs[0].A.Primary.Size() != 1 {
 		t.Fatal("triple after garbage has wrong shape")
@@ -258,7 +258,7 @@ func TestOwnerBatchDealMatchesIndividual(t *testing.T) {
 			}
 			triple, err = decodeTriple(items[0], false)
 		} else {
-			triple, err = RequestHadamardTriple(ctx, "bi1", 2, 2)
+			triple, err = RequestTriple(ctx, TripleRequest{Kind: ReqHadamard, Session: "bi1", M: 2, N: 2})
 		}
 		if err != nil {
 			return sharing.Bundle{}, err
@@ -341,7 +341,7 @@ func TestOwnerExpiresStaleTriples(t *testing.T) {
 		svc.GatherTimeout = 100 * time.Millisecond
 		svc.TripleTTL = 50 * time.Millisecond
 	})
-	if _, err := RequestHadamardTriple(env.ctxs[0], "ttl1", 1, 1); err != nil {
+	if _, err := RequestTriple(env.ctxs[0], TripleRequest{Kind: ReqHadamard, Session: "ttl1", M: 1, N: 1}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
@@ -358,7 +358,7 @@ func TestOwnerExpiresStaleTriples(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// The key is free again: a fresh request re-deals.
-	if _, err := RequestHadamardTriple(env.ctxs[0], "ttl1", 1, 1); err != nil {
+	if _, err := RequestTriple(env.ctxs[0], TripleRequest{Kind: ReqHadamard, Session: "ttl1", M: 1, N: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if st := env.svc.Stats(); st.TriplesDealt != 2 {

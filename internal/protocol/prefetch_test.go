@@ -110,7 +110,7 @@ func TestPrefetchSourceCloseDrains(t *testing.T) {
 		}
 		ps.Close()
 		ps.Close() // idempotent
-		triple, err := RequestHadamardTriple(ctx, "dr/after", 1, 1)
+		triple, err := RequestTriple(ctx, TripleRequest{Kind: ReqHadamard, Session: "dr/after", M: 1, N: 1})
 		for err == nil {
 			msg, nerr := ctx.Router.Next(10 * time.Millisecond)
 			if nerr != nil {

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -319,6 +320,47 @@ func TestSecMulBTCase1CommitViolation(t *testing.T) {
 		}
 		if !ctx.Flagged[byz] {
 			t.Fatalf("honest party %d did not convict P%d of violating the commitment phase", i+1, byz)
+		}
+	}
+}
+
+// fieldViolator commits honestly, then flips one bit of one share
+// matrix — Primary, Hat or Second — in the opening it sends to both
+// peers.
+type fieldViolator struct {
+	honestAdversary
+
+	field int
+}
+
+func (a fieldViolator) CorruptPostCommit(_ int, _, _ string, bs []sharing.Bundle) []sharing.Bundle {
+	for i := range bs {
+		m := [...]Mat{bs[i].Primary, bs[i].Hat, bs[i].Second}[a.field]
+		for j := range m.Data {
+			m.Data[j] ^= 1 << 42
+		}
+	}
+	return bs
+}
+
+// TestSecMulBTCommitViolationAnyShareAnyParty: the commitment covers
+// the whole opening, so a post-commit change to any one of the three
+// share matrices, by any party, is convicted by both honest parties —
+// and by nobody else — while they still recover the product.
+func TestSecMulBTCommitViolationAnyShareAnyParty(t *testing.T) {
+	for byz := 1; byz <= sharing.NumParties; byz++ {
+		for field, name := range []string{"primary", "hat", "second"} {
+			t.Run(fmt.Sprintf("P%d-%s", byz, name), func(t *testing.T) {
+				env := runByzantineMul(t, fieldViolator{field: field}, byz, true)
+				for i, ctx := range env.ctxs {
+					if i+1 == byz {
+						continue
+					}
+					if !ctx.Flagged[byz] || ctx.FlagCount() != 1 {
+						t.Fatalf("honest party %d convicted %v, want only P%d", i+1, ctx.Flagged[1:], byz)
+					}
+				}
+			})
 		}
 	}
 }

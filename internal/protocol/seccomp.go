@@ -42,10 +42,6 @@ func SecCompBT(ctx *Ctx, session string, x, y, t sharing.Bundle, triple sharing.
 	if err != nil {
 		return Mat{}, err
 	}
-	if res.decided != nil {
-		// Optimistic fast path.
-		return signOf(res.decided[0]), nil
-	}
 	// Lines 14–16: six reconstructions of β.
 	rec, err := ctx.reconstructionsFor(res, 0)
 	if err != nil {

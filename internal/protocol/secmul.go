@@ -128,29 +128,24 @@ func secMulBT(ctx *Ctx, session string, x, y sharing.Bundle, triple sharing.Trip
 		return sharing.Bundle{}, Mat{}, err
 	}
 
-	// The optimistic fast path already agreed on the masked values
-	// without shipping the hat copies; otherwise decide them here.
-	vals := res.decided
-	if vals == nil {
-		// Lines 15–19: the share sets of each opened value (DecideRows
-		// forms the six reconstructions from them, row by row).
-		recStart := ctx.obsStart()
-		recs := make([]*sharing.Reconstructions, len(opening))
-		for k := range opening {
-			if recs[k], err = ctx.reconstructionsFor(res, k); err != nil {
-				return sharing.Bundle{}, Mat{}, err
-			}
+	// Lines 15–19: the share sets of each opened value (DecideRows
+	// forms the six reconstructions from them, row by row).
+	recStart := ctx.obsStart()
+	recs := make([]*sharing.Reconstructions, len(opening))
+	for k := range opening {
+		if recs[k], err = ctx.reconstructionsFor(res, k); err != nil {
+			return sharing.Bundle{}, Mat{}, err
 		}
-		ctx.obsPhase(ctx.obsReconstruct, recStart)
-		// Line 20: joint minimum-distance decision.
-		decideStart := ctx.obsStart()
-		vals, err = decideJoint(recs...)
-		if err != nil {
-			return sharing.Bundle{}, Mat{}, fmt.Errorf("protocol: SecMulBT decide: %w", err)
-		}
-		ctx.obsPhase(ctx.obsDecide, decideStart)
-		ctx.recordDeviations(session, step, res, recs)
 	}
+	ctx.obsPhase(ctx.obsReconstruct, recStart)
+	// Line 20: joint minimum-distance decision.
+	decideStart := ctx.obsStart()
+	vals, err := decideJoint(recs...)
+	if err != nil {
+		return sharing.Bundle{}, Mat{}, fmt.Errorf("protocol: SecMulBT decide: %w", err)
+	}
+	ctx.obsPhase(ctx.obsDecide, decideStart)
+	ctx.recordDeviations(session, step, res, recs)
 	if len(vals) == 2 {
 		f = vals[1]
 	}
