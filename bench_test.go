@@ -292,7 +292,7 @@ func benchBatchInference(b *testing.B, batch int) {
 }
 
 // Scaling: batched inference amortizes the fixed per-round costs
-// (commitments, votes, softmax delegation) and the weight-sized
+// (commitments, openings, softmax delegation) and the weight-sized
 // triple components over the batch.
 func BenchmarkScaling_Batch1(b *testing.B)  { benchBatchInference(b, 1) }
 func BenchmarkScaling_Batch8(b *testing.B)  { benchBatchInference(b, 8) }

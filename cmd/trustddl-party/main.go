@@ -96,14 +96,14 @@ func run(args []string) error {
 		return err
 	}
 
-	netw := transport.NewTCPNetwork(addrMap)
+	netw := transport.NewTCPNetwork(addrMap, transport.TCPOptions{
+		Keyring:      keyring,
+		DialTimeout:  *dialTimeout,
+		SendTimeout:  *sendTimeout,
+		SendAttempts: *sendRetries,
+		RetryBackoff: *retryBackoff,
+	})
 	defer netw.Close()
-	netw.SetSendTimeout(*sendTimeout)
-	netw.SetDialTimeout(*dialTimeout)
-	netw.SetRetryPolicy(*sendRetries, *retryBackoff)
-	if keyring != nil {
-		netw.SetKeyring(keyring)
-	}
 	ep, err := netw.Endpoint(*partyID)
 	if err != nil {
 		return err

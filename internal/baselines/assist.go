@@ -20,8 +20,8 @@ type Mat = tensor.Matrix[int64]
 // Wire steps of the plain-share assist protocol (SecureNN's P2-style
 // assist party and the owner-side softmax service).
 const (
-	plainTripleHad = "ptriple-had"
-	plainTripleMat = "ptriple-mat"
+	plainTripleHad = "pbeaver-had"
+	plainTripleMat = "pbeaver-mat"
 	plainAux       = "paux"
 	plainFn        = "pfn/"
 	plainSink      = "psink/"
@@ -140,7 +140,7 @@ func (s *plainServer) dispatch(msg transport.Message) error {
 	}
 	switch {
 	case msg.Step == plainTripleHad || msg.Step == plainTripleMat || msg.Step == plainAux:
-		return s.handleDeal(msg)
+		return s.serveDeal(msg)
 	case len(msg.Step) > len(plainFn) && msg.Step[:len(plainFn)] == plainFn:
 		return s.handleGather(msg)
 	case len(msg.Step) > len(plainSink) && msg.Step[:len(plainSink)] == plainSink:
@@ -150,7 +150,7 @@ func (s *plainServer) dispatch(msg transport.Message) error {
 	}
 }
 
-func (s *plainServer) handleDeal(msg transport.Message) error {
+func (s *plainServer) serveDeal(msg transport.Message) error {
 	key := msg.Session + "|" + msg.Step
 	s.mu.Lock()
 	entry, ok := s.dealt[key]

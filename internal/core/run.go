@@ -500,7 +500,7 @@ func (r *Run) Infer(img mnist.Image) (int, error) {
 // InferBatch classifies a batch of images through ONE secure forward
 // pass: the batch travels as the leading dimension of a single
 // contiguous share tensor, so every protocol round (triple deal,
-// commitment, exchange, vote, reveal) is paid once per batch instead of
+// commitment, exchange, reveal) is paid once per batch instead of
 // once per image. Labels are returned in input order. The context's
 // deadline bounds the whole pass: every receive wait in the committee
 // is capped by it, so a stalled or Byzantine party fails the pass

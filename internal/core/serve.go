@@ -43,8 +43,8 @@ const (
 // sending endpoint's pinned identity, so a computing party spoofing an
 // owner cannot shut a peer down or re-initialize its weights; on a TCP
 // deployment this is sound against Byzantine insiders only when the
-// mesh runs keyed (transport.SetKeyring / the trustddl-party -key
-// flags). Transient
+// mesh runs keyed (transport.TCPOptions.Keyring / the trustddl-party
+// -key flags). Transient
 // faults (a stalled or restarted driver mid-batch) do not kill the
 // server: the loop logs the failed command and keeps serving, so the
 // restarted driver finds the party alive and the transport redial

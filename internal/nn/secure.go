@@ -67,7 +67,7 @@ func (s OwnerSource) ConvTriple(session, mask string, shape tensor.ConvShape, im
 
 // CompTriple implements TripleSource.
 func (s OwnerSource) CompTriple(session string, rows, cols int) (sharing.TripleBundle, error) {
-	return protocol.RequestCompTriple(s.Ctx, session, rows, cols)
+	return protocol.RequestTriple(s.Ctx, protocol.TripleRequest{Kind: protocol.ReqAux, Session: session, M: rows, N: cols})
 }
 
 // SecureLayer is one stage of the secret-shared network. Each computing

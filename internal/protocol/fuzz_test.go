@@ -104,23 +104,21 @@ func FuzzDecodeTripleBatch(f *testing.F) {
 			t.Fatalf("accepted frame decoded to %d items", len(reqs))
 		}
 		// Every accepted request must be individually well-formed: a
-		// known kind (step resolves), dims the single-request path would
-		// also accept, and conv geometry the dealer can deal.
+		// known kind, a backward pair only where one may ride, and conv
+		// geometry the dealer can deal.
 		for i, r := range reqs {
-			if _, err := r.step(); err != nil {
-				t.Fatalf("accepted item %d has invalid kind: %v", i, err)
+			switch r.Kind {
+			case ReqHadamard, ReqMatMul, ReqAux:
+			default:
+				t.Fatalf("accepted item %d has invalid kind %d", i, r.Kind)
+			}
+			if err := r.checkBackPair(); err != nil {
+				t.Fatalf("accepted item %d: %v", i, err)
 			}
 			if r.isConv() {
 				if _, err := r.order().ConvImages(); err != nil {
 					t.Fatalf("accepted conv item %d cannot be dealt: %v", i, err)
 				}
-			}
-			// (The individual path carries the session in the message
-			// envelope, so compare kind, dims and mask only.)
-			noSession := r
-			noSession.Session = ""
-			if rt, err := reqFromWire(mustStep(t, r), r.payload()); err != nil || rt != noSession {
-				t.Fatalf("accepted item %d does not survive the individual wire path: %+v vs %+v (%v)", i, rt, noSession, err)
 			}
 		}
 		// The codec is canonical: re-encoding must reproduce the frame.
@@ -159,15 +157,6 @@ func rawBatchItem(r TripleRequest, bits byte) []byte {
 		buf = append(buf, r.Mask...)
 	}
 	return buf
-}
-
-func mustStep(t *testing.T, r TripleRequest) string {
-	t.Helper()
-	s, err := r.step()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }
 
 // encodeBatchPayloads frames raw item payloads the way
@@ -374,15 +363,12 @@ func badConvRequests() []badConv {
 	}
 }
 
-// TestConvRequestHardening: the owner refuses every bad conv request
-// on both wire formats, and the encoder refuses to ship one.
+// TestConvRequestHardening: the owner refuses every bad conv request,
+// and the encoder refuses to ship one.
 func TestConvRequestHardening(t *testing.T) {
 	good := ConvRequest("s", "me=1/l0", paperConv, 2, 5)
 	if reqs, err := DecodeTripleBatch(rawConvBatch(good)); err != nil || len(reqs) != 1 || reqs[0] != good {
 		t.Fatalf("valid conv item: %+v, %v", reqs, err)
-	}
-	if r, err := reqFromWire(stepTripleConv, good.payload()); err != nil || r.Conv != good.Conv || r.M != good.M {
-		t.Fatalf("valid individual conv deal: %+v, %v", r, err)
 	}
 	for _, bad := range badConvRequests() {
 		t.Run(bad.name, func(t *testing.T) {
@@ -392,17 +378,10 @@ func TestConvRequestHardening(t *testing.T) {
 			if _, err := EncodeTripleBatch([]TripleRequest{bad.req}); err == nil {
 				t.Fatal("batch encoder shipped it")
 			}
-			if bad.req.Kind != ReqMatMul {
-				return // an individual deal's step fixes its kind
-			}
-			payload := append(append(encodeDims(bad.req.dims()...), appendConv(nil, bad.req.Conv)...), bad.req.Mask...)
-			if _, err := reqFromWire(stepTripleConv, payload); err == nil {
-				t.Fatal("individual decoder accepted it")
-			}
 		})
 	}
-	// A conv deal whose geometry is all zero is no conv deal.
-	if _, err := reqFromWire(stepTripleConv, append(encodeDims(1, 2, 3), make([]byte, convWireLen)...)); err == nil {
-		t.Fatal("individual decoder accepted a conv deal without geometry")
+	// A conv item whose geometry is all zero is no conv item.
+	if _, err := DecodeTripleBatch(rawConvBatch(TripleRequest{Kind: ReqMatMul, Session: "s", M: 1, N: 2, P: 3})); err == nil {
+		t.Fatal("batch decoder accepted a conv item without geometry")
 	}
 }

@@ -17,16 +17,12 @@ import (
 
 // Step labels of the owner-facing wire protocol.
 const (
-	stepTripleHadamard = "triple-had"
-	stepTripleMatMul   = "triple-mat"
-	stepTripleConv     = "triple-conv"
-	stepAuxPositive    = "aux-pos"
-	stepTripleBatch    = "triple-batch"
-	stepShutdown       = "shutdown"
-	stepRejoin         = "rejoin"
-	respSuffix         = "/resp"
-	fnPrefix           = "fn/"
-	sinkPrefix         = "sink/"
+	stepTripleBatch = "triple-batch"
+	stepShutdown    = "shutdown"
+	stepRejoin      = "rejoin"
+	respSuffix      = "/resp"
+	fnPrefix        = "fn/"
+	sinkPrefix      = "sink/"
 )
 
 // UnaryFunc evaluates a delegated plaintext function at the owner
@@ -127,8 +123,7 @@ type tripleEntry struct {
 	dealtAt time.Time
 }
 
-// bundlesFor lists one party's share of the entry, encoded alike by
-// the individual and the batched response paths. A triple dealt
+// bundlesFor lists one party's share of the entry. A triple dealt
 // against a retained mask has no B to send: its two bundles (A, C)
 // tell the requester to use the B it kept. A triple dealt with its
 // backward pair sends five, A, B, C, A′, C′.
@@ -246,8 +241,6 @@ func Shutdown(ep transport.Endpoint, owner int) error {
 
 func (s *OwnerService) dispatch(msg transport.Message) error {
 	switch {
-	case isDealStep(strings.TrimSuffix(msg.Step, backPairSuffix)):
-		return s.handleDeal(msg)
 	case msg.Step == stepTripleBatch:
 		return s.handleBatchDeal(msg)
 	case strings.HasPrefix(msg.Step, fnPrefix):
@@ -268,43 +261,12 @@ func (s *OwnerService) dispatch(msg transport.Message) error {
 	}
 }
 
-// isDealStep reports whether step is an individual deal's.
-func isDealStep(step string) bool {
-	switch step {
-	case stepTripleHadamard, stepTripleMatMul, stepTripleConv, stepAuxPositive:
-		return true
-	}
-	return false
-}
-
-func (s *OwnerService) handleDeal(msg transport.Message) error {
-	from := msg.From
-	if from < 1 || from > sharing.NumParties {
-		return nil // only computing parties may request triples
-	}
-	req, err := reqFromWire(msg.Step, msg.Payload)
-	if err != nil {
-		return nil // malformed request from a (possibly Byzantine) party: ignore
-	}
-	req.Session = msg.Session
-	reqs := []TripleRequest{req}
-	entries, err := s.ensureDealt(reqs)
-	if err != nil {
-		return nil
-	}
-	err = s.ep.Send(transport.Message{To: from, Session: msg.Session, Step: msg.Step + respSuffix, Payload: transport.EncodeBundles(entries[0].bundlesFor(from)...)})
-	if err != nil {
-		return err
-	}
-	s.markServed(reqs, from)
-	return nil
-}
-
 // handleBatchDeal serves N dealing requests carried by one message with
 // N item payloads in one response — a whole plan segment costs one
-// round-trip and one frame instead of N (the offline-phase pipeline).
-// Malformed or implausible batches are ignored: a Byzantine requester
-// only hurts itself.
+// round-trip and one frame instead of N (the offline-phase pipeline),
+// and a request off the plan is a batch of one. It is the owner's only
+// deal path. Malformed or implausible batches are ignored: a Byzantine
+// requester only hurts itself.
 func (s *OwnerService) handleBatchDeal(msg transport.Message) error {
 	from := msg.From
 	if from < 1 || from > sharing.NumParties {
@@ -335,12 +297,12 @@ func (s *OwnerService) handleBatchDeal(msg transport.Message) error {
 // concurrently there). Entries are keyed by (kind, session, dims,
 // mask) — not session alone — so a Byzantine first-requester announcing
 // wrong dims or another mask for a session gets its own useless entry
-// instead of poisoning the honest parties' triple, and so batched and
-// individual requests for the same item converge on the same entry (a
-// party whose layers leave the plan asks individually). Whether a
-// named request is dealt against a retained mask or draws a new one is
-// decided here, once per key: every party that collects the entry gets
-// the same answer.
+// instead of poisoning the honest parties' triple, and so a plan
+// segment's item and a one-item batch for the same key converge on the
+// same entry (a party whose layers leave the plan asks for each item
+// alone). Whether a named request is dealt against a retained mask or
+// draws a new one is decided here, once per key: every party that
+// collects the entry gets the same answer.
 func (s *OwnerService) ensureDealt(reqs []TripleRequest) ([]*tripleEntry, error) {
 	entries := make([]*tripleEntry, len(reqs))
 	var missing []int
@@ -615,29 +577,51 @@ func (s *OwnerService) finishGather(session string, g *gatherEntry) error {
 
 // --- Party-side client calls ---
 
-// RequestTriple deals one triple request in an individual round trip.
-// All three parties must make the same request.
+// RequestTriple deals one triple request in a batch of one. All three
+// parties must make the same request. The batch's envelope session is
+// the request's key: unique per key, and never a plan segment's
+// `<session>#pf<k>`, since a key ends in its backward-pair flag.
 func RequestTriple(ctx *Ctx, r TripleRequest) (sharing.TripleBundle, error) {
-	step, err := r.step()
+	env := r.Key()
+	if err := sendBatch(ctx, env, []TripleRequest{r}); err != nil {
+		return sharing.TripleBundle{}, err
+	}
+	msg, items, err := recvBatch(ctx, env, 1)
 	if err != nil {
 		return sharing.TripleBundle{}, err
 	}
-	if err := ctx.Router.Send(transport.ModelOwner, r.Session, step, r.payload()); err != nil {
-		return sharing.TripleBundle{}, err
-	}
-	msg, err := ctx.Router.Expect(transport.ModelOwner, r.Session, step+respSuffix)
-	if err != nil {
-		return sharing.TripleBundle{}, err
-	}
-	t, err := decodeTriple(msg.Payload, r.BackPair)
+	t, err := decodeTriple(items[0], r.BackPair)
 	msg.Release() // triple shares are copied out of the payload
 	return t, err
 }
 
-// RequestCompTriple asks the model owner for the comparison item
-// consumed by SecComp-BT: A, B = t and C = A⊙t for a random positive t.
-func RequestCompTriple(ctx *Ctx, session string, rows, cols int) (sharing.TripleBundle, error) {
-	return RequestTriple(ctx, TripleRequest{Kind: ReqAux, Session: session, M: rows, N: cols})
+// sendBatch asks the model owner to deal reqs in one batch message
+// under envelope session env.
+func sendBatch(ctx *Ctx, env string, reqs []TripleRequest) error {
+	payload, err := EncodeTripleBatch(reqs)
+	if err != nil {
+		return err
+	}
+	return ctx.Router.Send(transport.ModelOwner, env, stepTripleBatch, payload)
+}
+
+// recvBatch waits for the owner's answer to the batch of n requests
+// sent under env and splits it into their item payloads, which alias
+// the returned message's frame.
+func recvBatch(ctx *Ctx, env string, n int) (transport.Message, [][]byte, error) {
+	msg, err := ctx.Router.Expect(transport.ModelOwner, env, stepTripleBatch+respSuffix)
+	if err != nil {
+		return transport.Message{}, nil, err
+	}
+	items, err := decodeBatchPayloads(msg.Payload)
+	if err == nil && len(items) != n {
+		err = fmt.Errorf("protocol: batch %s: got %d items, asked for %d", env, len(items), n)
+	}
+	if err != nil {
+		msg.Release()
+		return transport.Message{}, nil, err
+	}
+	return msg, items, nil
 }
 
 // CallOwner evaluates the delegated function `name` at actor `owner`
@@ -707,27 +691,4 @@ func decodeTriple(payload []byte, backPair bool) (sharing.TripleBundle, error) {
 		return sharing.TripleBundle{A: bs[0], B: b, C: bs[2], Back: sharing.Pair{A: a2, C: c2}}, nil
 	}
 	return sharing.TripleBundle{A: bs[0], B: bs[1], C: bs[2]}, nil
-}
-
-func encodeDims(dims ...int) []byte {
-	buf := make([]byte, 0, 4*len(dims))
-	for _, d := range dims {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
-	}
-	return buf
-}
-
-func decodeDims(buf []byte) ([]int, error) {
-	if len(buf) == 0 || len(buf)%4 != 0 {
-		return nil, fmt.Errorf("protocol: malformed dims payload (%d bytes)", len(buf))
-	}
-	out := make([]int, len(buf)/4)
-	for i := range out {
-		v := binary.LittleEndian.Uint32(buf[4*i:])
-		if v == 0 || v > maxDim {
-			return nil, fmt.Errorf("protocol: implausible dimension %d", v)
-		}
-		out[i] = int(v)
-	}
-	return out, nil
 }

@@ -91,7 +91,7 @@ func TestOwnerDealsMatMulTripleAndAux(t *testing.T) {
 
 	// Comparison item path.
 	signs := runAll(t, env.partyEnv, func(ctx *Ctx) (Mat, error) {
-		triple, err := RequestCompTriple(ctx, "cmp9", 1, 2)
+		triple, err := RequestTriple(ctx, TripleRequest{Kind: ReqAux, Session: "cmp9", M: 1, N: 2})
 		if err != nil {
 			return Mat{}, err
 		}
@@ -210,55 +210,63 @@ func TestOwnerIgnoresGarbage(t *testing.T) {
 	if err := ctx.Router.Send(transport.ModelOwner, "g", "fn/softmax", []byte{0xde, 0xad}); err != nil {
 		t.Fatal(err)
 	}
+	// A well-formed deal in the retired per-kind format, a 1×2·2×1
+	// product's dims as LE u32s under "triple-mat": the owner has no
+	// second deal path, so it deals nothing and answers nothing.
+	oldMat := []byte{1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0}
+	if err := ctx.Router.Send(transport.ModelOwner, "old1", "triple-mat", oldMat); err != nil {
+		t.Fatal(err)
+	}
 	// The service must still answer a well-formed request afterwards.
-	x, _ := tensor.FromSlice(1, 1, []float64{1})
-	bx := shareFloats(t, env.partyEnv, x)
-	_ = bx
 	outs := runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.TripleBundle, error) {
 		return RequestTriple(ctx, TripleRequest{Kind: ReqHadamard, Session: "ok1", M: 1, N: 1})
 	})
 	if outs[0].A.Primary.Size() != 1 {
 		t.Fatal("triple after garbage has wrong shape")
 	}
+	if st := env.svc.Stats(); st.TriplesDealt != 1 {
+		t.Fatalf("triples dealt = %d, want 1 (the batch's only)", st.TriplesDealt)
+	}
+	// The owner serves P1's messages in order, so a reply to any of
+	// them would have arrived before the batch's.
+	for {
+		msg, err := ctx.Router.Next(10 * time.Millisecond)
+		if err != nil {
+			break
+		}
+		t.Errorf("owner answered %q/%q", msg.Session, msg.Step)
+	}
 }
 
-// TestOwnerBatchDealMatchesIndividual has P1 fetch a triple through
-// the batched wire step while P2 and P3 request the same key
-// individually; the three shares must belong to one consistent triple
-// (exercised by opening a SecMulBT product built from them).
+// TestOwnerBatchDealMatchesIndividual has P1 fetch a triple inside a
+// two-item plan segment while P2 and P3 request the same key alone,
+// each as a batch of one; the three shares must belong to one
+// consistent triple (exercised by opening a SecMulBT product built
+// from them).
 func TestOwnerBatchDealMatchesIndividual(t *testing.T) {
 	env := newOwnerEnv(t)
 	x, _ := tensor.FromSlice(2, 2, []float64{1.5, -2, 0.25, 3})
 	y, _ := tensor.FromSlice(2, 2, []float64{2, 4, -8, 0.5})
 	bx, by := shareFloats(t, env.partyEnv, x), shareFloats(t, env.partyEnv, y)
+	req := TripleRequest{Kind: ReqHadamard, Session: "bi1", M: 2, N: 2}
 	outs := runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.Bundle, error) {
 		var (
 			triple sharing.TripleBundle
 			err    error
 		)
 		if ctx.Index == 1 {
-			reqs := []TripleRequest{{Kind: ReqHadamard, Session: "bi1", M: 2, N: 2}}
-			payload, berr := EncodeTripleBatch(reqs)
-			if berr != nil {
-				return sharing.Bundle{}, berr
+			segment := []TripleRequest{req, {Kind: ReqAux, Session: "bi1/next", M: 1, N: 1}}
+			if err := sendBatch(ctx, "bi1#pf0", segment); err != nil {
+				return sharing.Bundle{}, err
 			}
-			if berr := ctx.Router.Send(transport.ModelOwner, "bi1#env", stepTripleBatch, payload); berr != nil {
-				return sharing.Bundle{}, berr
-			}
-			msg, berr := ctx.Router.Expect(transport.ModelOwner, "bi1#env", stepTripleBatch+respSuffix)
-			if berr != nil {
-				return sharing.Bundle{}, berr
-			}
-			items, berr := decodeBatchPayloads(msg.Payload)
-			if berr != nil {
-				return sharing.Bundle{}, berr
-			}
-			if len(items) != 1 {
-				return sharing.Bundle{}, fmt.Errorf("batch response carried %d items, want 1", len(items))
+			msg, items, err := recvBatch(ctx, "bi1#pf0", len(segment))
+			if err != nil {
+				return sharing.Bundle{}, err
 			}
 			triple, err = decodeTriple(items[0], false)
+			msg.Release()
 		} else {
-			triple, err = RequestTriple(ctx, TripleRequest{Kind: ReqHadamard, Session: "bi1", M: 2, N: 2})
+			triple, err = RequestTriple(ctx, req)
 		}
 		if err != nil {
 			return sharing.Bundle{}, err
@@ -267,8 +275,8 @@ func TestOwnerBatchDealMatchesIndividual(t *testing.T) {
 	})
 	want, _ := x.Hadamard(y)
 	floatsClose(t, env.params, decideBundles(t, outs, nil), want, 8)
-	if st := env.svc.Stats(); st.TriplesDealt != 1 {
-		t.Fatalf("triples dealt = %d, want 1 — batch and individual requests for one key must share the entry", st.TriplesDealt)
+	if st := env.svc.Stats(); st.TriplesDealt != 2 {
+		t.Fatalf("triples dealt = %d, want 2 — a segment's item and a batch of one for the same key must share the entry", st.TriplesDealt)
 	}
 }
 

@@ -3,7 +3,6 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"github.com/trustddl/trustddl/internal/sharing"
 	"github.com/trustddl/trustddl/internal/tensor"
@@ -109,31 +108,6 @@ func (r TripleRequest) checkBackPair() error {
 	return nil
 }
 
-// step maps the kind onto the owner wire-protocol step label; a
-// request for the backward pair has backPairSuffix appended.
-func (r TripleRequest) step() (string, error) {
-	if err := r.checkBackPair(); err != nil {
-		return "", err
-	}
-	switch r.Kind {
-	case ReqHadamard:
-		return stepTripleHadamard, nil
-	case ReqMatMul:
-		step := stepTripleMatMul
-		if r.isConv() {
-			step = stepTripleConv
-		}
-		if r.BackPair {
-			step += backPairSuffix
-		}
-		return step, nil
-	case ReqAux:
-		return stepAuxPositive, nil
-	default:
-		return "", fmt.Errorf("protocol: unknown triple request kind %d", r.Kind)
-	}
-}
-
 // dims returns the wire dims for the kind (2 for Hadamard/Aux, 3 for
 // MatMul).
 func (r TripleRequest) dims() []int {
@@ -141,17 +115,6 @@ func (r TripleRequest) dims() []int {
 		return []int{r.M, r.N, r.P}
 	}
 	return []int{r.M, r.N}
-}
-
-// payload is the body of an individual deal message: the dims as LE
-// u32s, for a conv request the geometry, then the mask name as the
-// remaining bytes — none for a request that names no mask.
-func (r TripleRequest) payload() []byte {
-	buf := encodeDims(r.dims()...)
-	if r.isConv() {
-		buf = appendConv(buf, r.Conv)
-	}
-	return append(buf, r.Mask...)
 }
 
 // convWireLen is the wire size of a conv geometry: six LE u32s, in
@@ -231,61 +194,6 @@ func (r TripleRequest) order() sharing.BatchOrder {
 	}
 }
 
-// reqFromWire reassembles a request from an individual deal message
-// (TripleRequest.payload; the session travels in the message header,
-// the backward pair in the step's suffix).
-func reqFromWire(step string, payload []byte) (TripleRequest, error) {
-	var r TripleRequest
-	step, r.BackPair = strings.CutSuffix(step, backPairSuffix)
-	switch step {
-	case stepTripleHadamard:
-		r.Kind = ReqHadamard
-	case stepTripleMatMul, stepTripleConv:
-		r.Kind = ReqMatMul
-	case stepAuxPositive:
-		r.Kind = ReqAux
-	default:
-		return TripleRequest{}, fmt.Errorf("protocol: unknown deal step %q", step)
-	}
-	nd := 2
-	if r.Kind == ReqMatMul {
-		nd = 3
-	}
-	head := 4 * nd
-	if step == stepTripleConv {
-		head += convWireLen
-	}
-	if len(payload) < head {
-		return TripleRequest{}, fmt.Errorf("protocol: %s deal needs %d bytes before its mask, got %d", step, head, len(payload))
-	}
-	dims, err := decodeDims(payload[:4*nd])
-	if err != nil {
-		return TripleRequest{}, err
-	}
-	mask := payload[head:]
-	if len(mask) > maxMaskLen || (r.Kind != ReqMatMul && len(mask) != 0) {
-		return TripleRequest{}, fmt.Errorf("protocol: %s deal carries %d bytes after its dims", step, len(mask))
-	}
-	r.M, r.N = dims[0], dims[1]
-	if r.Kind == ReqMatMul {
-		r.P = dims[2]
-		r.Mask = string(mask)
-	}
-	if step == stepTripleConv {
-		r.Conv = decodeConv(payload[4*nd:])
-		if !r.isConv() {
-			return TripleRequest{}, fmt.Errorf("protocol: conv deal without geometry")
-		}
-		if err := r.checkConv(); err != nil {
-			return TripleRequest{}, err
-		}
-	}
-	if err := r.checkBackPair(); err != nil {
-		return TripleRequest{}, err
-	}
-	return r, nil
-}
-
 // Wire format of the batch deal step: a request frame carries
 // `count · (kind byte, u16 session length, session bytes, dims as LE
 // u32s — 2 for Hadamard/Aux, 3 for MatMul — and, for MatMul, the conv
@@ -293,8 +201,7 @@ func reqFromWire(step string, payload []byte) (TripleRequest, error) {
 // length, mask bytes)` after a LE u32 count, a MatMul item's kind byte
 // carrying its backPairItem bit when it asks for the backward pair;
 // the response frame carries, in request order, one length-prefixed
-// item payload each (the identical bytes an individual deal response
-// would carry). Caps keep a Byzantine requester from ballooning the
+// item payload each (the item's bundles, see decodeTriple). Caps keep a Byzantine requester from ballooning the
 // owner's decode work.
 const (
 	// maxBatchItems bounds one batch deal message. Far above any real
@@ -302,10 +209,10 @@ const (
 	maxBatchItems = 1024
 	// maxBatchSessionLen bounds one item's session string.
 	maxBatchSessionLen = 512
-	// maxMaskLen bounds a mask name, in both request formats.
+	// maxMaskLen bounds a mask name.
 	maxMaskLen = 128
 	// maxDim bounds every dimension and conv geometry field, and a conv
-	// request's image width, in both request formats.
+	// request's image width.
 	maxDim = 1 << 24
 	// convItem marks, on a batch item's kind byte, a MatMul item that
 	// carries conv geometry.
@@ -313,9 +220,6 @@ const (
 	// backPairItem marks, on a batch item's kind byte, a MatMul item
 	// that asks for the backward pair.
 	backPairItem = 0x40
-	// backPairSuffix marks the step of an individual deal that asks for
-	// the backward pair.
-	backPairSuffix = "+bp"
 )
 
 // EncodeTripleBatch serializes a batch dealing request.
@@ -325,7 +229,12 @@ func EncodeTripleBatch(reqs []TripleRequest) ([]byte, error) {
 	}
 	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(reqs)))
 	for _, r := range reqs {
-		if _, err := r.step(); err != nil {
+		switch r.Kind {
+		case ReqHadamard, ReqMatMul, ReqAux:
+		default:
+			return nil, fmt.Errorf("protocol: unknown triple request kind %d", r.Kind)
+		}
+		if err := r.checkBackPair(); err != nil {
 			return nil, err
 		}
 		if len(r.Session) == 0 || len(r.Session) > maxBatchSessionLen {
@@ -451,9 +360,8 @@ func DecodeTripleBatch(buf []byte) ([]TripleRequest, error) {
 	return out, nil
 }
 
-// encodeBatchResponse frames, in request order, each item's bundles as
-// an individual deal response would encode them, writing every
-// encoding straight into the one frame.
+// encodeBatchResponse frames, in request order, each item's bundles,
+// writing every encoding straight into the one frame.
 func encodeBatchResponse(items [][]sharing.Bundle) []byte {
 	size := 4
 	for _, it := range items {

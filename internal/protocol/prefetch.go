@@ -73,11 +73,7 @@ func (p *PrefetchSource) send() {
 	if p.sent*segmentSize >= len(p.plan) || p.sendErr != nil {
 		return
 	}
-	payload, err := EncodeTripleBatch(p.segment(p.sent))
-	if err == nil {
-		err = p.ctx.Router.Send(transport.ModelOwner, p.envSession(p.sent), stepTripleBatch, payload)
-	}
-	if err != nil {
+	if err := sendBatch(p.ctx, p.envSession(p.sent), p.segment(p.sent)); err != nil {
 		p.sendErr = err
 		return
 	}
@@ -90,16 +86,8 @@ func (p *PrefetchSource) recv() error {
 	if p.recvd == p.sent {
 		return fmt.Errorf("protocol: prefetch send failed: %w", p.sendErr)
 	}
-	msg, err := p.ctx.Router.Expect(transport.ModelOwner, p.envSession(p.recvd), stepTripleBatch+respSuffix)
+	msg, items, err := recvBatch(p.ctx, p.envSession(p.recvd), len(p.segment(p.recvd)))
 	if err != nil {
-		return err
-	}
-	items, err := decodeBatchPayloads(msg.Payload)
-	if err == nil && len(items) != len(p.segment(p.recvd)) {
-		err = fmt.Errorf("protocol: prefetch segment %d: got %d items, planned %d", p.recvd, len(items), len(p.segment(p.recvd)))
-	}
-	if err != nil {
-		msg.Release()
 		return err
 	}
 	p.msg, p.items = msg, items

@@ -128,7 +128,8 @@ func TestPrefetchSourceCloseDrains(t *testing.T) {
 }
 
 // TestPrefetchSourceEmptyPlan: with no plan (the layer walk could not
-// be planned) every request is dealt on demand, and nothing is batched.
+// be planned) every request is dealt on demand, each alone in its own
+// owner message.
 func TestPrefetchSourceEmptyPlan(t *testing.T) {
 	env := newOwnerEnv(t)
 	runAll(t, env.partyEnv, func(ctx *Ctx) (sharing.TripleBundle, error) {

@@ -1,7 +1,7 @@
 // Package serve is the TrustDDL inference gateway: it fronts the
 // batched secure engine with a long-lived service that coalesces
 // concurrent client requests into dynamic batches, so every protocol
-// round (triple deal, commitment, exchange, vote, reveal) is amortized
+// round (triple deal, commitment, exchange, reveal) is amortized
 // over the whole batch instead of paid per image.
 //
 // Admission control is a bounded queue with load shedding: when the

@@ -13,8 +13,8 @@ import (
 
 // Keyring holds the mesh's identity keys: one ed25519 public key per
 // actor, plus the private keys of the actors hosted by this process.
-// A TCPNetwork configured with a keyring (SetKeyring; loopback networks
-// generate one automatically) runs a mutual challenge–response
+// A TCPNetwork configured with a keyring (TCPOptions.Keyring; loopback
+// networks generate one automatically) runs a mutual challenge–response
 // handshake on every connection, so the pinned peer identity is a
 // cryptographic fact rather than a self-declared byte: a Byzantine
 // computing party cannot dial a listener claiming to be an owner, and a

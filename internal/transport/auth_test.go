@@ -176,9 +176,8 @@ func TestEndpointRequiresPrivateKey(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	_ = l.Close()
-	n := NewTCPNetwork(map[int]string{Party1: addr})
+	n := NewTCPNetwork(map[int]string{Party1: addr}, TCPOptions{Keyring: pubsOnly})
 	defer n.Close()
-	n.SetKeyring(pubsOnly)
 	if _, err := n.Endpoint(Party1); err == nil {
 		t.Fatal("endpoint created without a signing key on a keyed mesh")
 	}
@@ -224,7 +223,7 @@ func TestUnkeyedMeshScreensRemoteAddr(t *testing.T) {
 		Party1: "203.0.113.7:9001", // TEST-NET address: never the dialer's source IP
 		Party2: "127.0.0.1:0",
 		Party3: "127.0.0.1:9003",
-	})
+	}, TCPOptions{})
 	defer n.Close()
 	ep, err := n.Endpoint(Party2)
 	if err != nil {
@@ -287,8 +286,7 @@ func (c writeResultConn) Write(p []byte) (int, error) {
 
 func stubEndpoint(t *testing.T, conn net.Conn) (*TCPNetwork, *tcpEndpoint) {
 	t.Helper()
-	n := NewTCPNetwork(map[int]string{})
-	n.SetRetryPolicy(3, time.Millisecond)
+	n := NewTCPNetwork(map[int]string{}, TCPOptions{SendAttempts: 3, RetryBackoff: time.Millisecond})
 	e := &tcpEndpoint{
 		net:     n,
 		self:    Party1,

@@ -26,11 +26,12 @@ import (
 //
 // How strong the pin is depends on the network's key configuration:
 //
-//   - With a Keyring (SetKeyring; NewLoopbackTCPNetwork generates one),
-//     the handshake is a mutual ed25519 challenge–response — the pinned
-//     identity is authenticated, so the attribution (and any SpoofError
-//     conviction built on it) holds even against a Byzantine peer that
-//     owns a legitimate mesh position.
+//   - With a Keyring (TCPOptions.Keyring; NewLoopbackTCPNetwork
+//     generates one), the handshake is a mutual ed25519
+//     challenge–response — the pinned identity is authenticated, so the
+//     attribution (and any SpoofError conviction built on it) holds
+//     even against a Byzantine peer that owns a legitimate mesh
+//     position.
 //   - Without keys, the handshake only *identifies*: the dialer's
 //     self-declared ID is pinned after a best-effort source-IP check
 //     against the address map. That stops accidents and third hosts
@@ -53,16 +54,52 @@ import (
 type TCPNetwork struct {
 	meter meter
 
-	mu           sync.Mutex
-	addrs        map[int]string
-	listeners    map[int]net.Listener
-	closed       bool
-	endpoints    []*tcpEndpoint
-	keyring      *Keyring
-	dialTimeout  time.Duration
-	sendTimeout  time.Duration
-	sendAttempts int
-	retryBackoff time.Duration
+	// opts is fixed at construction, its defaults resolved.
+	opts TCPOptions
+
+	mu        sync.Mutex
+	addrs     map[int]string
+	listeners map[int]net.Listener
+	closed    bool
+	endpoints []*tcpEndpoint
+}
+
+// TCPOptions configures a TCPNetwork. A zero duration or count takes
+// its default.
+type TCPOptions struct {
+	// Keyring, when non-nil, switches the mesh to authenticated
+	// handshakes: every connection must prove its actor identity with
+	// the corresponding ed25519 key. All processes of one mesh must
+	// agree on the public keys (an unkeyed peer cannot talk to a keyed
+	// one — the handshake fails closed).
+	Keyring *Keyring
+	// DialTimeout bounds each connection attempt, handshake included.
+	DialTimeout time.Duration
+	// SendTimeout bounds each frame write.
+	SendTimeout time.Duration
+	// SendAttempts is the number of attempts per Send, the first
+	// included; a broken connection is redialed between them.
+	SendAttempts int
+	// RetryBackoff is the wait before the first redial; it doubles per
+	// retry.
+	RetryBackoff time.Duration
+}
+
+// withDefaults fills every unset policy field with its default.
+func (o TCPOptions) withDefaults() TCPOptions {
+	if o.DialTimeout <= 0 {
+		o.DialTimeout = defaultDialTimeout
+	}
+	if o.SendTimeout <= 0 {
+		o.SendTimeout = defaultTCPSendLimit
+	}
+	if o.SendAttempts <= 0 {
+		o.SendAttempts = defaultSendAttempts
+	}
+	if o.RetryBackoff <= 0 {
+		o.RetryBackoff = defaultRetryBackoff
+	}
+	return o
 }
 
 var _ Network = (*TCPNetwork)(nil)
@@ -91,14 +128,15 @@ const (
 var handshakeMagic = [4]byte{'T', 'D', 'L', '1'}
 
 // NewTCPNetwork creates a TCP transport over the given actor→address
-// map. Addresses of remote actors are dialed on demand; Endpoint may
-// only be called for actors whose address is bindable locally.
-func NewTCPNetwork(addrs map[int]string) *TCPNetwork {
+// map, configured by opts. Addresses of remote actors are dialed on
+// demand; Endpoint may only be called for actors whose address is
+// bindable locally.
+func NewTCPNetwork(addrs map[int]string, opts TCPOptions) *TCPNetwork {
 	cp := make(map[int]string, len(addrs))
 	for k, v := range addrs {
 		cp[k] = v
 	}
-	return &TCPNetwork{addrs: cp, listeners: make(map[int]net.Listener)}
+	return &TCPNetwork{addrs: cp, listeners: make(map[int]net.Listener), opts: opts.withDefaults()}
 }
 
 // NewLoopbackTCPNetwork binds all five actors to ephemeral loopback
@@ -111,7 +149,7 @@ func NewLoopbackTCPNetwork() (*TCPNetwork, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &TCPNetwork{addrs: make(map[int]string, NumActors), listeners: make(map[int]net.Listener), keyring: kr}
+	n := NewTCPNetwork(nil, TCPOptions{Keyring: kr})
 	for id := 1; id <= NumActors; id++ {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -122,67 +160,6 @@ func NewLoopbackTCPNetwork() (*TCPNetwork, error) {
 		n.addrs[id] = l.Addr().String()
 	}
 	return n, nil
-}
-
-// SetKeyring switches the mesh to authenticated handshakes: every
-// connection must prove its actor identity with the corresponding
-// ed25519 key. Call before creating endpoints; all processes of one
-// mesh must agree on the public keys (an unkeyed peer cannot talk to a
-// keyed one — the handshake fails closed).
-func (n *TCPNetwork) SetKeyring(k *Keyring) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.keyring = k
-}
-
-func (n *TCPNetwork) keys() *Keyring {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.keyring
-}
-
-// SetDialTimeout bounds each connection attempt, handshake included
-// (d <= 0 restores the default).
-func (n *TCPNetwork) SetDialTimeout(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.dialTimeout = d
-}
-
-// SetSendTimeout bounds each frame write (d <= 0 restores the default).
-func (n *TCPNetwork) SetSendTimeout(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.sendTimeout = d
-}
-
-// SetRetryPolicy configures redial-with-backoff: attempts per Send
-// (including the first) and the initial backoff, which doubles per
-// retry. Zero values restore the defaults.
-func (n *TCPNetwork) SetRetryPolicy(attempts int, backoff time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.sendAttempts = attempts
-	n.retryBackoff = backoff
-}
-
-func (n *TCPNetwork) policy() (dial, send time.Duration, attempts int, backoff time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	dial, send, attempts, backoff = n.dialTimeout, n.sendTimeout, n.sendAttempts, n.retryBackoff
-	if dial <= 0 {
-		dial = defaultDialTimeout
-	}
-	if send <= 0 {
-		send = defaultTCPSendLimit
-	}
-	if attempts <= 0 {
-		attempts = defaultSendAttempts
-	}
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
-	return dial, send, attempts, backoff
 }
 
 // Endpoint implements Network. The actor's listener is created here if
@@ -199,7 +176,7 @@ func (n *TCPNetwork) Endpoint(actor int) (Endpoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: no address configured for actor %d", actor)
 	}
-	if n.keyring != nil && !n.keyring.hasPrivate(actor) {
+	if k := n.opts.Keyring; k != nil && !k.hasPrivate(actor) {
 		return nil, fmt.Errorf("transport: keyring holds no private key for %s — cannot authenticate as this actor", ActorName(actor))
 	}
 	l, ok := n.listeners[actor]
@@ -343,9 +320,8 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 	defer e.loops.Done()
 	defer e.untrackInbound(c)
 	defer c.Close()
-	dial, _, _, _ := e.net.policy()
-	k := e.net.keys()
-	peer, err := acceptHandshake(c, e.self, k, dial)
+	k := e.net.opts.Keyring
+	peer, err := acceptHandshake(c, e.self, k, e.net.opts.DialTimeout)
 	if err != nil {
 		return // handshake failed: refuse all traffic
 	}
@@ -471,13 +447,13 @@ func (e *tcpEndpoint) Send(msg Message) error {
 	if msg.From == 0 {
 		msg.From = e.self
 	}
-	_, sendLimit, attempts, backoff := e.net.policy()
+	opts := e.net.opts
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < opts.SendAttempts; attempt++ {
 		if attempt > 0 {
 			// Backoff before redialing, doubling per retry; Close
 			// releases waiting senders immediately.
-			timer := time.NewTimer(backoff << (attempt - 1))
+			timer := time.NewTimer(opts.RetryBackoff << (attempt - 1))
 			select {
 			case <-timer.C:
 			case <-e.done:
@@ -493,7 +469,7 @@ func (e *tcpEndpoint) Send(msg Message) error {
 			lastErr = err
 			continue
 		}
-		n, err := e.writeOnce(conn, msg, sendLimit)
+		n, err := e.writeOnce(conn, msg, opts.SendTimeout)
 		if err == nil {
 			// Outbound accounting only after the frame actually left.
 			e.net.meter.recordSend(msg)
@@ -510,7 +486,7 @@ func (e *tcpEndpoint) Send(msg Message) error {
 		lastErr = err
 	}
 	return fmt.Errorf("transport: send %s→%s after %d attempts: %w",
-		ActorName(e.self), ActorName(msg.To), attempts, lastErr)
+		ActorName(e.self), ActorName(msg.To), opts.SendAttempts, lastErr)
 }
 
 // writeOnce writes one frame under the connection's write lock,
@@ -547,7 +523,7 @@ func (e *tcpEndpoint) connTo(actor int) (*tcpConn, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: no address for actor %d", actor)
 	}
-	dialTimeout, _, _, _ := e.net.policy()
+	dialTimeout := e.net.opts.DialTimeout
 	raw, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s at %s: %w", ActorName(actor), addr, err)
@@ -555,7 +531,7 @@ func (e *tcpEndpoint) connTo(actor int) (*tcpConn, error) {
 	if tc, ok := raw.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true) // protocol rounds are latency-bound
 	}
-	if err := dialHandshake(raw, e.self, actor, e.net.keys(), dialTimeout); err != nil {
+	if err := dialHandshake(raw, e.self, actor, e.net.opts.Keyring, dialTimeout); err != nil {
 		_ = raw.Close()
 		return nil, fmt.Errorf("transport: handshake with %s at %s: %w", ActorName(actor), addr, err)
 	}

@@ -21,7 +21,7 @@ func dialAs(t *testing.T, n *TCPNetwork, as, to int) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dialHandshake(c, as, to, n.keys(), 2*time.Second); err != nil {
+	if err := dialHandshake(c, as, to, n.opts.Keyring, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -113,7 +113,7 @@ func TestTCPHandshakeRejectsWrongAddressee(t *testing.T) {
 	defer c.Close()
 	// Hello addressed to Party3 arriving at Party2's listener: the
 	// acceptor must refuse (no ack, connection closed).
-	if err := dialHandshake(c, Party1, Party3, n.keys(), 2*time.Second); err == nil {
+	if err := dialHandshake(c, Party1, Party3, n.opts.Keyring, 2*time.Second); err == nil {
 		t.Fatal("handshake with wrong addressee accepted")
 	}
 }
@@ -204,10 +204,9 @@ func TestTCPSendFailureNotMetered(t *testing.T) {
 	liveAddr := l2.Addr().String()
 	_ = l2.Close()
 
-	n := NewTCPNetwork(map[int]string{Party1: liveAddr, Party2: deadAddr})
+	n := NewTCPNetwork(map[int]string{Party1: liveAddr, Party2: deadAddr},
+		TCPOptions{DialTimeout: 200 * time.Millisecond, SendAttempts: 2, RetryBackoff: 10 * time.Millisecond})
 	defer n.Close()
-	n.SetDialTimeout(200 * time.Millisecond)
-	n.SetRetryPolicy(2, 10*time.Millisecond)
 	p1, err := n.Endpoint(Party1)
 	if err != nil {
 		t.Fatal(err)
@@ -250,10 +249,9 @@ func TestTCPSendDeadlineOnStalledReader(t *testing.T) {
 	}
 	p1Addr := other.Addr().String()
 	_ = other.Close()
-	n := NewTCPNetwork(map[int]string{Party1: p1Addr, Party2: l.Addr().String()})
+	n := NewTCPNetwork(map[int]string{Party1: p1Addr, Party2: l.Addr().String()},
+		TCPOptions{SendTimeout: 150 * time.Millisecond, SendAttempts: 1, RetryBackoff: 10 * time.Millisecond})
 	defer n.Close()
-	n.SetSendTimeout(150 * time.Millisecond)
-	n.SetRetryPolicy(1, 10*time.Millisecond)
 	p1, err := n.Endpoint(Party1)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +278,7 @@ func TestTCPKillAndRestartPartyRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	n.SetRetryPolicy(5, 20*time.Millisecond)
+	n.opts.SendAttempts, n.opts.RetryBackoff = 5, 20*time.Millisecond
 	p1, err := n.Endpoint(Party1)
 	if err != nil {
 		t.Fatal(err)
@@ -357,12 +355,11 @@ func TestTCPCloseUnblocksRetryingSender(t *testing.T) {
 	liveAddr := l2.Addr().String()
 	_ = l2.Close()
 
-	n := NewTCPNetwork(map[int]string{Party1: liveAddr, Party2: deadAddr})
-	defer n.Close()
 	// Long backoff ladder: without Close-awareness the sender would
 	// sleep for minutes.
-	n.SetDialTimeout(100 * time.Millisecond)
-	n.SetRetryPolicy(20, 2*time.Second)
+	n := NewTCPNetwork(map[int]string{Party1: liveAddr, Party2: deadAddr},
+		TCPOptions{DialTimeout: 100 * time.Millisecond, SendAttempts: 20, RetryBackoff: 2 * time.Second})
+	defer n.Close()
 	p1, err := n.Endpoint(Party1)
 	if err != nil {
 		t.Fatal(err)

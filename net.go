@@ -33,7 +33,9 @@ func NewChanNetwork() Network { return transport.NewChanNetwork() }
 // the rest on demand. Without a keyring the mesh runs identification-only
 // handshakes — use NewTCPNetworkWithKeyring for authenticated
 // deployments (see DESIGN.md §8).
-func NewTCPNetwork(addrs map[int]string) Network { return transport.NewTCPNetwork(addrs) }
+func NewTCPNetwork(addrs map[int]string) Network {
+	return transport.NewTCPNetwork(addrs, transport.TCPOptions{})
+}
 
 // Keyring holds the mesh's ed25519 identities: all five actors' public
 // keys plus the private keys of the actors this process runs.
@@ -58,9 +60,7 @@ func GenerateSeedHex() (seedHex, pubHex string, err error) {
 // insiders. The owners' driver typically holds the ModelOwner and
 // DataOwner seeds in one process.
 func NewTCPNetworkWithKeyring(addrs map[int]string, k *Keyring) Network {
-	n := transport.NewTCPNetwork(addrs)
-	n.SetKeyring(k)
-	return n
+	return transport.NewTCPNetwork(addrs, transport.TCPOptions{Keyring: k})
 }
 
 // NewLoopbackTCPNetwork binds all five actors to ephemeral loopback
