@@ -237,11 +237,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.ownerEP = ownerEP
 	c.ownerSvc = protocol.NewOwnerService(ownerEP, c.modelDlr)
-	// Delegated-function results draw from their own stream so the
-	// triple stream depends only on the deal order — the pipelined
-	// source's outputs stay bit-identical to on-demand dealing however
-	// its round trips interleave with softmax calls.
-	c.ownerSvc.Resharer = sharing.NewDealer(newSource(4), cfg.Params)
 	if cfg.Timeout > 0 {
 		// The owner's gather expiry must undercut the parties' receive
 		// timer: when a dead party strands a delegated-step gather at two

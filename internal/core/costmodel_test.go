@@ -81,10 +81,10 @@ func TestCostModelGolden(t *testing.T) {
 		op   func() error
 		want passCost
 	}{
-		{"cold b1 pass", infer(1), passCost{PartyBytes: 14861271, OwnerBytes: 7641153, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
-		{"warm b1 pass", infer(1), passCost{PartyBytes: 586803, OwnerBytes: 503937, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
-		{"warm b4 pass", infer(4), passCost{PartyBytes: 2327331, OwnerBytes: 2011185, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
-		{"b8 training step", func() error { return run.TrainBatch(images, 0.05) }, passCost{PartyBytes: 27199350, OwnerBytes: 23065830, Messages: 168, OwnerRequests: 9, Exchanges: 36, Triples: 8}},
+		{"cold b1 pass", infer(1), passCost{PartyBytes: 14861271, OwnerBytes: 1730907, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
+		{"warm b1 pass", infer(1), passCost{PartyBytes: 586803, OwnerBytes: 144835, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
+		{"warm b4 pass", infer(4), passCost{PartyBytes: 2327331, OwnerBytes: 576595, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
+		{"b8 training step", func() error { return run.TrainBatch(images, 0.05) }, passCost{PartyBytes: 27199350, OwnerBytes: 6248367, Messages: 168, OwnerRequests: 9, Exchanges: 36, Triples: 8}},
 	} {
 		if got := measure(step.op); got != step.want {
 			t.Errorf("%s: cost %+v, pinned %+v", step.name, got, step.want)

@@ -20,10 +20,10 @@ import (
 // that a mask never outlives the weights it was opened for, and that
 // one Byzantine party can make passes cold but never wrong. All on the
 // channel transport; a cold single-image pass of the Table I network
-// moves ≈ 23.6 MB, a warm one ≈ 2.2 MB, so the wire meter tells them
+// moves ≈ 16.6 MB, a warm one ≈ 0.73 MB, so the wire meter tells them
 // apart without looking inside the parties.
 
-const coldPassBytes = 20 << 20 // between a warm and a cold single-image pass
+const coldPassBytes = 10 << 20 // between a warm batch-8 pass (≈ 5.8 MB) and a cold single-image pass (≈ 16.6 MB)
 
 type maskFixture struct {
 	c      *Cluster

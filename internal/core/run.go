@@ -57,8 +57,9 @@ func (c *Cluster) NewRunArch(arch nn.Arch, weights []nn.Mat64) (*Run, error) {
 }
 
 // provision distributes (or re-distributes, after a fault) a model to
-// all computing parties: the public architecture spec, fresh weight
-// shares, and — when resuming a checkpointed session — the optimizer
+// all computing parties: both owners' dealing keys (every share either
+// owner deals expands with them), the public architecture spec, fresh
+// weight shares, and — when resuming a checkpointed session — the optimizer
 // momentum coefficient and velocity shares, carried in the init session
 // label and extra v/<i> bundles. Re-provisioning mid-session discards
 // every party's in-flight state, which is exactly what restore-and-
@@ -80,6 +81,12 @@ func (c *Cluster) provision(arch nn.Arch, weights, velocities []nn.Mat64, moment
 		return nil, fmt.Errorf("core: %d velocity matrices for %d weight matrices", len(velocities), len(weights))
 	}
 	session := sessionWithInitOpts(c.nextSession("init"), momentum, len(velocities) > 0)
+	if err := protocol.DistributeKeys(c.ownerEP, session, c.modelDlr); err != nil {
+		return nil, fmt.Errorf("core: distribute model-owner keys: %w", err)
+	}
+	if err := protocol.DistributeKeys(c.dataRouterEndpoint(), session, c.dataDealer); err != nil {
+		return nil, fmt.Errorf("core: distribute data-owner keys: %w", err)
+	}
 	// The architecture is public: broadcast the spec itself.
 	archPayload := nn.EncodeArch(arch)
 	for p := 1; p <= sharing.NumParties; p++ {
@@ -89,20 +96,20 @@ func (c *Cluster) provision(arch nn.Arch, weights, velocities []nn.Mat64, moment
 		}
 	}
 	for wi, m := range weights {
-		bundles, err := c.modelDlr.ShareFloats(m)
+		items, err := c.modelDlr.DealFloats(m)
 		if err != nil {
 			return nil, fmt.Errorf("core: share weights %d: %w", wi, err)
 		}
-		if err := protocol.DistributeBundles(c.ownerEP, session, fmt.Sprintf("w/%d", wi), bundles); err != nil {
+		if err := protocol.DistributeShares(c.ownerEP, session, fmt.Sprintf("w/%d", wi), items); err != nil {
 			return nil, fmt.Errorf("core: distribute weights %d: %w", wi, err)
 		}
 	}
 	for vi, m := range velocities {
-		bundles, err := c.modelDlr.ShareFloats(m)
+		items, err := c.modelDlr.DealFloats(m)
 		if err != nil {
 			return nil, fmt.Errorf("core: share velocity %d: %w", vi, err)
 		}
-		if err := protocol.DistributeBundles(c.ownerEP, session, fmt.Sprintf("v/%d", vi), bundles); err != nil {
+		if err := protocol.DistributeShares(c.ownerEP, session, fmt.Sprintf("v/%d", vi), items); err != nil {
 			return nil, fmt.Errorf("core: distribute velocity %d: %w", vi, err)
 		}
 	}
@@ -114,7 +121,13 @@ func (c *Cluster) provision(arch nn.Arch, weights, velocities []nn.Mat64, moment
 		// Parties consume the broadcast spec (and could cross-check it
 		// against an out-of-band agreement). The assembly is the same
 		// routine a served party runs, so local and remote deployments
-		// cannot drift.
+		// cannot drift. (A served party installs the keys as they
+		// arrive, in its command loop.)
+		for _, owner := range []int{transport.ModelOwner, transport.DataOwner} {
+			if err := protocol.RecvKeys(ctx, owner, session); err != nil {
+				return err
+			}
+		}
 		msg, err := ctx.Router.Expect(transport.ModelOwner, session, "arch")
 		if err != nil {
 			return err
@@ -165,19 +178,14 @@ func batchMatrices(images []mnist.Image) (nn.Mat64, nn.Mat64, error) {
 	return x, oneHot, nil
 }
 
-// distribute shares a float matrix at the data owner and sends each
-// party its bundle.
+// distribute deals a float matrix at the data owner and sends each
+// party its keyed item.
 func (c *Cluster) distribute(session, step string, m nn.Mat64) error {
-	bundles, err := c.dataDealer.ShareFloats(m)
+	items, err := c.dataDealer.DealFloats(m)
 	if err != nil {
 		return fmt.Errorf("core: share %s: %w", step, err)
 	}
-	for p := 1; p <= sharing.NumParties; p++ {
-		if err := c.dataRouter.Send(p, session, step, transport.EncodeBundle(bundles[p-1])); err != nil {
-			return err
-		}
-	}
-	return nil
+	return protocol.DistributeShares(c.dataRouterEndpoint(), session, step, items)
 }
 
 // TrainBatch performs one secure SGD step over the given images
@@ -230,11 +238,11 @@ func (r *Run) TrainBatch(images []mnist.Image, lr float64) error {
 	}
 	return r.c.runParties(func(i int) error {
 		ctx := r.c.ctxs[i]
-		bx, err := protocol.RecvBundle(ctx, transport.DataOwner, session, "x")
+		bx, err := protocol.RecvShare(ctx, transport.DataOwner, session, "x")
 		if err != nil {
 			return err
 		}
-		by, err := protocol.RecvBundle(ctx, transport.DataOwner, session, "y")
+		by, err := protocol.RecvShare(ctx, transport.DataOwner, session, "y")
 		if err != nil {
 			return err
 		}
@@ -286,7 +294,7 @@ func (r *Run) logitsFor(ctx context.Context, images []mnist.Image) (protocol.Mat
 	}
 	err = r.c.runParties(func(i int) error {
 		ctx := r.c.ctxs[i]
-		bx, err := protocol.RecvBundle(ctx, transport.DataOwner, session, "x")
+		bx, err := protocol.RecvShare(ctx, transport.DataOwner, session, "x")
 		if err != nil {
 			return err
 		}

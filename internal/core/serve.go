@@ -34,7 +34,8 @@ const (
 // and the counterpart of a Cluster configured with RemoteParties.
 //
 // The dispatch keys on the leading session segment minted by the
-// cluster driver: "init/…" (weight distribution), "train/…" (one SGD
+// cluster driver: "init/…" (dealing keys, which each owner sends at
+// every provisioning, and weight distribution), "train/…" (one SGD
 // step), "infer/…" (forward pass + logits reveal), "reveal/…" (weight
 // recovery).
 //
@@ -92,6 +93,13 @@ func ServePartyOpts(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) er
 				continue // only the owners (or the party itself) may stop the server
 			}
 			return nil
+		case protocol.IsKeys(msg):
+			if !fromOwner(msg.From) {
+				continue
+			}
+			if err := protocol.InstallKeys(ctx, msg); err != nil {
+				log.Printf("core: serve party %d: %v (still serving)", ctx.Index, err)
+			}
 		case strings.HasPrefix(msg.Session, "init/") && msg.Step == "arch":
 			if msg.From != transport.ModelOwner {
 				continue
@@ -192,7 +200,7 @@ func recvNetwork(ctx *protocol.Ctx, first transport.Message) (nn.Arch, *nn.Secur
 	}
 	bundles := make([]sharing.Bundle, arch.NumWeightMatrices())
 	for wi := range bundles {
-		b, err := protocol.RecvBundle(ctx, transport.ModelOwner, first.Session, fmt.Sprintf("w/%d", wi))
+		b, err := protocol.RecvShare(ctx, transport.ModelOwner, first.Session, fmt.Sprintf("w/%d", wi))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -210,7 +218,7 @@ func recvNetwork(ctx *protocol.Ctx, first transport.Message) (nn.Arch, *nn.Secur
 	if withState {
 		vels := make([]sharing.Bundle, arch.NumWeightMatrices())
 		for vi := range vels {
-			b, err := protocol.RecvBundle(ctx, transport.ModelOwner, first.Session, fmt.Sprintf("v/%d", vi))
+			b, err := protocol.RecvShare(ctx, transport.ModelOwner, first.Session, fmt.Sprintf("v/%d", vi))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -242,11 +250,11 @@ func passSource(ctx *protocol.Ctx, ts nn.TripleSource, plan []protocol.TripleReq
 }
 
 func serveTrain(ctx *protocol.Ctx, ts nn.TripleSource, net *nn.SecureNetwork, first transport.Message) error {
-	bx, err := transport.DecodeBundle(first.Payload)
+	bx, err := protocol.ExpandShare(ctx, transport.DataOwner, first.Payload)
 	if err != nil {
 		return err
 	}
-	by, err := protocol.RecvBundle(ctx, transport.DataOwner, first.Session, "y")
+	by, err := protocol.RecvShare(ctx, transport.DataOwner, first.Session, "y")
 	if err != nil {
 		return err
 	}
@@ -265,7 +273,7 @@ func serveTrain(ctx *protocol.Ctx, ts nn.TripleSource, net *nn.SecureNetwork, fi
 }
 
 func serveInfer(ctx *protocol.Ctx, ts nn.TripleSource, net *nn.SecureNetwork, first transport.Message) error {
-	bx, err := transport.DecodeBundle(first.Payload)
+	bx, err := protocol.ExpandShare(ctx, transport.DataOwner, first.Payload)
 	if err != nil {
 		return err
 	}

@@ -234,46 +234,53 @@ func TestEquivocatorTargetKeepsConsistentShares(t *testing.T) {
 		env.ctxs[0].Adversary = byzantine.Equivocator{Target: 2}
 		rng := mathrand.New(mathrand.NewPCG(14, 1))
 		w1, _ := tinyWeights(rng)
-		x := tensor.MustNew[float64](2, 6)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
-		}
-		bw, bx := shareMat(t, env, w1), shareMat(t, env, x)
-		outs := runSecure(t, env, func(i int) (sharing.Bundle, error) {
-			d, err := NewSecureDense(bw[i])
-			if err != nil {
-				return sharing.Bundle{}, err
-			}
-			h, err := d.Forward(env.ctxs[i], env.views[i], "eq/dense", bx[i])
-			if err != nil {
-				return sharing.Bundle{}, err
-			}
-			return NewSecureReLU().Forward(env.ctxs[i], env.views[i], "eq/relu", h)
-		})
-		sets, err := sharing.CollectSets(outs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// s^j = [s]^j_1 + [s]^j_2: sets 1 and 2 hold party 2's shares,
-		// set 3 does not.
-		var s [sharing.NumParties]Mat
-		for j := range sets {
-			if s[j], err = sets[j].First.Add(sets[j].Second); err != nil {
-				t.Fatal(err)
-			}
-		}
+		bw := shareMat(t, env, w1)
+		// The sets drift only where party 2 decides an opening
+		// differently from party 3, which needs a truncation carry that
+		// differs between the sets at that element: one 2×6 input may
+		// have none, so the gap is the largest over a few.
 		var gap float64
-		for _, j := range []int{0, 1} {
-			d, err := s[j].MaxAbsDiff(s[2])
+		for draw := range 4 {
+			x := tensor.MustNew[float64](2, 6)
+			for i := range x.Data {
+				x.Data[i] = rng.NormFloat64()
+			}
+			bx := shareMat(t, env, x)
+			outs := runSecure(t, env, func(i int) (sharing.Bundle, error) {
+				d, err := NewSecureDense(bw[i])
+				if err != nil {
+					return sharing.Bundle{}, err
+				}
+				h, err := d.Forward(env.ctxs[i], env.views[i], fmt.Sprintf("eq%d/dense", draw), bx[i])
+				if err != nil {
+					return sharing.Bundle{}, err
+				}
+				return NewSecureReLU().Forward(env.ctxs[i], env.views[i], fmt.Sprintf("eq%d/relu", draw), h)
+			})
+			sets, err := sharing.CollectSets(outs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gap = max(gap, d)
+			// s^j = [s]^j_1 + [s]^j_2: sets 1 and 2 hold party 2's
+			// shares, set 3 does not.
+			var s [sharing.NumParties]Mat
+			for j := range sets {
+				if s[j], err = sets[j].First.Add(sets[j].Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, j := range []int{0, 1} {
+				d, err := s[j].MaxAbsDiff(s[2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				gap = max(gap, d)
+			}
 		}
 		if gap < 1<<30 {
 			t.Fatalf("gap closed (sets holding party 2's shares are %v raw units from set 3): make the equivocator's target a regression", gap)
 		}
-		t.Skipf("known gap: with party 1 equivocating towards party 2, the sets holding party 2's shares reconstruct 2^%.1f raw units from set 3 after Dense → ReLU",
+		t.Skipf("known gap: with party 1 equivocating towards party 2, the sets holding party 2's shares reconstruct up to 2^%.1f raw units from set 3 after Dense → ReLU",
 			math.Log2(gap))
 	})
 }

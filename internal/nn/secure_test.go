@@ -47,6 +47,7 @@ func newSecureEnv(t *testing.T) *secureEnv {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ctx.SetKeys(transport.ModelOwner, env.dealer.Keys(i))
 		env.ctxs[i-1] = ctx
 		view, err := env.pre.View(i)
 		if err != nil {
@@ -59,9 +60,6 @@ func newSecureEnv(t *testing.T) *secureEnv {
 		t.Fatal(err)
 	}
 	env.svc = protocol.NewOwnerService(ownerEP, env.dealer)
-	// As in core: softmax results draw from their own stream, so the
-	// deal stream depends only on the order of the deals.
-	env.svc.Resharer = sharing.NewDealer(sharing.NewSeededSource(2025), env.params)
 	env.svc.RegisterUnary(SoftmaxName, SoftmaxDelegate(env.params))
 	go func() { env.svcDone <- env.svc.Run() }()
 	t.Cleanup(func() {

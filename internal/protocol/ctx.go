@@ -70,6 +70,11 @@ type Ctx struct {
 	// (0 selects DefaultSuspicionTolerance).
 	SuspicionTolerance float64
 
+	// keys holds, per owner actor, the dealing keys that owner sent at
+	// provisioning (SetKeys): every share it deals this party expands
+	// with them.
+	keys map[int]sharing.PartyKeys
+
 	// obs and the cached collectors below carry the live metrics hook
 	// (SetObs). They are looked up once at attach time so the per-round
 	// cost with metrics on is a clock read plus an atomic histogram
@@ -102,6 +107,23 @@ func NewCtx(r *party.Router, index int, params fixed.Params, commitment bool) (*
 		return nil, fmt.Errorf("protocol: party index %d out of range", index)
 	}
 	return &Ctx{Router: r, Index: index, Params: params, Commitment: commitment}, nil
+}
+
+// SetKeys installs the dealing keys owner sent this party.
+func (ctx *Ctx) SetKeys(owner int, k sharing.PartyKeys) {
+	if ctx.keys == nil {
+		ctx.keys = make(map[int]sharing.PartyKeys, 2)
+	}
+	ctx.keys[owner] = k
+}
+
+// keysOf returns the dealing keys of owner.
+func (ctx *Ctx) keysOf(owner int) (sharing.PartyKeys, error) {
+	k, ok := ctx.keys[owner]
+	if !ok {
+		return k, fmt.Errorf("protocol: party %d holds no dealing keys of %s", ctx.Index, transport.ActorName(owner))
+	}
+	return k, nil
 }
 
 // SetObs attaches a metrics registry to this party context. Protocol

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"github.com/trustddl/trustddl/internal/fixed"
 	"github.com/trustddl/trustddl/internal/sharing"
 	"github.com/trustddl/trustddl/internal/tensor"
+	"github.com/trustddl/trustddl/internal/transport"
 )
 
 // Fuzz targets for the batched dealing codec: the request frame is
@@ -186,12 +188,14 @@ func FuzzDecodeBatchPayloads(f *testing.F) {
 	// The reply to a forward-with-pair order, A, B, C, A′, C′, beside a
 	// plain triple and a warm pair; and a pair whose C′ is not A′·bᵀ
 	// shaped.
-	f.Add(encodeBatchResponse([][]sharing.Bundle{
-		fuzzBundles(2, 3, 3, 4, 2, 4, 2, 4, 2, 3),
-		fuzzBundles(2, 3, 3, 4, 2, 4),
-		fuzzBundles(2, 3, 2, 4),
+	pairSpec := []int{int(sharing.CompA), 2, 3, int(sharing.CompB), 3, 4, int(sharing.CompC), 2, 4, int(sharing.CompBackA), 2, 4}
+	f.Add(encodeBatchResponse([]sharing.KeyedItem{
+		fuzzItem(append(pairSpec, int(sharing.CompBackC), 2, 3)...),
+		fuzzItem(pairSpec[:9]...),
+		fuzzItem(int(sharing.CompA), 2, 3, int(sharing.CompC), 2, 4),
 	}))
-	f.Add(encodeBatchResponse([][]sharing.Bundle{fuzzBundles(2, 3, 3, 4, 2, 4, 2, 4, 2, 4)}))
+	f.Add(encodeBatchResponse([]sharing.KeyedItem{fuzzItem(append(pairSpec, int(sharing.CompBackC), 2, 4)...)}))
+	keys := fuzzDealer().Keys(1)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, err := decodeBatchPayloads(data)
 		if err != nil {
@@ -211,8 +215,18 @@ func FuzzDecodeBatchPayloads(f *testing.F) {
 			}
 			// A triple accepted with its backward pair has a pair that
 			// multiplies by the transposed mask: A′ of B's width, C′ of
-			// Bᵀ's, one row count.
-			tr, err := decodeTriple(it, true)
+			// Bᵀ's, one row count. The request is the product the
+			// item's A and B describe.
+			ki, err := transport.DecodeKeyedItem(it, keys.Party)
+			if err != nil || !ki.Has(sharing.CompA) || !ki.Has(sharing.CompB) {
+				continue
+			}
+			as, bs := ki.Shapes[sharing.CompA], ki.Shapes[sharing.CompB]
+			if as[0]*as[1] > 1<<16 || bs[0]*bs[1] > 1<<16 {
+				continue // the expansion would allocate what the request says
+			}
+			req := TripleRequest{Kind: ReqMatMul, Session: "f", M: as[0], N: as[1], P: bs[1], BackPair: true}
+			tr, err := decodeTriple(it, req, keys)
 			if err != nil {
 				continue
 			}
@@ -290,23 +304,109 @@ func FuzzTripleBatchRoundTrip(f *testing.F) {
 	})
 }
 
-// fuzzBundles returns one bundle per (rows, cols) pair of dims, filled
-// with a counter.
-func fuzzBundles(dims ...int) []sharing.Bundle {
-	var out []sharing.Bundle
+// fuzzDealer is the dealer whose keys the fuzz targets expand with.
+func fuzzDealer() *sharing.Dealer {
+	return sharing.NewDealer(sharing.NewSeededSource(5), fixed.Default())
+}
+
+// fuzzItem returns party 1's keyed item of deal 1 (party 1 receives the
+// Second of every component of it) with one component per (component,
+// rows, cols) triple of spec, its Seconds filled with a counter.
+func fuzzItem(spec ...int) sharing.KeyedItem {
+	it := sharing.KeyedItem{Deal: 1}
 	v := int64(0)
-	for i := 0; i+1 < len(dims); i += 2 {
-		mk := func() Mat {
-			m := tensor.MustNew[int64](dims[i], dims[i+1])
-			for j := range m.Data {
-				v++
-				m.Data[j] = v
-			}
-			return m
+	for i := 0; i+2 < len(spec); i += 3 {
+		c := sharing.Component(spec[i])
+		m := tensor.MustNew[int64](spec[i+1], spec[i+2])
+		for j := range m.Data {
+			v++
+			m.Data[j] = v
 		}
-		out = append(out, sharing.Bundle{Primary: mk(), Hat: mk(), Second: mk()})
+		it.Comps |= 1 << c
+		it.Shapes[c] = [2]int{m.Rows, m.Cols}
+		it.Second[c] = m
 	}
-	return out
+	return it
+}
+
+// keyedFuzzReqs has one request of every order kind: Hadamard, MatMul,
+// conv, a MatMul named for a retained mask (dealt Against it), a
+// training forward with its backward pair, and a comparison item.
+var keyedFuzzReqs = []TripleRequest{
+	{Kind: ReqHadamard, Session: "k/had", M: 2, N: 3},
+	{Kind: ReqMatMul, Session: "k/mm", M: 2, N: 3, P: 4},
+	ConvRequest("k/conv", "", tensor.ConvShape{InChannels: 1, Height: 4, Width: 4, Kernel: 3, Stride: 1, Pad: 1}, 2, 2),
+	{Kind: ReqMatMul, Session: "k/against", M: 2, N: 3, P: 4, Mask: "w"},
+	{Kind: ReqMatMul, Session: "k/bp", M: 2, N: 3, P: 4, BackPair: true},
+	{Kind: ReqAux, Session: "k/aux", M: 2, N: 3},
+}
+
+// keyedFuzzOrder is the dealer order of keyedFuzzReqs[i]; the named
+// request is dealt against a mask the dealer holds.
+func keyedFuzzOrder(i int, mask Mat) sharing.BatchOrder {
+	o := keyedFuzzReqs[i].order()
+	if keyedFuzzReqs[i].Mask != "" {
+		o.Against = mask
+	}
+	return o
+}
+
+// FuzzDecodeKeyedItem: the owner's reply item, for any request kind and
+// any party, decodes and expands without panicking; an accepted item
+// has exactly the components and shapes its request implies, and
+// re-encodes to the bytes it came from.
+func FuzzDecodeKeyedItem(f *testing.F) {
+	d := fuzzDealer()
+	mask := tensor.MustNew[int64](3, 4)
+	for i := range keyedFuzzReqs {
+		deals, err := d.Deal([]sharing.BatchOrder{keyedFuzzOrder(i, mask)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for p := range deals[0].Party {
+			payload := transport.EncodeKeyedItem(deals[0].Party[p])
+			f.Add(payload, uint8(i), uint8(p))
+			f.Add(payload[:len(payload)-1], uint8(i), uint8(p)) // truncated
+			f.Add(append(payload, 0), uint8(i), uint8(p))       // trailing byte
+			f.Add(payload, uint8(i+1), uint8(p))                // another kind's request
+			f.Add(payload, uint8(i), uint8(p+1))                // another party's keys
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, kind, party uint8) {
+		req := keyedFuzzReqs[int(kind)%len(keyedFuzzReqs)]
+		keys := d.Keys(int(party)%sharing.NumParties + 1)
+		tr, err := decodeTriple(data, req, keys)
+		if err != nil {
+			return
+		}
+		want, err := req.order().Layout()
+		if err != nil {
+			t.Fatal(err)
+		}
+		shape := func(b sharing.Bundle) [2]int { return [2]int{b.Rows(), b.Cols()} }
+		if shape(tr.A) != want.Shapes[sharing.CompA] || shape(tr.C) != want.Shapes[sharing.CompC] {
+			t.Fatalf("%s request: accepted A %v, C %v, want %v, %v", req.Kind, shape(tr.A), shape(tr.C),
+				want.Shapes[sharing.CompA], want.Shapes[sharing.CompC])
+		}
+		for _, b := range []sharing.Bundle{tr.A, tr.B, tr.C, tr.Back.A, tr.Back.C} {
+			if !b.Primary.IsZeroShape() && b.Validate() != nil {
+				t.Fatalf("%s request: accepted an inconsistent bundle", req.Kind)
+			}
+		}
+		if req.BackPair == tr.Back.A.Primary.IsZeroShape() {
+			t.Fatalf("%s request (backward pair %t): accepted pair presence %t", req.Kind, req.BackPair, !tr.Back.A.Primary.IsZeroShape())
+		}
+		if tr.B.Primary.IsZeroShape() && req.Mask == "" {
+			t.Fatalf("%s request naming no mask: accepted an item without B", req.Kind)
+		}
+		it, err := transport.DecodeKeyedItem(data, keys.Party)
+		if err != nil {
+			t.Fatalf("accepted item does not decode: %v", err)
+		}
+		if !bytes.Equal(transport.EncodeKeyedItem(it), data) {
+			t.Fatal("accepted keyed item does not round-trip")
+		}
+	})
 }
 
 // rawConvBatch frames r as a one-item batch with conv geometry,

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -79,19 +78,18 @@ type OwnerService struct {
 	// a computing party announces it restarted and needs to be
 	// re-provisioned with the current architecture and weight shares.
 	OnRejoin func(party int)
-	// Resharer, when set, draws the share randomness of delegated
-	// function results (softmax, §III-C) instead of the dealing dealer.
-	// Keeping the two streams separate makes the triple stream a pure
-	// function of the deal order, so the prefetched offline path stays
-	// bit-identical to on-demand dealing no matter how its batched
-	// round-trips interleave with delegated calls. Nil falls back to
-	// the dealing dealer (single-stream legacy behavior). Set before
-	// Run starts.
-	Resharer *sharing.Dealer
 	// Obs, when non-nil, mirrors the service counters into the live
 	// metrics registry (owner.triples.dealt, owner.calls,
 	// owner.suspicions). Set before Run starts.
 	Obs *obs.Registry
+
+	// resharer deals delegated function results (softmax, §III-C) with
+	// the dealer's keys in its own label domain and deal counter
+	// (sharing.Dealer.Resharer), so the triple stream is a pure function
+	// of the deal order: the prefetched path stays bit-identical to
+	// on-demand dealing however its round trips interleave with
+	// delegated calls.
+	resharer *sharing.Dealer
 
 	mu      sync.Mutex
 	stats   OwnerStats
@@ -107,7 +105,7 @@ type OwnerService struct {
 }
 
 type tripleEntry struct {
-	bundles [sharing.NumParties]sharing.TripleBundle
+	deal sharing.KeyedDeal
 	// maskName is the mask the request named. mask is the plaintext b
 	// this deal drew under that name, kept until a second party
 	// collects the entry and the name is retained; it is empty for an
@@ -123,21 +121,6 @@ type tripleEntry struct {
 	dealtAt time.Time
 }
 
-// bundlesFor lists one party's share of the entry. A triple dealt
-// against a retained mask has no B to send: its two bundles (A, C)
-// tell the requester to use the B it kept. A triple dealt with its
-// backward pair sends five, A, B, C, A′, C′.
-func (e *tripleEntry) bundlesFor(party int) []sharing.Bundle {
-	t := e.bundles[party-1]
-	if t.B.Primary.IsZeroShape() {
-		return []sharing.Bundle{t.A, t.C}
-	}
-	if !t.Back.A.Primary.IsZeroShape() {
-		return []sharing.Bundle{t.A, t.B, t.C, t.Back.A, t.Back.C}
-	}
-	return []sharing.Bundle{t.A, t.B, t.C}
-}
-
 type gatherEntry struct {
 	step      string
 	bundles   map[int]sharing.Bundle
@@ -149,6 +132,7 @@ func NewOwnerService(ep transport.Endpoint, dealer *sharing.Dealer) *OwnerServic
 	return &OwnerService{
 		ep:                 ep,
 		dealer:             dealer,
+		resharer:           dealer.Resharer(),
 		fns:                make(map[string]UnaryFunc),
 		sinks:              make(map[string]SinkFunc),
 		GatherTimeout:      party1GatherTimeout,
@@ -280,9 +264,9 @@ func (s *OwnerService) handleBatchDeal(msg transport.Message) error {
 	if err != nil {
 		return nil
 	}
-	items := make([][]sharing.Bundle, len(entries))
+	items := make([]sharing.KeyedItem, len(entries))
 	for i, e := range entries {
-		items[i] = e.bundlesFor(from)
+		items[i] = e.deal.Party[from-1]
 	}
 	err = s.ep.Send(transport.Message{To: from, Session: msg.Session, Step: stepTripleBatch + respSuffix, Payload: encodeBatchResponse(items)})
 	if err != nil {
@@ -324,7 +308,7 @@ func (s *OwnerService) ensureDealt(reqs []TripleRequest) ([]*tripleEntry, error)
 	}
 	s.mu.Unlock()
 	if len(missing) > 0 {
-		items, err := s.dealer.DealBatch(orders)
+		items, err := s.dealer.Deal(orders)
 		if err != nil {
 			return nil, err
 		}
@@ -336,7 +320,7 @@ func (s *OwnerService) ensureDealt(reqs []TripleRequest) ([]*tripleEntry, error)
 				entries[i] = existing
 				continue
 			}
-			e := &tripleEntry{bundles: items[oi].Triple, dealtAt: now}
+			e := &tripleEntry{deal: items[oi], dealtAt: now}
 			if e.maskName = reqs[i].Mask; e.maskName != "" {
 				e.mask = items[oi].Mask
 			}
@@ -400,7 +384,7 @@ func (s *OwnerService) retainMask(name string, b Mat) {
 		return
 	}
 	for key, e := range s.triples {
-		if e.maskName == unbound && e.bundles[0].B.Primary.IsZeroShape() {
+		if e.maskName == unbound && !e.deal.Party[0].Has(sharing.CompB) {
 			delete(s.triples, key)
 		}
 	}
@@ -550,26 +534,11 @@ func (s *OwnerService) finishGather(session string, g *gatherEntry) error {
 		s.stats.Calls++
 		s.mu.Unlock()
 		s.Obs.Counter("owner.calls").Inc()
-		resharer := s.Resharer
-		if resharer == nil {
-			resharer = s.dealer
-		}
-		bundles, err := resharer.Share(out)
+		items, err := s.resharer.DealValue(out)
 		if err != nil {
 			return err
 		}
-		for p := 1; p <= sharing.NumParties; p++ {
-			err := s.ep.Send(transport.Message{
-				To:      p,
-				Session: session,
-				Step:    g.step + respSuffix,
-				Payload: transport.EncodeBundle(bundles[p-1]),
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+		return DistributeShares(s.ep, session, g.step+respSuffix, items)
 	default:
 		return fmt.Errorf("protocol: unexpected gather step %q", g.step)
 	}
@@ -582,6 +551,10 @@ func (s *OwnerService) finishGather(session string, g *gatherEntry) error {
 // the request's key: unique per key, and never a plan segment's
 // `<session>#pf<k>`, since a key ends in its backward-pair flag.
 func RequestTriple(ctx *Ctx, r TripleRequest) (sharing.TripleBundle, error) {
+	keys, err := ctx.keysOf(transport.ModelOwner)
+	if err != nil {
+		return sharing.TripleBundle{}, err
+	}
 	env := r.Key()
 	if err := sendBatch(ctx, env, []TripleRequest{r}); err != nil {
 		return sharing.TripleBundle{}, err
@@ -590,8 +563,8 @@ func RequestTriple(ctx *Ctx, r TripleRequest) (sharing.TripleBundle, error) {
 	if err != nil {
 		return sharing.TripleBundle{}, err
 	}
-	t, err := decodeTriple(items[0], r.BackPair)
-	msg.Release() // triple shares are copied out of the payload
+	t, err := decodeTriple(items[0], r, keys)
+	msg.Release() // the expansion owns its storage
 	return t, err
 }
 
@@ -630,6 +603,10 @@ func recvBatch(ctx *Ctx, env string, n int) (transport.Message, [][]byte, error)
 // what it sends to the owner too; the owner's decision rule recovers.
 func CallOwner(ctx *Ctx, owner int, name, session string, arg sharing.Bundle) (sharing.Bundle, error) {
 	step := fnPrefix + name
+	keys, err := ctx.keysOf(owner)
+	if err != nil {
+		return sharing.Bundle{}, err
+	}
 	if ctx.Adversary != nil {
 		arg = ctx.Adversary.CorruptPreCommit(session, step, []sharing.Bundle{arg.Clone()})[0]
 	}
@@ -640,7 +617,7 @@ func CallOwner(ctx *Ctx, owner int, name, session string, arg sharing.Bundle) (s
 	if err != nil {
 		return sharing.Bundle{}, err
 	}
-	b, err := transport.DecodeBundle(msg.Payload)
+	b, err := expandValue(msg.Payload, keys.Reshare())
 	msg.Release()
 	return b, err
 }
@@ -662,33 +639,23 @@ func AnnounceRejoin(ctx *Ctx) error {
 	return ctx.Router.Send(transport.ModelOwner, "", stepRejoin, nil)
 }
 
-// decodeTriple parses a deal response: three bundles (A, B, C), or two
-// (A, C) for a triple dealt against a mask the owner retained, or —
-// exactly when the request asked for the backward pair — five
-// (A, B, C, A′, C′), A′ and C′ of one row count and of the widths of B
-// and Bᵀ.
-func decodeTriple(payload []byte, backPair bool) (sharing.TripleBundle, error) {
-	want := 3
-	switch {
-	case backPair:
-		want = 5
-	case len(payload) >= 8 && binary.LittleEndian.Uint64(payload) == 6: // the matrix count of two bundles
-		want = 2
-	}
-	bs, err := transport.DecodeBundles(payload, want)
+// decodeTriple parses and expands the keyed item dealt for request r.
+// It refuses an item whose components or shapes are not the ones r
+// implies: A, B (t for a comparison item), C, plus the backward pair
+// exactly when r asks for it; a named MatMul request may also be dealt
+// against the mask the owner retained, without B.
+func decodeTriple(payload []byte, r TripleRequest, keys sharing.PartyKeys) (sharing.TripleBundle, error) {
+	want, err := r.order().Layout()
 	if err != nil {
 		return sharing.TripleBundle{}, err
 	}
-	switch want {
-	case 2:
-		return sharing.TripleBundle{A: bs[0], C: bs[1]}, nil
-	case 5:
-		b, a2, c2 := bs[1], bs[3], bs[4]
-		if a2.Rows() != c2.Rows() || a2.Cols() != b.Cols() || c2.Cols() != b.Rows() {
-			return sharing.TripleBundle{}, fmt.Errorf("protocol: backward pair %dx%d, %dx%d for a %dx%d mask",
-				a2.Rows(), a2.Cols(), c2.Rows(), c2.Cols(), b.Rows(), b.Cols())
-		}
-		return sharing.TripleBundle{A: bs[0], B: b, C: bs[2], Back: sharing.Pair{A: a2, C: c2}}, nil
+	it, err := transport.DecodeKeyedItem(payload, keys.Party)
+	if err != nil {
+		return sharing.TripleBundle{}, err
 	}
-	return sharing.TripleBundle{A: bs[0], B: bs[1], C: bs[2]}, nil
+	if it.Layout != want && (r.Mask == "" || it.Layout != want.Without(sharing.CompB)) {
+		return sharing.TripleBundle{}, fmt.Errorf("protocol: deal %d for a %s request has layout %+v, want %+v",
+			it.Deal, r.Kind, it.Layout, want)
+	}
+	return it.Triple(keys), nil
 }

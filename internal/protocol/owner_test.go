@@ -263,7 +263,7 @@ func TestOwnerBatchDealMatchesIndividual(t *testing.T) {
 			if err != nil {
 				return sharing.Bundle{}, err
 			}
-			triple, err = decodeTriple(items[0], false)
+			triple, err = decodeTriple(items[0], req, env.dealer.Keys(ctx.Index))
 			msg.Release()
 		} else {
 			triple, err = RequestTriple(ctx, req)
@@ -328,7 +328,7 @@ func TestOwnerIgnoresMalformedBatch(t *testing.T) {
 		if err != nil {
 			return sharing.TripleBundle{}, err
 		}
-		return decodeTriple(items[0], false)
+		return decodeTriple(items[0], reqs[0], env.dealer.Keys(ctx.Index))
 	})
 	for p := 0; p < sharing.NumParties; p++ {
 		if outs[p].C.Primary.Rows != 1 || outs[p].C.Primary.Cols != 3 {

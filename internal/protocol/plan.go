@@ -201,7 +201,8 @@ func (r TripleRequest) order() sharing.BatchOrder {
 // length, mask bytes)` after a LE u32 count, a MatMul item's kind byte
 // carrying its backPairItem bit when it asks for the backward pair;
 // the response frame carries, in request order, one length-prefixed
-// item payload each (the item's bundles, see decodeTriple). Caps keep a Byzantine requester from ballooning the
+// item payload each (the item's keyed form for the requester, see
+// decodeTriple). Caps keep a Byzantine requester from ballooning the
 // owner's decode work.
 const (
 	// maxBatchItems bounds one batch deal message. Far above any real
@@ -360,17 +361,18 @@ func DecodeTripleBatch(buf []byte) ([]TripleRequest, error) {
 	return out, nil
 }
 
-// encodeBatchResponse frames, in request order, each item's bundles,
-// writing every encoding straight into the one frame.
-func encodeBatchResponse(items [][]sharing.Bundle) []byte {
+// encodeBatchResponse frames, in request order, each item's keyed
+// form for the requester, writing every encoding straight into the one
+// frame.
+func encodeBatchResponse(items []sharing.KeyedItem) []byte {
 	size := 4
 	for _, it := range items {
-		size += 4 + transport.BundlesSize(it...)
+		size += 4 + transport.KeyedItemSize(it)
 	}
 	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(items)))
 	for _, it := range items {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(transport.BundlesSize(it...)))
-		buf = transport.AppendBundles(buf, it...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(transport.KeyedItemSize(it)))
+		buf = transport.AppendKeyedItem(buf, it)
 	}
 	return buf
 }

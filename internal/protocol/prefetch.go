@@ -26,8 +26,11 @@ const segmentSize = 4
 // requested the moment segment k arrives — so the owner's round trips
 // overlap the online rounds instead of serialising with them (the
 // offline/online split of §III-A, realised as a pipeline). The layers
-// consume the plan in order; a request that is not the plan's next one
-// is dealt on demand instead.
+// consume the plan in order. A request that matches a later plan entry
+// moves the cursor there, receiving and releasing the segments of the
+// entries it skips, so one request off the plan costs one on-demand
+// deal and strands nothing; a request the plan does not hold is dealt
+// on demand and leaves the cursor where it is.
 //
 // A PrefetchSource serves one protocol session on the party's
 // goroutine and is not safe for concurrent use. Close must be called
@@ -35,6 +38,8 @@ const segmentSize = 4
 type PrefetchSource struct {
 	ctx  *Ctx
 	plan []TripleRequest
+	// keys are the model owner's dealing keys the items expand with.
+	keys sharing.PartyKeys
 	// next is the plan cursor: the request the layers make next.
 	next int
 	// sent and recvd count the segments requested and received.
@@ -51,7 +56,9 @@ type PrefetchSource struct {
 // demand.
 func NewPrefetchSource(ctx *Ctx, plan []TripleRequest) *PrefetchSource {
 	p := &PrefetchSource{ctx: ctx, plan: plan}
-	p.send() // segment 0 goes out before the first layer runs
+	if p.keys, p.sendErr = ctx.keysOf(transport.ModelOwner); p.sendErr == nil {
+		p.send() // segment 0 goes out before the first layer runs
+	}
 	return p
 }
 
@@ -96,24 +103,46 @@ func (p *PrefetchSource) recv() error {
 	return nil
 }
 
-// take deals req from the segment in hand when req is the plan's next
-// request, and on demand otherwise. A segment's frame is released as
-// soon as its last item is decoded.
+// take deals req from its plan segment when the plan holds it at or
+// after the cursor, skipping the entries before it, and on demand
+// otherwise. A segment's frame is released as soon as the cursor
+// leaves it.
 func (p *PrefetchSource) take(req TripleRequest) (sharing.TripleBundle, error) {
-	if p.next >= len(p.plan) || p.plan[p.next] != req {
+	at := p.next
+	for at < len(p.plan) && p.plan[at] != req {
+		at++
+	}
+	if at == len(p.plan) {
 		return RequestTriple(p.ctx, req)
 	}
-	if p.next/segmentSize == p.recvd {
-		if err := p.recv(); err != nil {
+	for ; p.next < at; p.advance() {
+		if err := p.hold(); err != nil {
 			return sharing.TripleBundle{}, err
 		}
 	}
-	t, err := decodeTriple(p.items[p.next%segmentSize], req.BackPair)
+	if err := p.hold(); err != nil {
+		return sharing.TripleBundle{}, err
+	}
+	t, err := decodeTriple(p.items[p.next%segmentSize], req, p.keys)
+	p.advance()
+	return t, err
+}
+
+// hold makes sure the segment of the cursor's entry is in hand.
+func (p *PrefetchSource) hold() error {
+	if p.next/segmentSize == p.recvd {
+		return p.recv()
+	}
+	return nil
+}
+
+// advance moves the cursor past its entry, releasing the segment when
+// the cursor leaves it.
+func (p *PrefetchSource) advance() {
 	p.next++
 	if p.next%segmentSize == 0 || p.next == len(p.plan) {
 		p.release()
 	}
-	return t, err
 }
 
 // release returns the frame of the segment in hand.

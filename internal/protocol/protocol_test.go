@@ -99,6 +99,7 @@ func newPartyEnv(t *testing.T, commitment bool) *partyEnv {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ctx.SetKeys(transport.ModelOwner, env.dealer.Keys(i))
 		env.ctxs[i-1] = ctx
 	}
 	return env
@@ -518,10 +519,11 @@ func TestSecCompBTWithByzantineParty(t *testing.T) {
 	}
 }
 
-// TestSecCompBTRejectsItemWithoutMask: a comparison reply in the
-// two-bundle form of a pair dealt against a retained mask decodes to a
-// triple without B. SecCompBT must refuse it, at every party and
-// before any exchange, instead of panicking on the missing t.
+// TestSecCompBTRejectsItemWithoutMask: a comparison reply in the form
+// of a pair dealt against a retained mask, without t, is refused by
+// the decoder; and a triple without B reaching SecCompBT is refused at
+// every party before any exchange, instead of panicking on the
+// missing t.
 func TestSecCompBTRejectsItemWithoutMask(t *testing.T) {
 	env := newPartyEnv(t, true)
 	x, _ := tensor.FromSlice(1, 2, []float64{1, -1})
@@ -530,14 +532,22 @@ func TestSecCompBTRejectsItemWithoutMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	deals, err := env.dealer.Deal([]sharing.BatchOrder{{Aux: true, M: 1, N: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := TripleRequest{Kind: ReqAux, Session: "nomask", M: 1, N: 2}
 	for i, ctx := range env.ctxs {
-		tr, err := decodeTriple(transport.EncodeBundles(items[i].A, items[i].C), false)
-		if err != nil {
-			t.Fatal(err)
+		// The decoder refuses a comparison item without its t ...
+		it := deals[0].Party[i]
+		it.Layout = it.Without(sharing.CompT)
+		it.Second[sharing.CompT] = Mat{}
+		if _, err := decodeTriple(transport.EncodeKeyedItem(it), req, env.dealer.Keys(i+1)); err == nil {
+			t.Fatal("a comparison item without its t decoded")
 		}
-		if !tr.B.Primary.IsZeroShape() {
-			t.Fatal("a two-bundle reply decoded with a B")
-		}
+		// ... and SecCompBT refuses such a triple too.
+		tr := items[i]
+		tr.B = sharing.Bundle{}
 		if _, err := SecCompBT(ctx, "nomask", bx[i], bx[i], tr.B, tr); err == nil {
 			t.Fatalf("party %d: comparison without its positive mask accepted", i+1)
 		}

@@ -60,6 +60,58 @@ func (o BatchOrder) ConvImages() (int, error) {
 	return o.M / positions, nil
 }
 
+// Layout returns what the item of the order consists of: A (at image
+// shape for a conv order), then B — or, for a comparison item, t; none
+// when the order is dealt Against a retained mask — then C, and the
+// backward pair's A′ and C′ when it asks for them. It rejects orders
+// that cannot be dealt.
+func (o BatchOrder) Layout() (Layout, error) {
+	var l Layout
+	if o.Aux {
+		o.Kind = TripleHadamard
+	}
+	if o.M <= 0 || o.N <= 0 || (o.Kind == TripleMatMul && o.P <= 0) {
+		return l, fmt.Errorf("sharing: order dims %dx%dx%d", o.M, o.N, o.P)
+	}
+	bRows, bCols, cCols := o.M, o.N, o.N
+	switch o.Kind {
+	case TripleHadamard:
+	case TripleMatMul:
+		bRows, bCols, cCols = o.N, o.P, o.P
+	default:
+		return l, fmt.Errorf("sharing: unknown triple kind %d", o.Kind)
+	}
+	fresh := o.Against.IsZeroShape()
+	if !fresh && (o.Kind != TripleMatMul || o.Against.Rows != o.N || o.Against.Cols != o.P) {
+		return l, fmt.Errorf("sharing: %dx%d mask for a (%dx%d)·(%dx%d) order",
+			o.Against.Rows, o.Against.Cols, o.M, o.N, bRows, bCols)
+	}
+	if o.BackPair && o.Kind != TripleMatMul {
+		return l, fmt.Errorf("sharing: backward pair on a non-matmul order")
+	}
+	aRows, aCols := o.M, o.N
+	if o.isConv() {
+		images, err := o.ConvImages()
+		if err != nil {
+			return l, err
+		}
+		aRows, aCols = images, o.Conv.InSize()
+	}
+	l.with(CompA, aRows, aCols)
+	switch {
+	case o.Aux:
+		l.with(CompT, bRows, bCols)
+	case fresh:
+		l.with(CompB, bRows, bCols)
+	}
+	l.with(CompC, o.M, cCols)
+	if o.BackPair {
+		l.with(CompBackA, o.M, o.P)
+		l.with(CompBackC, o.M, o.N)
+	}
+	return l, nil
+}
+
 // BatchItem is one dealt item of a batch: the per-party triple bundles.
 type BatchItem struct {
 	Triple [NumParties]TripleBundle
@@ -69,139 +121,38 @@ type BatchItem struct {
 	Mask Mat
 }
 
-// DealBatch deals all items of one batch; it is the dealer's only
-// dealing routine (HadamardTriple, MatMulTriple, CompTriple and
-// AuxPositive are one-order batches). A batch draws from the dealer's
-// Source exactly as the same orders dealt one batch each would.
-// Keeping the streams identical is a correctness contract, not
-// cosmetics: fixed-point truncation is share-local, so opened protocol
-// outputs depend (at the ulp level) on the share randomness, and a
-// pipelined multi-order fetch must stay bit-identical to on-demand
-// single-order deals. All randomness is therefore drawn serially per
-// item — operands, then the share masks of a, b and c in that order;
-// only the CPU-bound triple products c = a·b / a⊙b / conv(a, b), which
-// consume no randomness, run concurrently across items (each
-// additionally fanning out over the parallel tensor kernels). The c
-// share sets are assembled afterwards from masks pre-drawn in phase 1.
-// An order dealt Against a retained mask skips exactly the draws of b
-// and of b's shares, a conv order draws a at image shape, an Aux order
-// draws its b as the positive mask t, and a BackPair order follows its
-// own draws with the pair's (a′, a′'s shares, c′'s masks); a stream
-// with none of them is the stream it always was.
-func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
-	type pending struct {
-		a, b   Mat // triple operands
-		c      Mat // product, filled concurrently
-		as, bs [NumParties]Bundle
-		// cMasks holds, per share set, the mask CreateShares would have
-		// drawn for c — pre-drawn so sharing c after the concurrent
-		// product phase consumes no randomness.
-		cMasks [NumParties]Mat
-		// The backward pair of a BackPair order, drawn and shared alike.
-		a2, c2  Mat
-		a2s     [NumParties]Bundle
-		c2Masks [NumParties]Mat
-	}
-	out := make([]BatchItem, len(orders))
-	ops := make([]pending, len(orders))
-
-	// Phase 1 — serial: every source draw, in the individual-deal order.
+// Deal deals all items of one batch in keyed form; it is the dealer's
+// only triple dealing routine (DealBatch, HadamardTriple, MatMulTriple,
+// CompTriple and AuxPositive expand its items). Each item takes the next
+// deal number, in order, and every share of it derives from that number
+// alone: a batch deals exactly what the same orders dealt one batch
+// each would. Keeping the deals identical is a correctness contract,
+// not cosmetics: fixed-point truncation is share-local, so opened
+// protocol outputs depend (at the ulp level) on the share randomness,
+// and a pipelined multi-order fetch must stay bit-identical to
+// on-demand single-order deals. Since no item reads what another draws,
+// the items — their key streams and their CPU-bound triple products
+// c = a·b / a⊙b / conv(a, b) — are dealt concurrently (each product
+// additionally fanning out over the parallel tensor kernels). A batch
+// with an order that cannot be dealt deals nothing and takes no number.
+func (d *Dealer) Deal(orders []BatchOrder) ([]KeyedDeal, error) {
+	layouts := make([]Layout, len(orders))
 	for i, o := range orders {
-		if o.Aux {
-			o.Kind = TripleHadamard
-		}
-		bShape := [2]int{o.M, o.N}
-		cShape := [2]int{o.M, o.N}
-		switch o.Kind {
-		case TripleHadamard:
-		case TripleMatMul:
-			bShape = [2]int{o.N, o.P}
-			cShape = [2]int{o.M, o.P}
-		default:
-			return nil, fmt.Errorf("sharing: batch item %d: unknown triple kind %d", i, o.Kind)
-		}
 		var err error
-		fresh := o.Against.IsZeroShape()
-		if !fresh && (o.Kind != TripleMatMul || o.Against.Rows != o.N || o.Against.Cols != o.P) {
-			return nil, fmt.Errorf("sharing: batch item %d: %dx%d mask for a (%dx%d)·(%dx%d) order",
-				i, o.Against.Rows, o.Against.Cols, o.M, o.N, bShape[0], bShape[1])
-		}
-		if o.BackPair && o.Kind != TripleMatMul {
-			return nil, fmt.Errorf("sharing: batch item %d: backward pair on a non-matmul order", i)
-		}
-		aShape := [2]int{o.M, o.N}
-		if o.isConv() {
-			images, err := o.ConvImages()
-			if err != nil {
-				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-			}
-			aShape = [2]int{images, o.Conv.InSize()}
-		}
-		if ops[i].a, err = d.uniform(aShape[0], aShape[1]); err != nil {
+		if layouts[i], err = o.Layout(); err != nil {
 			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-		}
-		ops[i].b = o.Against
-		draw := d.uniform
-		if o.Aux {
-			draw = d.auxMatrix
-		}
-		if fresh {
-			if ops[i].b, err = draw(bShape[0], bShape[1]); err != nil {
-				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-			}
-		}
-		if ops[i].as, err = d.Share(ops[i].a); err != nil {
-			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-		}
-		if fresh {
-			if ops[i].bs, err = d.Share(ops[i].b); err != nil {
-				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-			}
-			if o.Kind == TripleMatMul {
-				out[i].Mask = ops[i].b
-			}
-		}
-		for j := 0; j < NumParties; j++ {
-			if ops[i].cMasks[j], err = d.uniform(cShape[0], cShape[1]); err != nil {
-				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-			}
-		}
-		if !o.BackPair {
-			continue
-		}
-		if ops[i].a2, err = d.uniform(o.M, o.P); err != nil {
-			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-		}
-		if ops[i].a2s, err = d.Share(ops[i].a2); err != nil {
-			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-		}
-		for j := 0; j < NumParties; j++ {
-			if ops[i].c2Masks[j], err = d.uniform(o.M, o.N); err != nil {
-				return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-			}
 		}
 	}
-
-	// Phase 2 — concurrent: the triple products, the CPU-bound part.
-	var wg sync.WaitGroup
+	first := d.deals
+	d.deals += uint64(len(orders))
+	out := make([]KeyedDeal, len(orders))
 	errs := make([]error, len(orders))
+	var wg sync.WaitGroup
 	for i := range orders {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var err error
-			switch o := orders[i]; {
-			case o.Kind == TripleHadamard || o.Aux:
-				ops[i].c, err = ops[i].a.Hadamard(ops[i].b)
-			case o.isConv():
-				ops[i].c, err = tensor.Conv2DBatch(o.Conv, ops[i].a, ops[i].b)
-			default:
-				ops[i].c, err = ops[i].a.MatMul(ops[i].b)
-			}
-			if err == nil && orders[i].BackPair {
-				ops[i].c2, err = ops[i].a2.MatMul(ops[i].b.Transpose())
-			}
-			errs[i] = err
+			errs[i] = d.dealItem(&out[i], first+uint64(i), orders[i], layouts[i])
 		}(i)
 	}
 	wg.Wait()
@@ -210,62 +161,127 @@ func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
 			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
 		}
 	}
-
-	// Phase 3 — assembly, no randomness: build c's bundles from the
-	// phase-1 masks and combine the triples.
-	for i := range orders {
-		cs, err := shareWithMasks(ops[i].c, ops[i].cMasks)
-		if err != nil {
-			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-		}
-		for p := 0; p < NumParties; p++ {
-			out[i].Triple[p] = TripleBundle{A: ops[i].as[p], B: ops[i].bs[p], C: cs[p]}
-		}
-		if !orders[i].BackPair {
-			continue
-		}
-		c2s, err := shareWithMasks(ops[i].c2, ops[i].c2Masks)
-		if err != nil {
-			return nil, fmt.Errorf("sharing: batch item %d: %w", i, err)
-		}
-		for p := 0; p < NumParties; p++ {
-			out[i].Triple[p].Back = Pair{A: ops[i].a2s[p], C: c2s[p]}
-		}
-	}
 	return out, nil
 }
 
-// shareWithMasks splits s into the three per-party bundles using
-// pre-drawn first-share masks, one per share set — producing exactly
-// the bundles Share would had CreateShares drawn those masks.
-func shareWithMasks(s Mat, masks [NumParties]Mat) ([NumParties]Bundle, error) {
-	var bundles [NumParties]Bundle
-	if s.IsZeroShape() {
-		return bundles, fmt.Errorf("sharing: cannot share an empty matrix")
-	}
-	var sets [NumParties][2]Mat
-	for j := 0; j < NumParties; j++ {
-		if masks[j].Rows != s.Rows || masks[j].Cols != s.Cols {
-			return bundles, fmt.Errorf("sharing: mask %d shape %dx%d does not match secret %dx%d",
-				j, masks[j].Rows, masks[j].Cols, s.Rows, s.Cols)
+// dealItem deals order o as deal n: a, then b (a positive t for a
+// comparison item, nothing when dealt against a retained mask), the
+// product c, and the backward pair a′, c′ = a′·bᵀ.
+func (d *Dealer) dealItem(kd *KeyedDeal, n uint64, o BatchOrder, l Layout) error {
+	a := d.dealUniform(kd, n, CompA, l.Shapes[CompA])
+	b := o.Against
+	switch {
+	case l.Has(CompT):
+		b = d.positive(n, l.Shapes[CompT])
+		d.dealKnown(kd, n, CompT, b)
+	case l.Has(CompB):
+		b = d.dealUniform(kd, n, CompB, l.Shapes[CompB])
+		if o.Kind == TripleMatMul {
+			kd.Mask = b
 		}
-		last := s.Clone()
-		if err := last.SubInPlace(masks[j]); err != nil {
-			return bundles, err
-		}
-		sets[j] = [2]Mat{masks[j], last}
 	}
-	return distribute(sets), nil
+	var c Mat
+	var err error
+	switch {
+	case o.Kind == TripleHadamard || o.Aux:
+		c, err = a.Hadamard(b)
+	case o.isConv():
+		c, err = tensor.Conv2DBatch(o.Conv, a, b)
+	default:
+		c, err = a.MatMul(b)
+	}
+	if err != nil {
+		return err
+	}
+	d.dealKnown(kd, n, CompC, c)
+	if !o.BackPair {
+		return nil
+	}
+	a2 := d.dealUniform(kd, n, CompBackA, l.Shapes[CompBackA])
+	c2, err := a2.MatMul(b.Transpose())
+	if err != nil {
+		return err
+	}
+	d.dealKnown(kd, n, CompBackC, c2)
+	return nil
 }
 
-// auxMatrix draws the positive mask t of a comparison item.
-func (d *Dealer) auxMatrix(rows, cols int) (Mat, error) {
-	t, err := tensor.New[int64](rows, cols)
+// dealKnown deals component c of deal n for a value s the dealer
+// holds: each set's first share comes from the set's key, and the
+// party holding the set's second share receives s minus it.
+func (d *Dealer) dealKnown(kd *KeyedDeal, n uint64, c Component, s Mat) {
+	for j := 1; j <= NumParties; j++ {
+		second := prf(s.Rows, s.Cols, d.sets[j-1], label(d.domain, n, c, j))
+		subFrom(second.Data, s.Data)
+		kd.Party[j%NumParties].Second[c] = second
+	}
+	d.lay(kd, n, c, s.Rows, s.Cols)
+}
+
+// dealUniform draws uniform component c of deal n and returns the
+// secret: the deal's keyed set comes whole from keys — its first share
+// from the set key, its second from the holder's private key — and the
+// holders of the other two sets' second shares receive them.
+func (d *Dealer) dealUniform(kd *KeyedDeal, n uint64, c Component, shape [2]int) Mat {
+	rows, cols := shape[0], shape[1]
+	js := keyedSet(n)
+	s := prf(rows, cols, d.sets[js-1], label(d.domain, n, c, js))
+	second := prf(rows, cols, d.private[js%NumParties], label(d.domain, n, c, js))
+	for i, v := range second.Data {
+		s.Data[i] += v
+	}
+	for j := 1; j <= NumParties; j++ {
+		if j == js {
+			continue
+		}
+		second := prf(rows, cols, d.sets[j-1], label(d.domain, n, c, j))
+		subFrom(second.Data, s.Data)
+		kd.Party[j%NumParties].Second[c] = second
+	}
+	d.lay(kd, n, c, rows, cols)
+	return s
+}
+
+// lay records component c of deal n in every party's item.
+func (d *Dealer) lay(kd *KeyedDeal, n uint64, c Component, rows, cols int) {
+	for p := range kd.Party {
+		kd.Party[p].Deal = n
+		kd.Party[p].with(c, rows, cols)
+	}
+}
+
+// subFrom sets dst = s − dst over the ring.
+func subFrom(dst, s []int64) {
+	s = s[:len(dst)]
+	for i, v := range dst {
+		dst[i] = s[i] - v
+	}
+}
+
+// positive draws the positive mask t of comparison deal n, uniform in
+// [0.5, 8), from the dealer's unshared key.
+func (d *Dealer) positive(n uint64, shape [2]int) Mat {
+	t := prf(shape[0], shape[1], d.own, label(d.domain, n, CompT, 0))
+	for i, v := range t.Data {
+		t.Data[i] = d.params.FromFloat(0.5 + 7.5*float64(uint64(v)>>11)/(1<<53))
+	}
+	return t
+}
+
+// DealBatch deals a batch (Deal) and expands every item with every
+// party's keys: the full per-party triple bundles, for callers that
+// hold all three parties' shares.
+func (d *Dealer) DealBatch(orders []BatchOrder) ([]BatchItem, error) {
+	deals, err := d.Deal(orders)
 	if err != nil {
-		return Mat{}, err
+		return nil, err
 	}
-	for i := range t.Data {
-		t.Data[i] = d.params.FromFloat(0.5 + 7.5*unitFloat(d.src))
+	out := make([]BatchItem, len(deals))
+	for i, kd := range deals {
+		out[i].Mask = kd.Mask
+		for p := range kd.Party {
+			out[i].Triple[p] = kd.Party[p].Triple(d.Keys(p + 1))
+		}
 	}
-	return t, nil
+	return out, nil
 }

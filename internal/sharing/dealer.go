@@ -18,9 +18,21 @@ import (
 // the BT protocols reconstruct one masked value per multiplication and
 // reuse it across all sets' share computations, which is only correct
 // when the sets agree.
+//
+// Dealing is seeded (keyed.go): the shares come from AES-CTR streams
+// under keys drawn once from the Source, labelled by the dealer's deal
+// counter, and each party is sent only what its keys cannot produce.
+// A Dealer is not safe for concurrent use.
 type Dealer struct {
-	src    Source
 	params fixed.Params
+	domain Domain
+	// sets[j-1] is the key of set j, shared with its two first-share
+	// holders; private[p-1] is shared with party p alone; own is the
+	// dealer's unshared key.
+	sets, private [NumParties]Key
+	own           Key
+	// deals is the next deal number.
+	deals uint64
 
 	// saturations counts owner-side float encodings that had to clamp
 	// to the ring bounds (NaN, ±Inf, overflow) — a rogue gradient or
@@ -29,14 +41,38 @@ type Dealer struct {
 	saturations *obs.Counter
 }
 
-// NewDealer returns a dealer drawing share randomness from src and
-// encoding reals with params.
+// NewDealer returns a dealer whose keys are drawn from src and which
+// encodes reals with params. A seeded src makes the whole deal stream
+// reproducible.
 func NewDealer(src Source, params fixed.Params) *Dealer {
-	return &Dealer{src: src, params: params}
+	d := &Dealer{params: params, domain: DomainDeal}
+	for j := range d.sets {
+		d.sets[j] = drawKey(src)
+	}
+	for p := range d.private {
+		d.private[p] = drawKey(src)
+	}
+	d.own = drawKey(src)
+	return d
 }
 
-// SetObs attaches a metrics registry: ShareFloats then counts clamped
-// encodings under fixed.saturations. A nil registry detaches.
+// Resharer returns a dealer with d's keys, dealing in the reshare
+// domain under its own deal counter: the owner's reshares of delegated
+// function results (softmax, §III-C) then leave the deal stream a pure
+// function of the deal order, and parties expand them with the keys
+// they already hold (PartyKeys.Reshare).
+func (d *Dealer) Resharer() *Dealer {
+	return &Dealer{params: d.params, domain: DomainReshare, sets: d.sets, private: d.private, own: d.own, saturations: d.saturations}
+}
+
+// Keys returns what party p holds of the dealer's keys.
+func (d *Dealer) Keys(p int) PartyKeys {
+	i1, i2, _ := SetsOf(p)
+	return PartyKeys{Party: p, Domain: d.domain, Primary: d.sets[i1-1], Hat: d.sets[i2-1], Private: d.private[p-1]}
+}
+
+// SetObs attaches a metrics registry: DealFloats (and ShareFloats)
+// then count clamped encodings under fixed.saturations. A nil registry detaches.
 func (d *Dealer) SetObs(reg *obs.Registry) {
 	d.saturations = reg.Counter("fixed.saturations")
 }
@@ -44,48 +80,46 @@ func (d *Dealer) SetObs(reg *obs.Registry) {
 // Params exposes the dealer's fixed-point configuration.
 func (d *Dealer) Params() fixed.Params { return d.params }
 
-// Share splits a ring-domain secret into the three per-party bundles.
-func (d *Dealer) Share(s Mat) ([NumParties]Bundle, error) {
-	var bundles [NumParties]Bundle
+// DealValue deals a ring-domain secret in keyed form: one deal with the
+// single component CompValue, of which every party receives its Second.
+func (d *Dealer) DealValue(s Mat) ([NumParties]KeyedItem, error) {
+	var items [NumParties]KeyedItem
 	if s.IsZeroShape() {
-		return bundles, fmt.Errorf("sharing: cannot share an empty matrix")
+		return items, fmt.Errorf("sharing: cannot share an empty matrix")
 	}
-	// Three independent 2-additive sharings of the same value.
-	var sets [NumParties][2]Mat
-	for j := 0; j < NumParties; j++ {
-		shares, err := CreateShares(d.src, s, 2)
-		if err != nil {
+	n := d.deals
+	d.deals++
+	var kd KeyedDeal
+	d.dealKnown(&kd, n, CompValue, s)
+	return kd.Party, nil
+}
+
+// Share splits a ring-domain secret into the three per-party bundles:
+// DealValue, expanded with each party's keys.
+func (d *Dealer) Share(s Mat) ([NumParties]Bundle, error) {
+	items, err := d.DealValue(s)
+	return d.expandValues(items, err)
+}
+
+// expandValues expands each party's item of a dealt value.
+func (d *Dealer) expandValues(items [NumParties]KeyedItem, err error) ([NumParties]Bundle, error) {
+	var bundles [NumParties]Bundle
+	if err != nil {
+		return bundles, err
+	}
+	for p := range bundles {
+		if bundles[p], err = items[p].Value(d.Keys(p + 1)); err != nil {
 			return bundles, err
 		}
-		sets[j] = [2]Mat{shares[0], shares[1]}
 	}
-	return distribute(sets), nil
+	return bundles, nil
 }
 
-// distribute hands three 2-additive share sets out as the per-party
-// bundles of Fig. 1, taking ownership of the sets' matrices. SetsOf's
-// three indices are each a permutation of the parties, so every first
-// share is one party's Primary and another's Hat, and every second
-// share one party's Second: one clone per set gives each bundle storage
-// no other bundle shares.
-func distribute(sets [NumParties][2]Mat) [NumParties]Bundle {
-	var bundles [NumParties]Bundle
-	for i := 1; i <= NumParties; i++ {
-		i1, i2, i3 := SetsOf(i)
-		bundles[i-1] = Bundle{
-			Primary: sets[i1-1][0],
-			Hat:     sets[i2-1][0].Clone(),
-			Second:  sets[i3-1][1],
-		}
-	}
-	return bundles
-}
-
-// ShareFloats encodes a float64 matrix into the ring and shares it.
-// Values the ring cannot represent (NaN, ±Inf, overflow) are clamped
-// deterministically by the checked encoder and counted when a metrics
-// registry is attached (SetObs).
-func (d *Dealer) ShareFloats(m tensor.Matrix[float64]) ([NumParties]Bundle, error) {
+// DealFloats encodes a float64 matrix into the ring and deals it
+// (DealValue). Values the ring cannot represent (NaN, ±Inf, overflow)
+// are clamped deterministically by the checked encoder and counted
+// when a metrics registry is attached (SetObs).
+func (d *Dealer) DealFloats(m tensor.Matrix[float64]) ([NumParties]KeyedItem, error) {
 	enc := tensor.Matrix[int64]{Rows: m.Rows, Cols: m.Cols, Data: make([]int64, m.Size())}
 	for i, v := range m.Data {
 		e, exact := d.params.FromFloatChecked(v)
@@ -94,7 +128,13 @@ func (d *Dealer) ShareFloats(m tensor.Matrix[float64]) ([NumParties]Bundle, erro
 		}
 		enc.Data[i] = e
 	}
-	return d.Share(enc)
+	return d.DealValue(enc)
+}
+
+// ShareFloats is DealFloats expanded into the three bundles.
+func (d *Dealer) ShareFloats(m tensor.Matrix[float64]) ([NumParties]Bundle, error) {
+	items, err := d.DealFloats(m)
+	return d.expandValues(items, err)
 }
 
 // TripleKind distinguishes Beaver triples for element-wise
@@ -177,15 +217,4 @@ func (d *Dealer) dealOne(o BatchOrder) (BatchItem, error) {
 		return BatchItem{}, err
 	}
 	return items[0], nil
-}
-
-func (d *Dealer) uniform(rows, cols int) (Mat, error) {
-	m, err := tensor.New[int64](rows, cols)
-	if err != nil {
-		return Mat{}, err
-	}
-	for i := range m.Data {
-		m.Data[i] = ringElement(d.src)
-	}
-	return m, nil
 }

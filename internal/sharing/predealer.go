@@ -19,6 +19,10 @@ import (
 // retains b, later ones deal only the input-side pair against it. A
 // matrix triple requested with its backward pair carries it in Back.
 //
+// Entries hold the keyed deal, as the online owner does; each view
+// expands its party's item with that party's keys, so the offline path
+// runs the same expansion as a party decoding the owner's reply.
+//
 // PreDealer is safe for concurrent use by the three party goroutines.
 type PreDealer struct {
 	mu      sync.Mutex
@@ -28,8 +32,8 @@ type PreDealer struct {
 }
 
 type preTriple struct {
-	bundles [NumParties]TripleBundle
-	served  int
+	deal   KeyedDeal
+	served int
 }
 
 // NewPreDealer wraps a dealer for offline-phase distribution.
@@ -46,7 +50,7 @@ func (p *PreDealer) View(party int) (*PreView, error) {
 	if party < 1 || party > NumParties {
 		return nil, fmt.Errorf("sharing: party %d out of range", party)
 	}
-	return &PreView{dealer: p, party: party}, nil
+	return &PreView{dealer: p, party: party, keys: p.dealer.Keys(party)}, nil
 }
 
 // matMulKey names the entry of a matrix triple; conv geometry and the
@@ -62,16 +66,21 @@ func (p *PreDealer) matMul(session, mask string, conv tensor.ConvShape, m, n, q 
 	if e, ok := p.triples[key]; ok {
 		return e, nil
 	}
-	// A one-order batch draws exactly what MatMulTriple would.
 	order := BatchOrder{Kind: TripleMatMul, M: m, N: n, P: q, Against: p.masks.Get(mask, n, q), Conv: conv, BackPair: backPair}
-	items, err := p.dealer.DealBatch([]BatchOrder{order})
+	return p.deal(key, order, mask)
+}
+
+// deal deals order as a new entry under key, retaining a freshly drawn
+// mask under its name. Called with p.mu held.
+func (p *PreDealer) deal(key string, order BatchOrder, mask string) (*preTriple, error) {
+	deals, err := p.dealer.Deal([]BatchOrder{order})
 	if err != nil {
 		return nil, err
 	}
 	if mask != "" && order.Against.IsZeroShape() {
-		p.masks.Put(mask, items[0].Mask)
+		p.masks.Put(mask, deals[0].Mask)
 	}
-	e := &preTriple{bundles: items[0].Triple}
+	e := &preTriple{deal: deals[0]}
 	p.triples[key] = e
 	return e, nil
 }
@@ -88,13 +97,7 @@ func (p *PreDealer) comp(session string, rows, cols int) (*preTriple, error) {
 	if e, ok := p.triples[key]; ok {
 		return e, nil
 	}
-	bs, err := p.dealer.CompTriple(rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	e := &preTriple{bundles: bs}
-	p.triples[key] = e
-	return e, nil
+	return p.deal(key, BatchOrder{Aux: true, M: rows, N: cols}, "")
 }
 
 func (p *PreDealer) retire(key string) {
@@ -112,6 +115,20 @@ func (p *PreDealer) retire(key string) {
 type PreView struct {
 	dealer *PreDealer
 	party  int
+	keys   PartyKeys
+}
+
+// expand expands the party's item of entry e. The entry keeps its
+// Second matrices — a repeated request expands them again — so the
+// expansion gets copies.
+func (v *PreView) expand(e *preTriple) TripleBundle {
+	it := e.deal.Party[v.party-1]
+	for c, m := range it.Second {
+		if !m.IsZeroShape() {
+			it.Second[c] = m.Clone()
+		}
+	}
+	return it.Triple(v.keys)
 }
 
 // MatMulTriple returns this party's share of the session's matrix
@@ -134,7 +151,7 @@ func (v *PreView) matMul(session, mask string, conv tensor.ConvShape, m, n, q in
 	if err != nil {
 		return TripleBundle{}, err
 	}
-	t := e.bundles[v.party-1]
+	t := v.expand(e)
 	v.dealer.retire(matMulKey(session, conv, m, n, q, backPair))
 	return t, nil
 }
@@ -146,7 +163,7 @@ func (v *PreView) CompTriple(session string, rows, cols int) (TripleBundle, erro
 	if err != nil {
 		return TripleBundle{}, err
 	}
-	t := e.bundles[v.party-1]
+	t := v.expand(e)
 	v.dealer.retire(compKey(session, rows, cols))
 	return t, nil
 }

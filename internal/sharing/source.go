@@ -65,8 +65,3 @@ func (s *SeededSource) Uint64() uint64 { return s.rng.Uint64() }
 func ringElement(src Source) int64 {
 	return int64(src.Uint64())
 }
-
-// unitFloat draws a float uniform in [0, 1).
-func unitFloat(src Source) float64 {
-	return float64(src.Uint64()>>11) / (1 << 53)
-}

@@ -202,3 +202,92 @@ func DecodeBundles(buf []byte, want int) ([]sharing.Bundle, error) {
 	}
 	return out, nil
 }
+
+// keyedHeaderLen is the header of a keyed item: the deal number (LE
+// u64) and the component bitmask (one byte).
+const keyedHeaderLen = 9
+
+// AppendKeyedItem appends one party's keyed item (sharing.KeyedItem):
+// the header, then for each present component in index order its
+// shape — two LE u32s — followed by the party's Second when it
+// receives one (sharing.Receives).
+func AppendKeyedItem(buf []byte, it sharing.KeyedItem) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, it.Deal)
+	buf = append(buf, it.Comps)
+	for c := sharing.Component(0); c < sharing.NumComponents; c++ {
+		if !it.Has(c) {
+			continue
+		}
+		if m := it.Second[c]; !m.IsZeroShape() {
+			buf = AppendMatrix(buf, m)
+			continue
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(it.Shapes[c][0]))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(it.Shapes[c][1]))
+	}
+	return buf
+}
+
+// KeyedItemSize is the length of AppendKeyedItem's encoding of it.
+func KeyedItemSize(it sharing.KeyedItem) int {
+	size := keyedHeaderLen
+	for c := sharing.Component(0); c < sharing.NumComponents; c++ {
+		if it.Has(c) {
+			size += matrixHeaderLen + 8*it.Second[c].Size()
+		}
+	}
+	return size
+}
+
+// EncodeKeyedItem serializes one party's keyed item.
+func EncodeKeyedItem(it sharing.KeyedItem) []byte {
+	return AppendKeyedItem(make([]byte, 0, KeyedItemSize(it)), it)
+}
+
+// DecodeKeyedItem parses the keyed item dealt to party: whether a
+// component carries a Second follows from the party, the deal number
+// and the component. It refuses unknown component bits, an empty
+// item, implausible shapes, a truncated body and trailing bytes; the
+// caller checks the layout against what it asked for before expanding.
+func DecodeKeyedItem(buf []byte, party int) (sharing.KeyedItem, error) {
+	var it sharing.KeyedItem
+	if party < 1 || party > sharing.NumParties {
+		return it, fmt.Errorf("transport: keyed item for party %d", party)
+	}
+	if len(buf) < keyedHeaderLen {
+		return it, fmt.Errorf("transport: keyed item header truncated (%d bytes)", len(buf))
+	}
+	it.Deal = binary.LittleEndian.Uint64(buf)
+	it.Comps = buf[8]
+	buf = buf[keyedHeaderLen:]
+	if it.Comps == 0 || it.Comps>>sharing.NumComponents != 0 {
+		return it, fmt.Errorf("transport: keyed item component mask %#x", it.Comps)
+	}
+	for c := sharing.Component(0); c < sharing.NumComponents; c++ {
+		if !it.Has(c) {
+			continue
+		}
+		if sharing.Receives(party, it.Deal, c) {
+			m, rest, err := DecodeMatrix(buf)
+			if err != nil {
+				return it, fmt.Errorf("transport: keyed item component %d: %w", c, err)
+			}
+			it.Second[c], it.Shapes[c], buf = m, [2]int{m.Rows, m.Cols}, rest
+			continue
+		}
+		if len(buf) < matrixHeaderLen {
+			return it, fmt.Errorf("transport: keyed item component %d shape truncated", c)
+		}
+		rows := int64(binary.LittleEndian.Uint32(buf))
+		cols := int64(binary.LittleEndian.Uint32(buf[4:]))
+		buf = buf[matrixHeaderLen:]
+		if rows <= 0 || cols <= 0 || rows > (1<<24) || cols > (1<<24) || rows*cols > (1<<28) {
+			return it, fmt.Errorf("transport: keyed item component %d has implausible shape %dx%d", c, rows, cols)
+		}
+		it.Shapes[c] = [2]int{int(rows), int(cols)}
+	}
+	if len(buf) != 0 {
+		return it, fmt.Errorf("transport: %d trailing bytes after keyed item", len(buf))
+	}
+	return it, nil
+}
