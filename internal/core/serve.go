@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"strconv"
 	"strings"
 
 	"github.com/trustddl/trustddl/internal/nn"
@@ -69,7 +70,15 @@ func ServePartyOpts(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) er
 	var (
 		net  *nn.SecureNetwork
 		arch nn.Arch
+		// op is the driver's number of the latest command this party
+		// began; early holds peer traffic of later ones.
+		op    int
+		early earlyTraffic
 	)
+	begin := func(session string) {
+		op, _ = opNumber(session)
+		early.begin(ctx.Router, op)
+	}
 	if opts.Rejoin {
 		if err := protocol.AnnounceRejoin(ctx); err != nil {
 			return fmt.Errorf("core: serve party %d announce rejoin: %w", ctx.Index, err)
@@ -97,6 +106,7 @@ func ServePartyOpts(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) er
 			if !fromOwner(msg.From) {
 				continue
 			}
+			begin(msg.Session)
 			if err := protocol.InstallKeys(ctx, msg); err != nil {
 				log.Printf("core: serve party %d: %v (still serving)", ctx.Index, err)
 			}
@@ -104,6 +114,7 @@ func ServePartyOpts(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) er
 			if msg.From != transport.ModelOwner {
 				continue
 			}
+			begin(msg.Session)
 			arch, net, err = recvNetwork(ctx, msg)
 			if err != nil {
 				if transientServeErr(err) {
@@ -116,6 +127,7 @@ func ServePartyOpts(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) er
 			if msg.From != transport.DataOwner {
 				continue
 			}
+			begin(msg.Session)
 			if net == nil {
 				// A rejoining party sees in-flight traffic before its
 				// re-init arrives; dropping it leaves the others to
@@ -135,6 +147,7 @@ func ServePartyOpts(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) er
 			if msg.From != transport.DataOwner {
 				continue
 			}
+			begin(msg.Session)
 			if net == nil {
 				log.Printf("core: serve party %d: ignoring infer %q before weight distribution", ctx.Index, msg.Session)
 				continue
@@ -150,6 +163,7 @@ func ServePartyOpts(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) er
 			if !fromOwner(msg.From) {
 				continue
 			}
+			begin(msg.Session)
 			if net == nil {
 				// The owner's gather zero-fills and flags this party; the
 				// reveal still decides from the two live parties' sets.
@@ -165,11 +179,80 @@ func ServePartyOpts(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) er
 				}
 			}
 		default:
-			// Unknown traffic for this state machine: ignore. Protocol
-			// messages never reach here — they are consumed by keyed
-			// Expects inside the handlers.
+			// Protocol traffic outside a handler: a peer that got a
+			// pass's command first, or a peer still finishing a pass
+			// this party has left.
+			early.hold(msg, op)
 		}
 	}
+}
+
+// maxEarly bounds the early traffic a served party holds per sender.
+// An honest peer that began a pass first sends at most its first
+// round's messages before it needs this party's, so a full buffer can
+// only come from a peer flooding it.
+const maxEarly = 256
+
+// earlyTraffic is what a served party keeps of the traffic that
+// reaches its command loop: a peer's messages for a pass whose command
+// has not arrived yet. A peer that got the command first has already
+// sent its commitment or opening, and dropping it would cost the pass
+// a receive timer and charge the peer with a delivery it made. The
+// traffic goes back to the router when its pass begins; whatever
+// belongs to a pass that has begun or ended is released.
+type earlyTraffic struct {
+	msgs []transport.Message
+	from [transport.NumActors + 1]int // held messages per sender
+}
+
+// hold keeps msg if it belongs to a pass after op, the latest this
+// party began, and its sender holds fewer than maxEarly; it releases
+// msg otherwise.
+func (e *earlyTraffic) hold(msg transport.Message, op int) {
+	n, ok := opNumber(msg.Session)
+	if !ok || n <= op || msg.From < 1 || msg.From > transport.NumActors || e.from[msg.From] >= maxEarly {
+		msg.Release()
+		return
+	}
+	e.msgs = append(e.msgs, msg)
+	e.from[msg.From]++
+}
+
+// begin hands the traffic held for pass op back to the router and
+// releases what is held for earlier passes.
+func (e *earlyTraffic) begin(r *party.Router, op int) {
+	kept := e.msgs[:0]
+	for _, msg := range e.msgs {
+		n, _ := opNumber(msg.Session)
+		switch {
+		case n > op:
+			kept = append(kept, msg)
+			continue
+		case n == op:
+			r.Requeue(msg)
+		default:
+			msg.Release()
+		}
+		e.from[msg.From]--
+	}
+	clear(e.msgs[len(kept):])
+	e.msgs = kept
+}
+
+// opNumber parses the driver's operation number from a session: the n
+// of "<kind>/<n>…", which the cluster mints in increasing order
+// (Cluster.nextSession) and every sub-session of a pass keeps.
+func opNumber(session string) (int, bool) {
+	_, rest, ok := strings.Cut(session, "/")
+	if !ok {
+		return 0, false
+	}
+	end := 0
+	for end < len(rest) && rest[end] >= '0' && rest[end] <= '9' {
+		end++
+	}
+	n, err := strconv.Atoi(rest[:end])
+	return n, err == nil
 }
 
 // fromOwner reports whether an actor ID is one of the two trusted

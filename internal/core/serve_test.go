@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/trustddl/trustddl/internal/byzantine"
 	"github.com/trustddl/trustddl/internal/fixed"
 
 	"github.com/trustddl/trustddl/internal/mnist"
@@ -19,6 +21,13 @@ import (
 // processes.
 func startServedParties(t *testing.T, netw transport.Network, commitment bool) {
 	t.Helper()
+	// Generous timers: the race detector slows secure training well
+	// past the 2 s default, and honest runs never wait on them.
+	startServedPartiesTimed(t, netw, commitment, 60*time.Second)
+}
+
+func startServedPartiesTimed(t *testing.T, netw transport.Network, commitment bool, timeout time.Duration) {
+	t.Helper()
 	done := make(chan error, sharing.NumParties)
 	stops := make([]*protocol.Ctx, 0, sharing.NumParties)
 	for i := 1; i <= sharing.NumParties; i++ {
@@ -26,9 +35,7 @@ func startServedParties(t *testing.T, netw transport.Network, commitment bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Generous timers: the race detector slows secure training well
-		// past the 2 s default, and honest runs never wait on them.
-		ctx, err := protocol.NewCtx(party.NewRouter(ep, 60*time.Second), i, fixed.Default(), commitment)
+		ctx, err := protocol.NewCtx(party.NewRouter(ep, timeout), i, fixed.Default(), commitment)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,6 +122,74 @@ func TestServedPartiesTrainAndInfer(t *testing.T) {
 	}
 	if trained.FC1.Equal(w.FC1) {
 		t.Fatal("training step over served parties did not change the weights")
+	}
+}
+
+// lateCommand is a channel network whose data owner, while late is on,
+// delivers an inference pass's input share to one party after its
+// peers have begun the pass.
+type lateCommand struct {
+	*transport.ChanNetwork
+	late  *byzantine.Gate
+	to    int
+	delay time.Duration
+}
+
+func (n lateCommand) Endpoint(actor int) (transport.Endpoint, error) {
+	ep, err := n.ChanNetwork.Endpoint(actor)
+	if err != nil || actor != transport.DataOwner {
+		return ep, err
+	}
+	return transport.Intercepted(ep, func(msg transport.Message) *transport.Message {
+		if n.late.On() && msg.To == n.to && msg.Step == "x" && strings.HasPrefix(msg.Session, "infer/") {
+			msg.DelayBy = n.delay
+		}
+		return &msg
+	}), nil
+}
+
+// TestServedPartyKeepsEarlyPeerTraffic: party 2 receives a pass's
+// input share 300 ms after its peers, which have begun the pass and
+// sent it their first round by then. Party 2 keeps that traffic for the
+// pass instead of dropping it, so the pass answers without waiting out
+// a receive timer, with the label of an undelayed pass, and nobody is
+// charged with anything.
+func TestServedPartyKeepsEarlyPeerTraffic(t *testing.T) {
+	const timeout = 5 * time.Second
+	var late byzantine.Gate
+	netw := lateCommand{ChanNetwork: transport.NewChanNetwork(), late: &late, to: transport.Party2, delay: 300 * time.Millisecond}
+	t.Cleanup(func() { _ = netw.Close() })
+	startServedPartiesTimed(t, netw, true, timeout)
+	c := newTestCluster(t, Config{Mode: Malicious, Seed: 5, Net: netw, Timeout: timeout, RemoteParties: true})
+	run, err := c.NewRun(paperWeights(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := mnist.Synthetic(5, 1).Images[0]
+	want, err := run.Infer(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	late.Set(true)
+	start := time.Now()
+	got, err := run.Infer(img)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("label %d with a late input share, %d without", got, want)
+	}
+	limit := time.Second
+	if raceEnabled {
+		limit = 3 * time.Second
+	}
+	if took > limit {
+		t.Errorf("the pass took %v with a 300 ms late input share, want under %v", took, limit)
+	}
+	if ev := c.Suspicions().Evidence; len(ev) != 0 {
+		t.Errorf("evidence recorded against honest parties: %+v", ev)
 	}
 }
 

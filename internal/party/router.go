@@ -333,6 +333,13 @@ func (r *Router) Next(timeout time.Duration) (transport.Message, error) {
 	}
 }
 
+// Requeue buffers a message the caller took with Next, for the Expect
+// that will ask for it (a served party hands a pass's early peer
+// traffic back when the pass's command arrives).
+func (r *Router) Requeue(msg transport.Message) {
+	r.pending = append(r.pending, msg)
+}
+
 // Drain discards buffered messages (between experiments).
 func (r *Router) Drain() {
 	r.pending = nil
