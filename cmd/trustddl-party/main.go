@@ -149,7 +149,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("trustddl-party: P%d serving at %s (%s mode, F=%d)\n",
 		*partyID, addrMap[*partyID], mode, *fracBits)
-	err = core.ServePartyOpts(ctx, nn.OwnerSource{Ctx: ctx}, core.ServeOptions{Rejoin: *rejoin})
+	err = core.ServeParty(ctx, nn.OwnerSource{Ctx: ctx}, core.ServeOptions{Rejoin: *rejoin})
 	// Unblock the signal goroutine on normal exit.
 	signal.Stop(sigs)
 	close(sigs)

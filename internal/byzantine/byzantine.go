@@ -225,7 +225,7 @@ func (a gatedAdversary) CorruptPostCommit(to int, session, step string, bs []sha
 // CrashRestart returns an interceptor modelling a crash-restart fault:
 // while the gate is on the party is dark — everything it sends is
 // dropped — and when the gate closes it resumes sending, as a process
-// that died and came back. Use the cluster-level PartySupervisor for a
+// that died and came back. Use core.Cluster's Kill and Restart for a
 // real kill/restart (process state lost, rejoin required); this
 // interceptor models the lighter fault where only connectivity dies.
 func CrashRestart(down *Gate) transport.SendInterceptor {

@@ -102,6 +102,23 @@ func TestNewRunArchValidation(t *testing.T) {
 	if _, err := c.NewRunArch(badOut, badWeights); err == nil {
 		t.Fatal("7-class architecture accepted for a 10-class workload")
 	}
+	wrongShape := append([]nn.Mat64{weights[0].Clone()}, weights[1:]...)
+	wrongShape[0].Cols--
+	wrongShape[0].Data = wrongShape[0].Data[:wrongShape[0].Rows*wrongShape[0].Cols]
+	if _, err := c.NewRunArch(arch, wrongShape); err == nil {
+		t.Fatal("weights of the wrong shape accepted")
+	}
+	if _, err := c.provision(arch, weights, weights[:1], 0.9); err == nil {
+		t.Fatal("velocities for fewer weight matrices accepted")
+	}
+	// The refusals reached no party: the cluster still serves a run.
+	run, err := c.NewRunArch(arch, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Infer(mnist.Synthetic(39, 1).Images[0]); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestServedPartiesCustomArch(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"github.com/trustddl/trustddl/internal/byzantine"
 	"github.com/trustddl/trustddl/internal/mnist"
 	"github.com/trustddl/trustddl/internal/nn"
+	"github.com/trustddl/trustddl/internal/protocol"
 	"github.com/trustddl/trustddl/internal/transport"
 )
 
@@ -35,24 +36,6 @@ func dumpLedgerOnFailure(t *testing.T, c *Cluster) {
 		}
 		t.Logf("suspicion ledger dumped to %s", chaosLedgerDump)
 	})
-}
-
-// newChaosCluster wires a RemoteParties cluster over a fresh in-process
-// network, with teardown ordered supervisor → cluster → network.
-func newChaosCluster(t *testing.T, seed uint64, timeout time.Duration) (*Cluster, *PartySupervisor) {
-	t.Helper()
-	netw := transport.NewChanNetwork()
-	t.Cleanup(func() { _ = netw.Close() })
-	c := newTestCluster(t, Config{
-		Mode:          Malicious,
-		Seed:          seed,
-		Net:           netw,
-		RemoteParties: true,
-		Timeout:       timeout,
-	})
-	sup := NewPartySupervisor(c, ServeOptions{})
-	t.Cleanup(sup.StopAll)
-	return c, sup
 }
 
 // waitForRejoin blocks until party p's restart announcement reaches the
@@ -132,17 +115,15 @@ func TestChaosSoak(t *testing.T) {
 	}}
 	baseResults, baseWeights := sessionBaseline(t, seed, train, test, sc)
 
-	c, sup := newChaosCluster(t, seed, 2*time.Second)
-	dumpLedgerOnFailure(t, c)
-
 	var liar, stall byzantine.Gate
-	sup.SetAdversary(1, liar.Adversary(byzantine.ConsistentLiar{}))
-	sup.SetInterceptor(3, byzantine.StallWhile(&stall, "/open"))
-	for p := 1; p <= 3; p++ {
-		if err := sup.Start(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c := newTestCluster(t, Config{
+		Mode:         Malicious,
+		Seed:         seed,
+		Timeout:      2 * time.Second,
+		Adversaries:  map[int]protocol.Adversary{1: liar.Adversary(byzantine.ConsistentLiar{})},
+		Interceptors: map[int]transport.SendInterceptor{3: byzantine.StallWhile(&stall, "/open")},
+	})
+	dumpLedgerOnFailure(t, c)
 
 	// The chaos schedule, keyed on the training cursor. The windows are
 	// disjoint: TrustDDL tolerates one Byzantine party at a time, and
@@ -164,14 +145,14 @@ func TestChaosSoak(t *testing.T) {
 			liarDone = true
 		case epoch == 1 && at == 4*batchN && !killed:
 			killed = true
-			if err := sup.Kill(2); err != nil {
+			if err := c.Kill(2); err != nil {
 				t.Errorf("kill P2: %v", err)
 			}
 			// P2 stays dead through the end-of-epoch evaluation; the
 			// remaining two parties carry the session.
 		case epoch == 2 && at == 0 && !restarted:
 			restarted = true
-			if err := sup.Restart(2); err != nil {
+			if err := c.Restart(2); err != nil {
 				t.Errorf("restart P2: %v", err)
 			}
 			waitForRejoin(t, c, 2)
@@ -249,13 +230,8 @@ func TestChaosRejoin(t *testing.T) {
 	}}
 	_, baseWeights := sessionBaseline(t, seed, train, test, sc)
 
-	c, sup := newChaosCluster(t, seed, timeout)
+	c := newTestCluster(t, Config{Mode: Malicious, Seed: seed, Timeout: timeout})
 	dumpLedgerOnFailure(t, c)
-	for p := 1; p <= 3; p++ {
-		if err := sup.Start(p); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	dir := t.TempDir()
 	cycled := false
@@ -264,10 +240,10 @@ func TestChaosRejoin(t *testing.T) {
 	chaos.OnBatch = func(epoch, at int) error {
 		if epoch == 1 && at == 2*batchN && !cycled {
 			cycled = true
-			if err := sup.Kill(2); err != nil {
+			if err := c.Kill(2); err != nil {
 				t.Errorf("kill P2: %v", err)
 			}
-			if err := sup.Restart(2); err != nil {
+			if err := c.Restart(2); err != nil {
 				t.Errorf("restart P2: %v", err)
 			}
 			waitForRejoin(t, c, 2)

@@ -86,9 +86,10 @@ type Config struct {
 	// (drops, delays, bit flips).
 	Interceptors map[int]transport.SendInterceptor
 	// RemoteParties indicates the computing parties run in other
-	// processes (cmd/trustddl-party with ServeParty); the cluster then
-	// acts purely as the owners' driver and does not attach the party
-	// endpoints.
+	// processes (cmd/trustddl-party); the cluster then acts purely as
+	// the owners' driver and does not attach the party endpoints.
+	// Either way the parties run ServeParty and the driver reaches them
+	// only through messages.
 	RemoteParties bool
 	// SuspicionThreshold is the attributable-evidence count at which
 	// Suspicions() convicts a party (0 selects
@@ -96,8 +97,8 @@ type Config struct {
 	SuspicionThreshold int
 	// SuspicionTolerance bounds honest reconstruction disagreement (raw
 	// ring units) at every decision-rule suspicion site: the owner
-	// service, the data owner's reveals, and — in local mode — the
-	// parties' joint decisions. 0 keeps the per-site defaults (16 at the
+	// service, the data owner's reveals, and the joint decisions of the
+	// parties the cluster hosts. 0 keeps the per-site defaults (16 at the
 	// owners, 64 at the data owner's logits reveal, whose truncation
 	// slack accumulates across the network depth). Deep architectures
 	// raise it to keep honest parties out of the ledger.
@@ -116,14 +117,18 @@ type Cluster struct {
 	net    transport.Network
 	ownNet bool
 
-	ctxs    [sharing.NumParties]*protocol.Ctx
-	sources [sharing.NumParties]nn.TripleSource
+	// pre is the pool the hosted parties draw from under
+	// OfflinePrecomputed.
+	pre *sharing.PreDealer
 
 	ownerEP   transport.Endpoint
 	ownerSvc  *protocol.OwnerService
 	ownerDone chan error
 	modelDlr  *sharing.Dealer
 
+	// dataEP is the data owner's endpoint; dataRouter receives on it,
+	// and one-off sends go to it directly.
+	dataEP     transport.Endpoint
 	dataRouter *party.Router
 	dataDealer *sharing.Dealer
 
@@ -138,12 +143,19 @@ type Cluster struct {
 	revealed       map[string]protocol.Mat
 	dataSuspicions [sharing.NumParties + 1]int
 	rejoinPending  map[int]bool
+	// parties are the computing parties this cluster hosts (none with
+	// RemoteParties); a killed party's slot is nil until it restarts.
+	parties [sharing.NumParties]*localParty
+	// deadlineOp and deadline cap the receive waits of one inference
+	// pass (setPassDeadline, deadlineFor).
+	deadlineOp int
+	deadline   time.Time
 
 	revealCond *sync.Cond
 }
 
-// New builds and starts a deployment: endpoints are attached, party
-// contexts created and the model-owner service launched.
+// New builds and starts a deployment: endpoints are attached, the
+// hosted computing parties and the model-owner service launched.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = Malicious
@@ -186,53 +198,19 @@ func New(cfg Config) (*Cluster, error) {
 		c.dataDealer.SetObs(cfg.Obs)
 	}
 
-	var pre *sharing.PreDealer
 	if cfg.Triples == OfflinePrecomputed {
-		pre = sharing.NewPreDealer(sharing.NewDealer(newSource(3), cfg.Params))
+		c.pre = sharing.NewPreDealer(sharing.NewDealer(newSource(3), cfg.Params))
 	}
-
-	for i := 1; i <= sharing.NumParties; i++ {
-		if cfg.RemoteParties {
-			break
-		}
-		ep, err := c.net.Endpoint(i)
-		if err != nil {
-			c.shutdown()
-			return nil, fmt.Errorf("core: attach party %d: %w", i, err)
-		}
-		if fn, ok := cfg.Interceptors[i]; ok {
-			ep = transport.Intercepted(ep, fn)
-		}
-		ctx, err := protocol.NewCtx(party.NewRouter(ep, cfg.Timeout), i, cfg.Params, cfg.Mode == Malicious)
-		if err != nil {
-			c.shutdown()
+	for p := 1; p <= sharing.NumParties && !cfg.RemoteParties; p++ {
+		if err := c.startParty(p, false); err != nil {
+			_ = c.shutdown()
 			return nil, err
-		}
-		if adv, ok := cfg.Adversaries[i]; ok {
-			ctx.Adversary = adv
-		}
-		ctx.Ledger = c.ledger
-		ctx.SuspicionTolerance = cfg.SuspicionTolerance
-		if cfg.Obs != nil {
-			ctx.SetObs(cfg.Obs)
-		}
-		ctx.Router.OnSpoof = c.recordSpoof
-		c.ctxs[i-1] = ctx
-		if pre != nil {
-			view, err := pre.View(i)
-			if err != nil {
-				c.shutdown()
-				return nil, err
-			}
-			c.sources[i-1] = view
-		} else {
-			c.sources[i-1] = nn.OwnerSource{Ctx: ctx}
 		}
 	}
 
 	ownerEP, err := c.net.Endpoint(transport.ModelOwner)
 	if err != nil {
-		c.shutdown()
+		_ = c.shutdown()
 		return nil, fmt.Errorf("core: attach model owner: %w", err)
 	}
 	c.ownerEP = ownerEP
@@ -264,12 +242,12 @@ func New(cfg Config) (*Cluster, error) {
 	c.ownerDone = make(chan error, 1)
 	go func() { c.ownerDone <- c.ownerSvc.Run() }()
 
-	dataEP, err := c.net.Endpoint(transport.DataOwner)
+	c.dataEP, err = c.net.Endpoint(transport.DataOwner)
 	if err != nil {
-		c.shutdown()
+		_ = c.shutdown()
 		return nil, fmt.Errorf("core: attach data owner: %w", err)
 	}
-	c.dataRouter = party.NewRouter(dataEP, cfg.Timeout)
+	c.dataRouter = party.NewRouter(c.dataEP, cfg.Timeout)
 	c.dataRouter.OnSpoof = c.recordSpoof
 	return c, nil
 }
@@ -279,15 +257,16 @@ func (c *Cluster) recordSpoof(se *party.SpoofError) {
 	c.ledger.Record(se.From, suspicion.KindSpoof, se.Session, se.Step)
 }
 
-// Close stops the owner service and, if the cluster owns its network,
-// tears the network down. A failed shutdown send is reported, not
+// Close stops the owner service and the hosted parties and, if the
+// cluster owns its network, tears the network down. A party whose loop
+// ended on a fault, and a failed shutdown send, are reported, not
 // swallowed: the owner goroutine is still drained afterwards (a broken
 // network also breaks the service's receive loop, so the drain
 // completes), and both errors are joined.
 func (c *Cluster) Close() error {
 	var errs []error
 	if c.ownerDone != nil {
-		if err := protocol.Shutdown(c.dataRouterEndpoint(), transport.ModelOwner); err != nil {
+		if err := protocol.Shutdown(c.dataEP, transport.ModelOwner); err != nil {
 			// A failed send usually means the network is already down, in
 			// which case the service's receive loop is broken too and the
 			// drain below returns promptly rather than eating the timeout.
@@ -302,33 +281,24 @@ func (c *Cluster) Close() error {
 			errs = append(errs, fmt.Errorf("core: owner service did not stop"))
 		}
 	}
-	c.shutdown()
+	errs = append(errs, c.shutdown())
 	return errors.Join(errs...)
 }
 
-func (c *Cluster) dataRouterEndpoint() transport.Endpoint {
-	return dataSender{c}
-}
-
-// dataSender adapts the data router for one-off protocol sends.
-type dataSender struct{ c *Cluster }
-
-func (d dataSender) Self() int { return transport.DataOwner }
-
-func (d dataSender) Send(msg transport.Message) error {
-	return d.c.dataRouter.Send(msg.To, msg.Session, msg.Step, msg.Payload)
-}
-
-func (d dataSender) Recv(time.Duration) (transport.Message, error) {
-	return transport.Message{}, transport.ErrClosed
-}
-
-func (d dataSender) Close() error { return nil }
-
-func (c *Cluster) shutdown() {
+// shutdown stops the hosted parties and, if the cluster owns its
+// network, closes it. It returns what ended a party's loop, if anything
+// did.
+func (c *Cluster) shutdown() error {
+	var errs []error
+	for p := 1; p <= sharing.NumParties; p++ {
+		if err := c.Kill(p); err != nil && !errors.Is(err, errNotHosted) {
+			errs = append(errs, err)
+		}
+	}
 	if c.ownNet && c.net != nil {
 		_ = c.net.Close()
 	}
+	return errors.Join(errs...)
 }
 
 // Obs returns the cluster's live metrics registry (nil when
@@ -354,19 +324,19 @@ func (c *Cluster) DataOwnerSuspicions() [sharing.NumParties + 1]int {
 	return c.dataSuspicions
 }
 
-// FlaggedBy reports which parties computing party p has convicted.
-// With remote parties the driver has no view of their convictions and
-// returns nil.
+// FlaggedBy reports which parties computing party p has convicted, as
+// of the end of p's latest command. The driver has no view of the
+// convictions of a party it does not host (RemoteParties, or p killed)
+// and returns nil.
 func (c *Cluster) FlaggedBy(p int) []int {
-	if c.cfg.RemoteParties {
-		return nil
-	}
 	var out []int
-	for q := 1; q <= sharing.NumParties; q++ {
-		if c.ctxs[p-1].Flagged[q] {
-			out = append(out, q)
+	_ = c.onParty(p, func(s *servedParty) {
+		for q := 1; q <= sharing.NumParties; q++ {
+			if s.ctx.Flagged[q] {
+				out = append(out, q)
+			}
 		}
-	}
+	})
 	return out
 }
 
@@ -379,9 +349,8 @@ func (c *Cluster) FlaggedBy(p int) []int {
 // counts toward conviction; timeouts never convict a crashed peer.
 func (c *Cluster) Suspicions() suspicion.Report { return c.ledger.Report() }
 
-// SuspicionLedger exposes the cluster's ledger so in-process served
-// parties (PartySupervisor, tests) can contribute their detection
-// evidence to the same aggregate.
+// SuspicionLedger exposes the cluster's ledger, into which its hosted
+// parties record their detection evidence.
 func (c *Cluster) SuspicionLedger() *suspicion.Ledger { return c.ledger }
 
 // pendingRejoins returns parties that announced a restart since the
@@ -406,8 +375,8 @@ func (c *Cluster) clearRejoins() {
 	}
 }
 
-// Network returns the cluster's transport so co-located served parties
-// (PartySupervisor, tests) can attach their endpoints to it.
+// Network returns the cluster's transport, so parties served next to a
+// RemoteParties cluster can attach their endpoints to it.
 func (c *Cluster) Network() transport.Network { return c.net }
 
 // Mode returns the configured adversary model.
@@ -424,56 +393,29 @@ func (c *Cluster) nextSession(kind string) string {
 	return fmt.Sprintf("%s/%d", kind, c.opCounter)
 }
 
-// runParties executes fn concurrently on all three computing parties.
-// Errors from parties configured as Byzantine are tolerated (their
-// runtime may legitimately diverge); honest-party errors abort. With
-// remote parties the local closure does not run — the served parties
-// react to the distributed messages instead.
-func (c *Cluster) runParties(fn func(i int) error) error {
-	if c.cfg.RemoteParties {
-		return nil
-	}
-	var wg sync.WaitGroup
-	var errs [sharing.NumParties]error
-	for i := 0; i < sharing.NumParties; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		p := i + 1
-		if _, isAdv := c.cfg.Adversaries[p]; isAdv {
-			continue
-		}
-		if _, isInt := c.cfg.Interceptors[p]; isInt {
-			continue
-		}
-		return fmt.Errorf("core: party %d: %w", p, err)
-	}
-	return nil
+// setPassDeadline caps (or, with the zero time, uncaps) every receive
+// wait of the pass whose session is given: the data owner's, and those
+// each hosted party makes while it runs that pass's command
+// (deadlineFor). The serving layer runs one pass at a time per
+// cluster, so one deadline is kept: a later pass replaces it.
+func (c *Cluster) setPassDeadline(session string, t time.Time) {
+	op, _ := opNumber(session)
+	c.mu.Lock()
+	c.deadlineOp, c.deadline = op, t
+	c.mu.Unlock()
+	c.dataRouter.SetDeadline(t)
 }
 
-// setPassDeadline caps (or, with the zero time, uncaps) every receive
-// wait of one secure pass: the three party routers and the data owner's
-// router. The serving layer runs one pass at a time per cluster, so the
-// deadline always belongs to exactly one in-flight request; a previous
-// pass's goroutines that are still unwinding only ever see their waits
-// shortened further, never extended.
-func (c *Cluster) setPassDeadline(t time.Time) {
-	for _, ctx := range c.ctxs {
-		if ctx != nil {
-			ctx.SetDeadline(t)
-		}
+// deadlineFor is the pass deadline of a command's session, the zero
+// time when its pass has none.
+func (c *Cluster) deadlineFor(session string) time.Time {
+	op, _ := opNumber(session)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if op != c.deadlineOp {
+		return time.Time{}
 	}
-	if c.dataRouter != nil {
-		c.dataRouter.SetDeadline(t)
-	}
+	return c.deadline
 }
 
 // takeRevealed waits for a weight reveal recorded under session.
@@ -504,5 +446,140 @@ func (c *Cluster) takeRevealed(session string, timeout time.Duration) (protocol.
 			return protocol.Mat{}, fmt.Errorf("core: reveal %q: %w", session, errRevealTimeout)
 		}
 		c.revealCond.Wait()
+	}
+}
+
+// localParty is a computing party a Cluster hosts: the ServeParty loop
+// cmd/trustddl-party runs, on a goroutine of its own.
+type localParty struct {
+	ep transport.Endpoint
+	// calls carries the function onParty asks the loop to run.
+	calls chan func(*servedParty)
+	done  chan struct{} // closed when the loop has returned err
+	err   error
+}
+
+// errNotHosted reports a party the cluster does not host: it runs
+// elsewhere (RemoteParties) or was killed.
+var errNotHosted = errors.New("core: party not hosted by this cluster")
+
+// startParty attaches party p's endpoint and starts its loop: the one
+// way a hosted party comes up, at New and at Restart.
+func (c *Cluster) startParty(p int, rejoin bool) error {
+	ep, err := c.net.Endpoint(p)
+	if err != nil {
+		return fmt.Errorf("core: attach party %d: %w", p, err)
+	}
+	if fn, ok := c.cfg.Interceptors[p]; ok {
+		ep = transport.Intercepted(ep, fn)
+	}
+	ctx, err := protocol.NewCtx(party.NewRouter(ep, c.cfg.Timeout), p, c.cfg.Params, c.cfg.Mode == Malicious)
+	if err != nil {
+		_ = ep.Close()
+		return err
+	}
+	ctx.Adversary = c.cfg.Adversaries[p]
+	ctx.Ledger = c.ledger
+	ctx.SuspicionTolerance = c.cfg.SuspicionTolerance
+	if c.cfg.Obs != nil {
+		ctx.SetObs(c.cfg.Obs)
+	}
+	ctx.Router.OnSpoof = c.recordSpoof
+	var ts nn.TripleSource = nn.OwnerSource{Ctx: ctx}
+	if c.pre != nil {
+		if ts, err = c.pre.View(p); err != nil {
+			_ = ep.Close()
+			return err
+		}
+	}
+	lp := &localParty{ep: ep, calls: make(chan func(*servedParty), 1), done: make(chan struct{})}
+	c.mu.Lock()
+	c.parties[p-1] = lp
+	c.mu.Unlock()
+	opts := ServeOptions{Rejoin: rejoin, calls: lp.calls, deadline: c.deadlineFor}
+	go func() {
+		defer close(lp.done)
+		lp.err = ServeParty(ctx, ts, opts)
+	}()
+	return nil
+}
+
+// hosted returns the loop of party p, nil when the cluster does not
+// host it.
+func (c *Cluster) hosted(p int) *localParty {
+	if p < 1 || p > sharing.NumParties {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.parties[p-1]
+}
+
+// Kill crashes hosted party p as a process crash would: its endpoint
+// closes, which ends any wait in flight and the loop, and its peers see
+// silence until their timers fire. It reports the fault that ended the
+// loop before, if one did.
+func (c *Cluster) Kill(p int) error {
+	var lp *localParty
+	if p >= 1 && p <= sharing.NumParties {
+		c.mu.Lock()
+		lp, c.parties[p-1] = c.parties[p-1], nil
+		c.mu.Unlock()
+	}
+	if lp == nil {
+		return fmt.Errorf("core: kill party %d: %w", p, errNotHosted)
+	}
+	_ = lp.ep.Close()
+	select {
+	case <-lp.done:
+	case <-time.After(10 * time.Second):
+		return fmt.Errorf("core: party %d did not stop", p)
+	}
+	if lp.err != nil {
+		return fmt.Errorf("core: party %d: %w", p, lp.err)
+	}
+	return nil
+}
+
+// Restart brings killed party p back as a rejoining member, as
+// cmd/trustddl-party -rejoin does: it announces the restart to the model
+// owner, and the session driver re-provisions every party from its
+// latest checkpoint.
+func (c *Cluster) Restart(p int) error {
+	if c.cfg.RemoteParties || p < 1 || p > sharing.NumParties {
+		return fmt.Errorf("core: restart party %d: %w", p, errNotHosted)
+	}
+	if c.hosted(p) != nil {
+		return fmt.Errorf("core: restart party %d: still running", p)
+	}
+	return c.startParty(p, true)
+}
+
+// onParty runs fn on hosted party p's loop between two commands, so fn
+// sees the party's state as its latest command left it and races none
+// of it. The call travels as a message from the data owner, behind the
+// commands sent before it; onParty waits for it to run.
+func (c *Cluster) onParty(p int, fn func(*servedParty)) error {
+	lp := c.hosted(p)
+	if lp == nil {
+		return fmt.Errorf("core: party %d: %w", p, errNotHosted)
+	}
+	ran := make(chan struct{})
+	select {
+	case lp.calls <- func(s *servedParty) {
+		defer close(ran)
+		fn(s)
+	}:
+	case <-lp.done:
+		return fmt.Errorf("core: party %d stopped: %w", p, errNotHosted)
+	}
+	if err := c.dataRouter.Send(p, "", stepCall, nil); err != nil {
+		return err
+	}
+	select {
+	case <-ran:
+		return nil
+	case <-lp.done:
+		return fmt.Errorf("core: party %d stopped: %w", p, errNotHosted)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -200,11 +201,21 @@ func TestInferenceUnderCommitViolator(t *testing.T) {
 	if _, err := run.Infer(img); err != nil {
 		t.Fatalf("inference under commit violation: %v", err)
 	}
-	// Both honest parties must have convicted P3.
-	for _, p := range []int{1, 2} {
-		flagged := c.FlaggedBy(p)
+	// Both honest parties must have convicted P3. FlaggedBy runs on
+	// the parties' loops; callers may ask from several goroutines.
+	got := make([][]int, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = c.FlaggedBy(1 + i%2)
+		}(i)
+	}
+	wg.Wait()
+	for i, flagged := range got {
 		if len(flagged) != 1 || flagged[0] != 3 {
-			t.Fatalf("party %d convicted %v, want [3]", p, flagged)
+			t.Fatalf("party %d convicted %v, want [3]", 1+i%2, flagged)
 		}
 	}
 }

@@ -84,7 +84,7 @@ func TestCostModelGolden(t *testing.T) {
 		{"cold b1 pass", infer(1), passCost{PartyBytes: 14861271, OwnerBytes: 1730907, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
 		{"warm b1 pass", infer(1), passCost{PartyBytes: 586803, OwnerBytes: 144835, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
 		{"warm b4 pass", infer(4), passCost{PartyBytes: 2327331, OwnerBytes: 576595, Messages: 102, OwnerRequests: 6, Exchanges: 21, Triples: 5}},
-		{"b8 training step", func() error { return run.TrainBatch(images, 0.05) }, passCost{PartyBytes: 27199350, OwnerBytes: 6248367, Messages: 168, OwnerRequests: 9, Exchanges: 36, Triples: 8}},
+		{"b8 training step", func() error { return run.TrainBatch(images, 0.05) }, passCost{PartyBytes: 27199437, OwnerBytes: 6248367, Messages: 171, OwnerRequests: 9, Exchanges: 36, Triples: 8}},
 	} {
 		if got := measure(step.op); got != step.want {
 			t.Errorf("%s: cost %+v, pinned %+v", step.name, got, step.want)

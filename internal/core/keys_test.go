@@ -114,17 +114,12 @@ func TestSecondRunDealsFreshLabels(t *testing.T) {
 	}
 }
 
-// TestRejoinedPartyExpandsWithResentKeys: a served party restarts with
+// TestRejoinedPartyExpandsWithResentKeys: a party restarts with
 // no state — no keys either — and announces its rejoin. Re-provisioning
 // sends it both owners' keys again, and the next pass is decided with
 // it: the plaintext label, and no evidence against the rejoined party.
 func TestRejoinedPartyExpandsWithResentKeys(t *testing.T) {
-	c, sup := newChaosCluster(t, 19, 5*time.Second)
-	for p := 1; p <= sharing.NumParties; p++ {
-		if err := sup.Start(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c := newTestCluster(t, Config{Mode: Malicious, Seed: 19, Timeout: 5 * time.Second})
 	w := paperWeights(t)
 	plain, err := nn.NewPlainPaperNet(w)
 	if err != nil {
@@ -142,10 +137,10 @@ func TestRejoinedPartyExpandsWithResentKeys(t *testing.T) {
 	if _, err := c.NewRun(w); err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.Kill(2); err != nil {
+	if err := c.Kill(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.Restart(2); err != nil {
+	if err := c.Restart(2); err != nil {
 		t.Fatal(err)
 	}
 	waitForRejoin(t, c, 2)

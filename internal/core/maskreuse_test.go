@@ -204,18 +204,25 @@ func TestAbandonedColdPassIsFollowedByAColdPass(t *testing.T) {
 func TestMaskNameSpamCannotUnbindHonestMasks(t *testing.T) {
 	f := newMaskFixture(t, Config{})
 	f.wantPass(t, "first pass", 0, 1, true)
-	spammer := f.c.ctxs[1]
 	fc1 := fmt.Sprintf("me=%d/l2", f.run.maskEpoch.Load()) // the name fc1's mask is bound under
-	for k := 0; k < 3; k++ {
+	spam := func(spammer *protocol.Ctx, k int) error {
 		for i := 0; i < 2*64; i++ {
 			if _, err := protocol.RequestTriple(spammer, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: fmt.Sprintf("spam/%d/%d", k, i), M: 1, N: 2, P: 2, Mask: fmt.Sprintf("bogus-%d-%d", k, i)}); err != nil {
-				t.Fatal(err)
+				return err
 			}
 		}
 		if tr, err := protocol.RequestTriple(spammer, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: fmt.Sprintf("spam/%d/real", k), M: 1, N: nn.PaperConvOut, P: nn.PaperHidden, Mask: fc1}); err != nil || !tr.B.Primary.IsZeroShape() {
-			t.Fatalf("a request under the committee's mask name was not dealt against it (%v)", err)
+			return fmt.Errorf("a request under the committee's mask name was not dealt against it (%v)", err)
 		}
-		if _, err := protocol.RequestTriple(spammer, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: fmt.Sprintf("spam/%d/shape", k), M: 1, N: 3, P: 3, Mask: fc1}); err != nil {
+		_, err := protocol.RequestTriple(spammer, protocol.TripleRequest{Kind: protocol.ReqMatMul, Session: fmt.Sprintf("spam/%d/shape", k), M: 1, N: 3, P: 3, Mask: fc1})
+		return err
+	}
+	for k := 0; k < 3; k++ {
+		var err error
+		if cerr := f.c.onParty(2, func(s *servedParty) { err = spam(s.ctx, k) }); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		f.wantPass(t, fmt.Sprintf("pass after spam round %d", k), k+1, 1, false)

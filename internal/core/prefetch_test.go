@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/trustddl/trustddl/internal/byzantine"
+	"github.com/trustddl/trustddl/internal/sharing"
 	"github.com/trustddl/trustddl/internal/transport"
 )
 
@@ -64,15 +65,25 @@ func TestAbandonedPassLeavesNoDealInFlight(t *testing.T) {
 
 	f.wantPass(t, "pass after the abandoned one", 1, 1, true)
 	f.wantPass(t, "pass after that", 2, 1, false)
-	for i, ctx := range f.c.ctxs {
-		for {
-			msg, err := ctx.Router.Next(10 * time.Millisecond)
-			if err != nil {
-				break // nothing left, buffered or in flight
+	for p := 1; p <= sharing.NumParties; p++ {
+		err := f.c.onParty(p, func(s *servedParty) {
+			for _, msg := range s.early.msgs {
+				if msg.Step == batchReply {
+					t.Errorf("party %d holds a batch reply for %q", p, msg.Session)
+				}
 			}
-			if msg.Step == batchReply {
-				t.Errorf("party %d still holds a batch reply for %q", i+1, msg.Session)
+			for {
+				msg, err := s.ctx.Router.Next(10 * time.Millisecond)
+				if err != nil {
+					break // nothing left, buffered or in flight
+				}
+				if msg.Step == batchReply {
+					t.Errorf("party %d still holds a batch reply for %q", p, msg.Session)
+				}
 			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 	if ev := honestEvidence(f.c, 0, nil); len(ev) != 0 {

@@ -23,7 +23,6 @@ import (
 type Run struct {
 	c    *Cluster
 	arch nn.Arch
-	nets [sharing.NumParties]*nn.SecureNetwork
 
 	// maskEpoch labels this run's inference sessions
 	// (nn.WithMaskEpoch): while it stands, every party's layers reuse
@@ -74,17 +73,25 @@ func (c *Cluster) provision(arch nn.Arch, weights, velocities []nn.Mat64, moment
 	if outWidth != mnist.NumClasses {
 		return nil, fmt.Errorf("core: architecture outputs %d classes, want %d", outWidth, mnist.NumClasses)
 	}
-	if len(weights) != arch.NumWeightMatrices() {
-		return nil, fmt.Errorf("core: %d weight matrices for %d parameterized layers", len(weights), arch.NumWeightMatrices())
+	// The parties build their networks after this returns, and a party
+	// that cannot would leave the run without it: refuse here what they
+	// would refuse.
+	if _, err := arch.BuildPlain(weights); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if len(velocities) != 0 && len(velocities) != len(weights) {
 		return nil, fmt.Errorf("core: %d velocity matrices for %d weight matrices", len(velocities), len(weights))
+	}
+	for i, v := range velocities {
+		if v.Rows != weights[i].Rows || v.Cols != weights[i].Cols {
+			return nil, fmt.Errorf("core: velocity %d is %dx%d, weights %dx%d", i, v.Rows, v.Cols, weights[i].Rows, weights[i].Cols)
+		}
 	}
 	session := sessionWithInitOpts(c.nextSession("init"), momentum, len(velocities) > 0)
 	if err := protocol.DistributeKeys(c.ownerEP, session, c.modelDlr); err != nil {
 		return nil, fmt.Errorf("core: distribute model-owner keys: %w", err)
 	}
-	if err := protocol.DistributeKeys(c.dataRouterEndpoint(), session, c.dataDealer); err != nil {
+	if err := protocol.DistributeKeys(c.dataEP, session, c.dataDealer); err != nil {
 		return nil, fmt.Errorf("core: distribute data-owner keys: %w", err)
 	}
 	// The architecture is public: broadcast the spec itself.
@@ -116,48 +123,11 @@ func (c *Cluster) provision(arch nn.Arch, weights, velocities []nn.Mat64, moment
 
 	run := &Run{c: c, arch: arch}
 	run.renewMaskEpoch()
-	err = c.runParties(func(i int) error {
-		ctx := c.ctxs[i]
-		// Parties consume the broadcast spec (and could cross-check it
-		// against an out-of-band agreement). The assembly is the same
-		// routine a served party runs, so local and remote deployments
-		// cannot drift. (A served party installs the keys as they
-		// arrive, in its command loop.)
-		for _, owner := range []int{transport.ModelOwner, transport.DataOwner} {
-			if err := protocol.RecvKeys(ctx, owner, session); err != nil {
-				return err
-			}
-		}
-		msg, err := ctx.Router.Expect(transport.ModelOwner, session, "arch")
-		if err != nil {
-			return err
-		}
-		_, net, err := recvNetwork(ctx, msg)
-		if err != nil {
-			return err
-		}
-		run.nets[i] = net
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return run, nil
 }
 
 // Arch returns the architecture this run executes.
 func (r *Run) Arch() nn.Arch { return r.arch }
-
-// SetMomentum configures classical momentum SGD on every party's
-// network (0 disables it). Not supported with remote parties — their
-// optimizer state lives in their own processes.
-func (r *Run) SetMomentum(mu float64) {
-	for _, net := range r.nets {
-		if net != nil {
-			net.SetMomentum(mu)
-		}
-	}
-}
 
 // batchMatrices flattens images into the input matrix and one-hot
 // label matrix of a batch.
@@ -185,7 +155,7 @@ func (c *Cluster) distribute(session, step string, m nn.Mat64) error {
 	if err != nil {
 		return fmt.Errorf("core: share %s: %w", step, err)
 	}
-	return protocol.DistributeShares(c.dataRouterEndpoint(), session, step, items)
+	return protocol.DistributeShares(c.dataEP, session, step, items)
 }
 
 // TrainBatch performs one secure SGD step over the given images
@@ -218,47 +188,30 @@ func (r *Run) TrainBatch(images []mnist.Image, lr float64) error {
 	if err := r.c.distribute(session, "y", oneHot); err != nil {
 		return err
 	}
-	if r.c.cfg.RemoteParties {
-		// Served parties acknowledge step completion. One silent party
-		// is survivable — the two live parties carried the step to
-		// completion without it (guaranteed output delivery), so the
-		// session keeps training while the third crashes and rejoins.
-		msgs, gerr := r.c.patientGather([]int{1, 2, 3}, session, "ack")
-		if gerr != nil {
-			if !isGatherTimeout(gerr) || len(msgs) < sharing.NumParties-1 {
-				return gerr
-			}
-			for p := 1; p <= sharing.NumParties; p++ {
-				if _, ok := msgs[p]; !ok {
-					r.c.ledger.Record(p, suspicion.KindMissingDelivery, session, "ack")
-				}
+	// The parties acknowledge step completion. One silent party is
+	// survivable — the two live parties carried the step to completion
+	// without it (guaranteed output delivery), so the session keeps
+	// training while the third crashes and rejoins.
+	msgs, gerr := r.c.patientGather(context.Background(), []int{1, 2, 3}, session, "ack")
+	if gerr != nil {
+		if !isGatherTimeout(gerr) || len(msgs) < sharing.NumParties-1 {
+			return gerr
+		}
+		for p := 1; p <= sharing.NumParties; p++ {
+			if _, ok := msgs[p]; !ok {
+				r.c.ledger.Record(p, suspicion.KindMissingDelivery, session, "ack")
 			}
 		}
-		return nil
 	}
-	return r.c.runParties(func(i int) error {
-		ctx := r.c.ctxs[i]
-		bx, err := protocol.RecvShare(ctx, transport.DataOwner, session, "x")
-		if err != nil {
-			return err
-		}
-		by, err := protocol.RecvShare(ctx, transport.DataOwner, session, "y")
-		if err != nil {
-			return err
-		}
-		plan, planErr := r.nets[i].TrainPlan(session, len(images), mnist.NumPixels)
-		ts, done := passSource(ctx, r.c.sources[i], plan, planErr)
-		defer done()
-		return r.nets[i].TrainBatch(ctx, ts, session, bx, by, lr)
-	})
+	return nil
 }
 
 // logitsFor runs the secure forward pass for a batch and reveals the
-// logits at the data owner via the six-way decision rule. A context
-// deadline caps every receive wait in the pass (party gathers, owner
-// responses, the data owner's reveal), so a stalled or crashed peer
-// fails the pass in bounded time; the deadline is cleared when the pass
-// returns.
+// logits at the data owner via the six-way decision rule; it returns
+// once the data owner has decided. A context deadline caps every
+// receive wait in the pass (party gathers, owner responses, the data
+// owner's reveal), so a stalled or crashed peer fails the pass in
+// bounded time.
 func (r *Run) logitsFor(ctx context.Context, images []mnist.Image) (protocol.Mat, error) {
 	if reg := r.c.cfg.Obs; reg != nil {
 		start := time.Now()
@@ -270,10 +223,6 @@ func (r *Run) logitsFor(ctx context.Context, images []mnist.Image) (protocol.Mat
 	if err := ctx.Err(); err != nil {
 		return protocol.Mat{}, err
 	}
-	if deadline, ok := ctx.Deadline(); ok {
-		r.c.setPassDeadline(deadline)
-		defer r.c.setPassDeadline(time.Time{})
-	}
 	x, _, err := batchMatrices(images)
 	if err != nil {
 		return protocol.Mat{}, err
@@ -283,6 +232,10 @@ func (r *Run) logitsFor(ctx context.Context, images []mnist.Image) (protocol.Mat
 	// three parties may leave them with different masks cached, so it
 	// ends the epoch.
 	session := nn.WithMaskEpoch(r.c.nextSession("infer"), r.maskEpoch.Load())
+	if deadline, ok := ctx.Deadline(); ok {
+		r.c.setPassDeadline(session, deadline)
+		defer r.c.dataRouter.SetDeadline(time.Time{})
+	}
 	complete := false
 	defer func() {
 		if !complete {
@@ -290,29 +243,6 @@ func (r *Run) logitsFor(ctx context.Context, images []mnist.Image) (protocol.Mat
 		}
 	}()
 	if err := r.c.distribute(session, "x", x); err != nil {
-		return protocol.Mat{}, err
-	}
-	err = r.c.runParties(func(i int) error {
-		ctx := r.c.ctxs[i]
-		bx, err := protocol.RecvShare(ctx, transport.DataOwner, session, "x")
-		if err != nil {
-			return err
-		}
-		plan, planErr := r.nets[i].LogitsPlan(session, len(images), mnist.NumPixels)
-		ts, done := passSource(ctx, r.c.sources[i], plan, planErr)
-		defer done()
-		logits, err := r.nets[i].Logits(ctx, ts, session, bx)
-		if err != nil {
-			return err
-		}
-		if ctx.Adversary != nil {
-			// A Byzantine party corrupts its reveal to the data owner
-			// too; the decision rule there recovers.
-			logits = ctx.Adversary.CorruptPreCommit(session, "logits", []sharing.Bundle{logits.Clone()})[0]
-		}
-		return ctx.Router.Send(transport.DataOwner, session, "logits", transport.EncodeBundle(logits))
-	})
-	if err != nil {
 		return protocol.Mat{}, err
 	}
 	logits, delivered, err := r.c.decideAtDataOwner(ctx, session, "logits")
@@ -325,7 +255,7 @@ func (r *Run) logitsFor(ctx context.Context, images []mnist.Image) (protocol.Mat
 // parties that fail to deliver; it also reports how many delivered.
 func (c *Cluster) decideAtDataOwner(ctx context.Context, session, step string) (protocol.Mat, int, error) {
 	parties := []int{1, 2, 3}
-	msgs, gerr := c.patientGatherCtx(ctx, parties, session, step)
+	msgs, gerr := c.patientGather(ctx, parties, session, step)
 	if gerr != nil && !isGatherTimeout(gerr) {
 		// A non-timeout gather failure (closed transport, forged frame
 		// the transport rejected) is a real fault even when enough
@@ -419,17 +349,13 @@ func isGatherTimeout(err error) bool {
 // router's pending queue, where the re-poll picks them up. A nil error
 // means everyone delivered; a timeout error with a partial map leaves
 // the missing parties to the caller's decision rule.
-func (c *Cluster) patientGather(parties []int, session, step string) (map[int]transport.Message, error) {
-	return c.patientGatherCtx(context.Background(), parties, session, step)
-}
-
-// patientGatherCtx is patientGather bounded by a request context: the
-// re-poll loop stops as soon as ctx ends, and the router's pass
+//
+// The re-poll loop stops as soon as ctx ends, and the router's pass
 // deadline (set by the pass driver) caps the inner per-message waits,
 // so the data owner abandons the reveal within the request deadline. A
 // deadline-abandoned gather returns a non-timeout error — the caller
 // must fail the pass, not zero-fill and frame the silent parties.
-func (c *Cluster) patientGatherCtx(ctx context.Context, parties []int, session, step string) (map[int]transport.Message, error) {
+func (c *Cluster) patientGather(ctx context.Context, parties []int, session, step string) (map[int]transport.Message, error) {
 	deadline := time.Now().Add(c.gatherPatience())
 	msgs := make(map[int]transport.Message, len(parties))
 	var firstErr error
@@ -593,29 +519,14 @@ func (r *Run) WeightMatrices() ([]nn.Mat64, error) {
 // decided plaintext then re-seeds all three parties on restore.
 func (r *Run) CaptureCheckpoint(withState bool) (weights, velocities []nn.Mat64, err error) {
 	session := r.c.nextSession("reveal")
-	if r.c.cfg.RemoteParties {
-		step := stepRevealWeights
-		if withState {
-			step = stepRevealCkpt
-		}
-		for p := 1; p <= sharing.NumParties; p++ {
-			if err := r.c.dataRouter.Send(p, session, step, nil); err != nil {
-				return nil, nil, err
-			}
-		}
+	step := stepRevealWeights
+	if withState {
+		step = stepRevealCkpt
 	}
-	err = r.c.runParties(func(i int) error {
-		ctx := r.c.ctxs[i]
-		if err := sinkWeights(ctx, r.arch, r.nets[i], session); err != nil {
-			return err
+	for p := 1; p <= sharing.NumParties; p++ {
+		if err := r.c.dataRouter.Send(p, session, step, nil); err != nil {
+			return nil, nil, err
 		}
-		if withState {
-			return sinkState(ctx, r.arch, r.nets[i], session)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 	// A crashed party's reveal only resolves once the owner's gather
 	// timeout zero-fills it; wait comfortably past that point.
@@ -695,12 +606,9 @@ func (c *Cluster) Train(w nn.PaperWeights, train, test mnist.Dataset, tc TrainCo
 	if tc.Epochs <= 0 || tc.Batch <= 0 || tc.LR <= 0 {
 		return nil, nil, fmt.Errorf("core: invalid train config %+v", tc)
 	}
-	run, err := c.NewRun(w)
+	run, err := c.provision(nn.PaperArch(), []nn.Mat64{w.Conv, w.FC1, w.FC2}, nil, tc.Momentum)
 	if err != nil {
 		return nil, nil, err
-	}
-	if tc.Momentum > 0 {
-		run.SetMomentum(tc.Momentum)
 	}
 	results := make([]EpochResult, 0, tc.Epochs)
 	for epoch := 1; epoch <= tc.Epochs; epoch++ {

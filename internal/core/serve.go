@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/trustddl/trustddl/internal/nn"
 	"github.com/trustddl/trustddl/internal/party"
@@ -26,19 +28,23 @@ const (
 	// optimizer-velocity bundles to the model owner, so the session
 	// driver can write a resumable checkpoint.
 	stepRevealCkpt = "cmd/reveal-ckpt"
+	// stepCall asks a party a Cluster hosts to run the function the
+	// cluster queued for it (Cluster.onParty) between two commands.
+	stepCall = "cmd/call"
 )
 
 // ServeParty runs one computing party as a message-driven server: it
 // waits for weight distribution, then executes training batches and
 // inference requests as the owners drive them, until a shutdown
-// command or transport closure. This is the body of cmd/trustddl-party
-// and the counterpart of a Cluster configured with RemoteParties.
+// command or transport closure. It is the one runtime of a computing
+// party: cmd/trustddl-party runs it in a process of its own, and a
+// Cluster runs it on a goroutine for each party it hosts.
 //
 // The dispatch keys on the leading session segment minted by the
-// cluster driver: "init/…" (dealing keys, which each owner sends at
-// every provisioning, and weight distribution), "train/…" (one SGD
-// step), "infer/…" (forward pass + logits reveal), "reveal/…" (weight
-// recovery).
+// cluster driver: "init/…" (both owners' dealing keys, the
+// architecture and the weight shares), "train/…" (one SGD step, acked
+// to the data owner), "infer/…" (forward pass + logits reveal),
+// "reveal/…" (weight recovery).
 //
 // Commands are only honoured from legitimate senders (the owners, or —
 // for shutdown — the party itself). Both transports stamp From with the
@@ -46,44 +52,17 @@ const (
 // owner cannot shut a peer down or re-initialize its weights; on a TCP
 // deployment this is sound against Byzantine insiders only when the
 // mesh runs keyed (transport.TCPOptions.Keyring / the trustddl-party
-// -key flags). Transient
-// faults (a stalled or restarted driver mid-batch) do not kill the
-// server: the loop logs the failed command and keeps serving, so the
-// restarted driver finds the party alive and the transport redial
-// reconnects it.
-func ServeParty(ctx *protocol.Ctx, ts nn.TripleSource) error {
-	return ServePartyOpts(ctx, ts, ServeOptions{})
-}
-
-// ServeOptions tunes a served computing party.
-type ServeOptions struct {
-	// Rejoin announces this party as a restarted member before serving:
-	// the model owner is told to re-provision it (architecture + weight
-	// shares from the latest checkpoint) so the session can continue
-	// with all three parties. Until the re-init arrives the party
-	// ignores traffic it has no state for instead of dying on it.
-	Rejoin bool
-}
-
-// ServePartyOpts is ServeParty with explicit options.
-func ServePartyOpts(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) error {
-	var (
-		net  *nn.SecureNetwork
-		arch nn.Arch
-		// op is the driver's number of the latest command this party
-		// began; early holds peer traffic of later ones.
-		op    int
-		early earlyTraffic
-	)
-	begin := func(session string) {
-		op, _ = opNumber(session)
-		early.begin(ctx.Router, op)
-	}
+// -key flags). Transient faults (a stalled or restarted driver
+// mid-batch, a pass abandoned at its deadline) do not kill the server:
+// the loop logs the failed command and keeps serving, so the restarted
+// driver finds the party alive and the transport redial reconnects it.
+func ServeParty(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) error {
 	if opts.Rejoin {
 		if err := protocol.AnnounceRejoin(ctx); err != nil {
 			return fmt.Errorf("core: serve party %d announce rejoin: %w", ctx.Index, err)
 		}
 	}
+	s := &servedParty{ctx: ctx, ts: ts, opts: opts}
 	for {
 		msg, err := ctx.Router.Next(0)
 		if err != nil {
@@ -98,93 +77,140 @@ func ServePartyOpts(ctx *protocol.Ctx, ts nn.TripleSource, opts ServeOptions) er
 		}
 		switch {
 		case msg.Step == StepShutdown:
-			if !fromOwner(msg.From) && msg.From != ctx.Index {
-				continue // only the owners (or the party itself) may stop the server
+			if fromOwner(msg.From) || msg.From == ctx.Index {
+				return nil // only the owners (or the party itself) may stop the server
 			}
-			return nil
-		case protocol.IsKeys(msg):
-			if !fromOwner(msg.From) {
-				continue
-			}
-			begin(msg.Session)
-			if err := protocol.InstallKeys(ctx, msg); err != nil {
-				log.Printf("core: serve party %d: %v (still serving)", ctx.Index, err)
-			}
-		case strings.HasPrefix(msg.Session, "init/") && msg.Step == "arch":
-			if msg.From != transport.ModelOwner {
-				continue
-			}
-			begin(msg.Session)
-			arch, net, err = recvNetwork(ctx, msg)
-			if err != nil {
-				if transientServeErr(err) {
-					log.Printf("core: serve party %d: init %q aborted: %v (still serving)", ctx.Index, msg.Session, err)
-					continue
-				}
-				return fmt.Errorf("core: serve party %d init: %w", ctx.Index, err)
-			}
-		case strings.HasPrefix(msg.Session, "train/") && msg.Step == "x":
-			if msg.From != transport.DataOwner {
-				continue
-			}
-			begin(msg.Session)
-			if net == nil {
-				// A rejoining party sees in-flight traffic before its
-				// re-init arrives; dropping it leaves the others to
-				// finish the step two-strong (guaranteed output
-				// delivery) until the driver re-provisions everyone.
-				log.Printf("core: serve party %d: ignoring train %q before weight distribution", ctx.Index, msg.Session)
-				continue
-			}
-			if err := serveTrain(ctx, ts, net, msg); err != nil {
-				if transientServeErr(err) {
-					log.Printf("core: serve party %d: train %q aborted: %v (still serving)", ctx.Index, msg.Session, err)
-					continue
-				}
-				return fmt.Errorf("core: serve party %d train %q: %w", ctx.Index, msg.Session, err)
-			}
-		case strings.HasPrefix(msg.Session, "infer/") && msg.Step == "x":
-			if msg.From != transport.DataOwner {
-				continue
-			}
-			begin(msg.Session)
-			if net == nil {
-				log.Printf("core: serve party %d: ignoring infer %q before weight distribution", ctx.Index, msg.Session)
-				continue
-			}
-			if err := serveInfer(ctx, ts, net, msg); err != nil {
-				if transientServeErr(err) {
-					log.Printf("core: serve party %d: infer %q aborted: %v (still serving)", ctx.Index, msg.Session, err)
-					continue
-				}
-				return fmt.Errorf("core: serve party %d infer %q: %w", ctx.Index, msg.Session, err)
-			}
-		case msg.Step == stepRevealWeights || msg.Step == stepRevealCkpt:
-			if !fromOwner(msg.From) {
-				continue
-			}
-			begin(msg.Session)
-			if net == nil {
-				// The owner's gather zero-fills and flags this party; the
-				// reveal still decides from the two live parties' sets.
-				log.Printf("core: serve party %d: ignoring reveal %q before weight distribution", ctx.Index, msg.Session)
-				continue
-			}
-			if err := sinkWeights(ctx, arch, net, msg.Session); err != nil {
-				return fmt.Errorf("core: serve party %d reveal: %w", ctx.Index, err)
-			}
-			if msg.Step == stepRevealCkpt {
-				if err := sinkState(ctx, arch, net, msg.Session); err != nil {
-					return fmt.Errorf("core: serve party %d reveal state: %w", ctx.Index, err)
+		case msg.Step == stepCall:
+			if msg.From == transport.DataOwner {
+				select {
+				case fn := <-opts.calls:
+					fn(s)
+				default:
 				}
 			}
 		default:
-			// Protocol traffic outside a handler: a peer that got a
-			// pass's command first, or a peer still finishing a pass
-			// this party has left.
-			early.hold(msg, op)
+			if err := s.handle(msg); err != nil {
+				if errors.Is(err, transport.ErrClosed) {
+					return nil // closed mid-command: the same stop as in Next
+				}
+				return err
+			}
 		}
 	}
+}
+
+// ServeOptions tunes a served computing party.
+type ServeOptions struct {
+	// Rejoin announces this party as a restarted member before serving:
+	// the model owner is told to re-provision it (architecture + weight
+	// shares from the latest checkpoint) so the session can continue
+	// with all three parties. Until the re-init arrives the party
+	// ignores traffic it has no state for instead of dying on it.
+	Rejoin bool
+
+	// calls and deadline connect a party to the Cluster that hosts it
+	// (Cluster.onParty, Cluster.deadlineFor); a party in a process of
+	// its own has neither.
+	calls    <-chan func(*servedParty)
+	deadline func(session string) time.Time
+}
+
+// servedParty is the state of one party's command loop.
+type servedParty struct {
+	ctx  *protocol.Ctx
+	ts   nn.TripleSource
+	opts ServeOptions
+	arch nn.Arch
+	net  *nn.SecureNetwork
+	// op is the driver's number of the latest command this party
+	// began; early holds peer traffic of later ones.
+	op    int
+	early earlyTraffic
+}
+
+// handle runs one command, or keeps or drops traffic that is none. It
+// returns only the errors that end the server.
+func (s *servedParty) handle(msg transport.Message) error {
+	var (
+		what string
+		run  func(transport.Message) error
+	)
+	switch {
+	case strings.HasPrefix(msg.Session, "init/") && (protocol.IsKeys(msg) || msg.Step == "arch") && fromOwner(msg.From):
+		what, run = "init", s.init
+	case strings.HasPrefix(msg.Session, "train/") && msg.Step == "x" && msg.From == transport.DataOwner:
+		what, run = "train", s.train
+	case strings.HasPrefix(msg.Session, "infer/") && msg.Step == "x" && msg.From == transport.DataOwner:
+		what, run = "infer", s.infer
+	case (msg.Step == stepRevealWeights || msg.Step == stepRevealCkpt) && fromOwner(msg.From):
+		what, run = "reveal", s.reveal
+	default:
+		// Protocol traffic outside a command: a peer that got a pass's
+		// command first, or a peer still finishing a pass this party
+		// has left.
+		s.early.hold(msg, s.op)
+		return nil
+	}
+	s.op, _ = opNumber(msg.Session)
+	s.early.begin(s.ctx.Router, s.op)
+	if s.opts.deadline != nil {
+		s.ctx.SetDeadline(s.opts.deadline(msg.Session))
+	}
+	if what != "init" && s.net == nil {
+		// A rejoining party sees in-flight traffic before its re-init
+		// arrives; ignoring it leaves the others to finish the step
+		// two-strong (guaranteed output delivery), and a reveal's
+		// gather zero-fills and flags this party, until the driver
+		// re-provisions everyone.
+		log.Printf("core: serve party %d: ignoring %s %q before weight distribution", s.ctx.Index, what, msg.Session)
+		msg.Release()
+		return nil
+	}
+	err := run(msg)
+	if err == nil {
+		return nil
+	}
+	if transientServeErr(err) {
+		log.Printf("core: serve party %d: %s %q aborted: %v (still serving)", s.ctx.Index, what, msg.Session, err)
+		return nil
+	}
+	return fmt.Errorf("core: serve party %d %s %q: %w", s.ctx.Index, what, msg.Session, err)
+}
+
+// init assembles the network of one provisioning session from its
+// messages, whichever of them arrived first: both owners' dealing keys,
+// then the architecture and the weight (and velocity) shares. Taking
+// the session as one command means a pass the driver starts after it
+// never runs on the previous weights or keys, even where the transport
+// reorders the two owners' traffic.
+func (s *servedParty) init(first transport.Message) error {
+	s.arch, s.net = nil, nil
+	for _, owner := range []int{transport.ModelOwner, transport.DataOwner} {
+		if protocol.IsKeys(first) && first.From == owner {
+			err := protocol.InstallKeys(s.ctx, first)
+			first.Release()
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		if err := protocol.RecvKeys(s.ctx, owner, first.Session); err != nil {
+			return err
+		}
+	}
+	archMsg := first
+	if first.Step != "arch" {
+		var err error
+		if archMsg, err = s.ctx.Router.Expect(transport.ModelOwner, first.Session, "arch"); err != nil {
+			return err
+		}
+	}
+	arch, net, err := recvNetwork(s.ctx, archMsg)
+	if err != nil {
+		return err
+	}
+	s.arch, s.net = arch, net
+	return nil
 }
 
 // maxEarly bounds the early traffic a served party holds per sender.
@@ -262,13 +288,13 @@ func fromOwner(actor int) bool {
 }
 
 // transientServeErr classifies failures a served party should survive:
-// receive timers expiring or peers' messages failing to arrive/send
-// because the driver (or a peer) stalled or restarted mid-command. The
-// party abandons the command and keeps serving; protocol-level faults
-// (bad payloads, state errors) still abort.
+// receive timers expiring, a pass deadline passing, or peers' messages
+// failing to arrive/send because the driver (or a peer) stalled or
+// restarted mid-command. The party abandons the command and keeps
+// serving; protocol-level faults (bad payloads, state errors) still
+// abort.
 func transientServeErr(err error) bool {
-	var te *party.TimeoutError
-	return errors.As(err, &te) || errors.Is(err, transport.ErrTimeout)
+	return isGatherTimeout(err) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // recvNetwork assembles the secure network from a weight-distribution
@@ -332,12 +358,15 @@ func passSource(ctx *protocol.Ctx, ts nn.TripleSource, plan []protocol.TripleReq
 	return ps, ps.Close
 }
 
-func serveTrain(ctx *protocol.Ctx, ts nn.TripleSource, net *nn.SecureNetwork, first transport.Message) error {
-	bx, err := protocol.ExpandShare(ctx, transport.DataOwner, first.Payload)
+// train runs one SGD step and acknowledges it to the data owner, which
+// paces batches on the acks.
+func (s *servedParty) train(first transport.Message) error {
+	bx, err := protocol.ExpandShare(s.ctx, transport.DataOwner, first.Payload)
+	first.Release() // the expansion owns its storage
 	if err != nil {
 		return err
 	}
-	by, err := protocol.RecvShare(ctx, transport.DataOwner, first.Session, "y")
+	by, err := protocol.RecvShare(s.ctx, transport.DataOwner, first.Session, "y")
 	if err != nil {
 		return err
 	}
@@ -345,29 +374,48 @@ func serveTrain(ctx *protocol.Ctx, ts nn.TripleSource, net *nn.SecureNetwork, fi
 	if err != nil {
 		return err
 	}
-	plan, planErr := net.TrainPlan(first.Session, bx.Rows(), bx.Cols())
-	src, done := passSource(ctx, ts, plan, planErr)
+	plan, planErr := s.net.TrainPlan(first.Session, bx.Rows(), bx.Cols())
+	src, done := passSource(s.ctx, s.ts, plan, planErr)
 	defer done()
-	if err := net.TrainBatch(ctx, src, first.Session, bx, by, lr); err != nil {
+	if err := s.net.TrainBatch(s.ctx, src, first.Session, bx, by, lr); err != nil {
 		return err
 	}
-	// Acknowledge completion so the driver can pace batches.
-	return ctx.Router.Send(transport.DataOwner, first.Session, "ack", nil)
+	return s.ctx.Router.Send(transport.DataOwner, first.Session, "ack", nil)
 }
 
-func serveInfer(ctx *protocol.Ctx, ts nn.TripleSource, net *nn.SecureNetwork, first transport.Message) error {
-	bx, err := protocol.ExpandShare(ctx, transport.DataOwner, first.Payload)
+// infer runs one forward pass and sends the logits to the data owner,
+// whose decision rule reveals them.
+func (s *servedParty) infer(first transport.Message) error {
+	bx, err := protocol.ExpandShare(s.ctx, transport.DataOwner, first.Payload)
+	first.Release() // the expansion owns its storage
 	if err != nil {
 		return err
 	}
-	plan, planErr := net.LogitsPlan(first.Session, bx.Rows(), bx.Cols())
-	src, done := passSource(ctx, ts, plan, planErr)
+	plan, planErr := s.net.LogitsPlan(first.Session, bx.Rows(), bx.Cols())
+	src, done := passSource(s.ctx, s.ts, plan, planErr)
 	defer done()
-	logits, err := net.Logits(ctx, src, first.Session, bx)
+	logits, err := s.net.Logits(s.ctx, src, first.Session, bx)
 	if err != nil {
 		return err
 	}
-	return ctx.Router.Send(transport.DataOwner, first.Session, "logits", transport.EncodeBundle(logits))
+	if adv := s.ctx.Adversary; adv != nil {
+		// A Byzantine party corrupts its reveal to the data owner too;
+		// the decision rule there recovers.
+		logits = adv.CorruptPreCommit(first.Session, "logits", []sharing.Bundle{logits.Clone()})[0]
+	}
+	return s.ctx.Router.Send(transport.DataOwner, first.Session, "logits", transport.EncodeBundle(logits))
+}
+
+// reveal sinks the weight bundles, and for a checkpoint the velocity
+// bundles too, to the model owner.
+func (s *servedParty) reveal(msg transport.Message) error {
+	if err := sinkWeights(s.ctx, s.arch, s.net, msg.Session); err != nil {
+		return err
+	}
+	if msg.Step == stepRevealCkpt {
+		return sinkState(s.ctx, s.arch, s.net, msg.Session)
+	}
+	return nil
 }
 
 func sinkWeights(ctx *protocol.Ctx, arch nn.Arch, net *nn.SecureNetwork, session string) error {

@@ -41,7 +41,7 @@ func startServedPartiesTimed(t *testing.T, netw transport.Network, commitment bo
 		}
 		stops = append(stops, ctx)
 		go func(ctx *protocol.Ctx) {
-			done <- ServeParty(ctx, nn.OwnerSource{Ctx: ctx})
+			done <- ServeParty(ctx, nn.OwnerSource{Ctx: ctx}, ServeOptions{})
 		}(ctx)
 	}
 	t.Cleanup(func() {
@@ -229,7 +229,7 @@ func TestServeShutdownSenderValidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- ServeParty(ctx, nn.OwnerSource{Ctx: ctx}) }()
+	go func() { done <- ServeParty(ctx, nn.OwnerSource{Ctx: ctx}, ServeOptions{}) }()
 
 	// A peer computing party claiming shutdown authority is ignored: the
 	// transport stamps From with the sending endpoint's identity, so this

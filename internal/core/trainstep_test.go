@@ -145,9 +145,13 @@ func TestTrainingStepUnderEveryAdversary(t *testing.T) {
 			t.Fatal(err)
 		}
 		var r result
-		for i, net := range run.nets {
-			if r.shares[i], err = run.arch.WeightBundles(net); err != nil {
+		for p := 1; p <= sharing.NumParties; p++ {
+			var werr error
+			if err := c.onParty(p, func(s *servedParty) { r.shares[p-1], werr = s.arch.WeightBundles(s.net) }); err != nil {
 				t.Fatal(err)
+			}
+			if werr != nil {
+				t.Fatal(werr)
 			}
 		}
 		if r.revealed, err = run.WeightMatrices(); err != nil {

@@ -56,17 +56,6 @@ func NewChanNetwork() *ChanNetwork {
 	return n
 }
 
-// SetSendTimeout bounds how long Send may block on a full inbox before
-// returning ErrTimeout (d <= 0 restores the default).
-func (n *ChanNetwork) SetSendTimeout(d time.Duration) {
-	if d <= 0 {
-		d = defaultSendTimeout
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.sendTimeout = d
-}
-
 // Endpoint implements Network.
 func (n *ChanNetwork) Endpoint(actor int) (Endpoint, error) {
 	n.mu.Lock()
@@ -151,27 +140,37 @@ func (e *chanEndpoint) Send(msg Message) error {
 	if !ok {
 		return fmt.Errorf("transport: send to unknown actor %d", msg.To)
 	}
+	// The in-process handoff is both the send and the receive. It is
+	// metered before the handoff, so a receiver holding the message never
+	// reads Stats without it, and taken back if the handoff fails.
+	e.net.meter.addSend(msg, 1)
+	if err := e.handoff(inbox, msg, sendTimeout); err != nil {
+		e.net.meter.addSend(msg, -1)
+		return err
+	}
+	return nil
+}
+
+func (e *chanEndpoint) handoff(inbox chan Message, msg Message, sendTimeout time.Duration) error {
 	select {
 	case inbox <- msg:
+		return nil
 	default:
-		// Inbox full: wait boundedly instead of wedging the sender on a
-		// receiver that died or stopped draining.
-		timer := time.NewTimer(sendTimeout)
-		defer timer.Stop()
-		select {
-		case inbox <- msg:
-		case <-e.done:
-			return ErrClosed
-		case <-e.net.done:
-			return ErrClosed
-		case <-timer.C:
-			return ErrTimeout
-		}
 	}
-	// Metering happens only after the delivery succeeded; the in-process
-	// handoff is both the send and the receive.
-	e.net.meter.recordSend(msg)
-	return nil
+	// Inbox full: wait boundedly instead of wedging the sender on a
+	// receiver that died or stopped draining.
+	timer := time.NewTimer(sendTimeout)
+	defer timer.Stop()
+	select {
+	case inbox <- msg:
+		return nil
+	case <-e.done:
+		return ErrClosed
+	case <-e.net.done:
+		return ErrClosed
+	case <-timer.C:
+		return ErrTimeout
+	}
 }
 
 func (e *chanEndpoint) Recv(timeout time.Duration) (Message, error) {

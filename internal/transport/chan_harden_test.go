@@ -11,7 +11,7 @@ import (
 func TestChanSendFullInboxTimesOut(t *testing.T) {
 	n := NewChanNetwork()
 	defer n.Close()
-	n.SetSendTimeout(100 * time.Millisecond)
+	n.sendTimeout = 100 * time.Millisecond
 	p1, err := n.Endpoint(Party1)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestChanSendFullInboxTimesOut(t *testing.T) {
 
 func TestChanCloseUnblocksFullInboxSender(t *testing.T) {
 	n := NewChanNetwork()
-	n.SetSendTimeout(time.Minute) // far longer than the test: Close must win
+	n.sendTimeout = time.Minute // far longer than the test: Close must win
 	p1, err := n.Endpoint(Party1)
 	if err != nil {
 		t.Fatal(err)

@@ -101,21 +101,24 @@ func (m *meter) setObs(reg *obs.Registry) {
 	m.obs = mo
 }
 
-func (m *meter) recordSend(msg Message) {
-	sz := int64(msg.wireSize())
+func (m *meter) recordSend(msg Message) { m.addSend(msg, 1) }
+
+// addSend counts n sends of msg; n = -1 takes a counted send back.
+func (m *meter) addSend(msg Message, n int64) {
+	sz := n * int64(msg.wireSize())
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stats.Messages++
+	m.stats.Messages += n
 	m.stats.Bytes += sz
 	if m.obs != nil {
-		m.obs.sentMsgs.Inc()
+		m.obs.sentMsgs.Add(n)
 		m.obs.sentBytes.Add(sz)
 	}
 	if msg.From >= 1 && msg.From <= NumActors {
-		m.stats.PerActor[msg.From].Messages++
+		m.stats.PerActor[msg.From].Messages += n
 		m.stats.PerActor[msg.From].Bytes += sz
 		if m.obs != nil {
-			m.obs.actor[msg.From].sentMsgs.Inc()
+			m.obs.actor[msg.From].sentMsgs.Add(n)
 			m.obs.actor[msg.From].sentBytes.Add(sz)
 		}
 	}

@@ -62,7 +62,7 @@ func onlineCluster(t *testing.T, seed uint64, onDemand bool) *trustddl.Cluster {
 			t.Fatal(err)
 		}
 		ctxs = append(ctxs, ctx)
-		go func() { done <- core.ServeParty(ctx, onDemandSource{nn.OwnerSource{Ctx: ctx}}) }()
+		go func() { done <- core.ServeParty(ctx, onDemandSource{nn.OwnerSource{Ctx: ctx}}, core.ServeOptions{}) }()
 	}
 	t.Cleanup(func() {
 		for _, ctx := range ctxs {
