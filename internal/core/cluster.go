@@ -342,8 +342,8 @@ func (c *Cluster) FlaggedBy(p int) []int {
 
 // Suspicions snapshots the unified suspicion ledger: every piece of
 // detection evidence the cluster has aggregated — commitment
-// violations and decision-rule deviations from the parties (local
-// mode), the owner service's gather bookkeeping, the data owner's
+// violations and decision-rule deviations from the parties it hosts,
+// the owner service's gather bookkeeping, the data owner's
 // reveal decisions, and transport spoof records — plus the parties
 // convicted under the configured threshold. Only attributable evidence
 // counts toward conviction; timeouts never convict a crashed peer.
@@ -574,6 +574,10 @@ func (c *Cluster) onParty(p int, fn func(*servedParty)) error {
 		return fmt.Errorf("core: party %d stopped: %w", p, errNotHosted)
 	}
 	if err := c.dataRouter.Send(p, "", stepCall, nil); err != nil {
+		select {
+		case <-lp.calls: // no message will ask for it
+		default:
+		}
 		return err
 	}
 	select {

@@ -178,8 +178,8 @@ func (r *Run) TrainBatch(images []mnist.Image, lr float64) error {
 	// The step moves the weights (and a failed one may move them on
 	// some parties only): no mask opened so far may be used again.
 	r.renewMaskEpoch()
-	// The learning rate travels in the session label so remote served
-	// parties need no side channel. No mask epoch does: a training
+	// The learning rate travels in the session label so the parties
+	// need no side channel. No mask epoch does: a training
 	// step's forward pass takes single-use triples.
 	session := sessionWithLR(r.c.nextSession("train"), lr)
 	if err := r.c.distribute(session, "x", x); err != nil {
