@@ -19,13 +19,14 @@ import (
 // transports.
 type ChanNetwork struct {
 	meter meter
-
-	mu          sync.Mutex
-	inboxes     map[int]chan Message
-	claimed     map[int]bool
-	closed      bool
+	// sendTimeout is fixed before the first send (defaultSendTimeout).
 	sendTimeout time.Duration
-	done        chan struct{} // closed by Close to unblock receivers
+
+	mu      sync.Mutex
+	inboxes map[int]chan Message
+	claimed map[int]bool
+	closed  bool
+	done    chan struct{} // closed by Close to unblock receivers
 }
 
 var _ Network = (*ChanNetwork)(nil)
@@ -135,7 +136,6 @@ func (e *chanEndpoint) Send(msg Message) error {
 	msg.From = e.self
 	e.net.mu.Lock()
 	inbox, ok := e.net.inboxes[msg.To]
-	sendTimeout := e.net.sendTimeout
 	e.net.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("transport: send to unknown actor %d", msg.To)
@@ -144,14 +144,14 @@ func (e *chanEndpoint) Send(msg Message) error {
 	// metered before the handoff, so a receiver holding the message never
 	// reads Stats without it, and taken back if the handoff fails.
 	e.net.meter.addSend(msg, 1)
-	if err := e.handoff(inbox, msg, sendTimeout); err != nil {
+	if err := e.handoff(inbox, msg); err != nil {
 		e.net.meter.addSend(msg, -1)
 		return err
 	}
 	return nil
 }
 
-func (e *chanEndpoint) handoff(inbox chan Message, msg Message, sendTimeout time.Duration) error {
+func (e *chanEndpoint) handoff(inbox chan Message, msg Message) error {
 	select {
 	case inbox <- msg:
 		return nil
@@ -159,7 +159,7 @@ func (e *chanEndpoint) handoff(inbox chan Message, msg Message, sendTimeout time
 	}
 	// Inbox full: wait boundedly instead of wedging the sender on a
 	// receiver that died or stopped draining.
-	timer := time.NewTimer(sendTimeout)
+	timer := time.NewTimer(e.net.sendTimeout)
 	defer timer.Stop()
 	select {
 	case inbox <- msg:
