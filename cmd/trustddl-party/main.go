@@ -19,6 +19,11 @@
 // that restart are picked up again by the transport's
 // redial-with-backoff.
 //
+// An inference pass's command carries the pass's absolute deadline
+// (DESIGN.md §15): the party caps its waits at it and drops a command
+// that arrives past it, judged by this machine's clock, so the hosts'
+// clocks must agree to well within the driver's request timeout.
+//
 // Identity keys: run `trustddl-party -genkey` once per actor, keep the
 // seed private to that actor and share the public key with everyone.
 // With -key/-peer-keys the mesh runs mutually authenticated ed25519

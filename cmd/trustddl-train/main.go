@@ -116,9 +116,10 @@ func run(args []string) error {
 	fmt.Println()
 	fmt.Print(trustddl.FormatFig2(res))
 	if *savePath != "" {
-		if err := trainAndSave(*savePath, *epochs, *trainN, *batch, *lr, *seed, *dataDir); err != nil {
+		if err := trustddl.SaveModel(*savePath, trustddl.PaperArch(), res.Weights); err != nil {
 			return err
 		}
+		fmt.Printf("\nsecure-trained model saved to %s\n", *savePath)
 	}
 	return nil
 }
@@ -248,40 +249,6 @@ func finalAccuracy(results []trustddl.EpochResult) float64 {
 		return 0
 	}
 	return results[len(results)-1].Accuracy
-}
-
-// trainAndSave repeats the secure training (the Fig2 harness does not
-// expose its run) and persists the recovered weights.
-func trainAndSave(path string, epochs, trainN, batch int, lr float64, seed uint64, dataDir string) error {
-	train, test, _ := trustddl.LoadDataset(dataDir, trainN, trainN/4+1, seed)
-	cluster, err := trustddl.New(trustddl.Config{
-		Mode:    trustddl.Malicious,
-		Triples: trustddl.OfflinePrecomputed,
-		Seed:    seed,
-	})
-	if err != nil {
-		return err
-	}
-	defer cluster.Close()
-	weights, err := trustddl.InitPaperWeights(seed)
-	if err != nil {
-		return err
-	}
-	_, run, err := cluster.Train(weights, train, test, trustddl.TrainConfig{
-		Epochs: epochs, Batch: batch, LR: lr, EvalLimit: 1,
-	})
-	if err != nil {
-		return err
-	}
-	trained, err := run.WeightMatrices()
-	if err != nil {
-		return err
-	}
-	if err := trustddl.SaveModel(path, trustddl.PaperArch(), trained); err != nil {
-		return err
-	}
-	fmt.Printf("\nsecure-trained model saved to %s\n", path)
-	return nil
 }
 
 func runPrecisionSweep(epochs, trainN, testN, batch int, lr float64, seed uint64) error {

@@ -247,6 +247,10 @@ type Fig2Point struct {
 type Fig2Result struct {
 	Points   []Fig2Point
 	RealData bool
+	// Weights are the secure-trained weight matrices, revealed to the
+	// model owner after the last epoch: the model whose accuracy the
+	// TrustDDL curve ends on.
+	Weights []nn.Mat64
 }
 
 // Fig2 trains the Table I network from identical initial weights with
@@ -318,7 +322,7 @@ func Fig2(cfg Fig2Config) (Fig2Result, error) {
 		return Fig2Result{}, err
 	}
 	defer cluster.Close()
-	results, _, err := cluster.Train(weights, train, test, core.TrainConfig{
+	results, run, err := cluster.Train(weights, train, test, core.TrainConfig{
 		Epochs:    cfg.Epochs,
 		Batch:     cfg.Batch,
 		LR:        cfg.LR,
@@ -332,12 +336,16 @@ func Fig2(cfg Fig2Config) (Fig2Result, error) {
 	if err != nil {
 		return Fig2Result{}, err
 	}
+	trained, err := run.WeightMatrices()
+	if err != nil {
+		return Fig2Result{}, err
+	}
 
 	points := make([]Fig2Point, cfg.Epochs)
 	for i := 0; i < cfg.Epochs; i++ {
 		points[i] = Fig2Point{Epoch: i + 1, CML: cmlAcc[i], TrustDDL: results[i].Accuracy}
 	}
-	return Fig2Result{Points: points, RealData: real}, nil
+	return Fig2Result{Points: points, RealData: real, Weights: trained}, nil
 }
 
 // FormatFig2 renders the accuracy table corresponding to Fig. 2.

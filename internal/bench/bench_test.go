@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"github.com/trustddl/trustddl/internal/nn"
 )
 
 func TestTable2SmallRun(t *testing.T) {
@@ -118,6 +120,14 @@ func TestFig2SmallRun(t *testing.T) {
 	}
 	if calls != 4 {
 		t.Fatalf("OnEpoch fired %d times, want 4", calls)
+	}
+	// The result carries the model the TrustDDL curve ends on.
+	initial, err := nn.InitPaperWeights(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Weights) != 3 || res.Weights[1].Equal(initial.FC1) {
+		t.Fatalf("Fig2 returned %d weight matrices, want the 3 secure-trained ones", len(res.Weights))
 	}
 	// The headline claim of Fig. 2: TrustDDL accuracy is comparable to
 	// CML. With identical data order and weights the curves must agree

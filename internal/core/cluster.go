@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,10 +147,6 @@ type Cluster struct {
 	// parties are the computing parties this cluster hosts (none with
 	// RemoteParties); a killed party's slot is nil until it restarts.
 	parties [sharing.NumParties]*localParty
-	// deadlineOp and deadline cap the receive waits of one inference
-	// pass (setPassDeadline, deadlineFor).
-	deadlineOp int
-	deadline   time.Time
 
 	revealCond *sync.Cond
 }
@@ -393,31 +390,6 @@ func (c *Cluster) nextSession(kind string) string {
 	return fmt.Sprintf("%s/%d", kind, c.opCounter)
 }
 
-// setPassDeadline caps (or, with the zero time, uncaps) every receive
-// wait of the pass whose session is given: the data owner's, and those
-// each hosted party makes while it runs that pass's command
-// (deadlineFor). The serving layer runs one pass at a time per
-// cluster, so one deadline is kept: a later pass replaces it.
-func (c *Cluster) setPassDeadline(session string, t time.Time) {
-	op, _ := opNumber(session)
-	c.mu.Lock()
-	c.deadlineOp, c.deadline = op, t
-	c.mu.Unlock()
-	c.dataRouter.SetDeadline(t)
-}
-
-// deadlineFor is the pass deadline of a command's session, the zero
-// time when its pass has none.
-func (c *Cluster) deadlineFor(session string) time.Time {
-	op, _ := opNumber(session)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if op != c.deadlineOp {
-		return time.Time{}
-	}
-	return c.deadline
-}
-
 // takeRevealed waits for a weight reveal recorded under session.
 func (c *Cluster) takeRevealed(session string, timeout time.Duration) (protocol.Mat, error) {
 	deadline := time.Now().Add(timeout)
@@ -496,10 +468,14 @@ func (c *Cluster) startParty(p int, rejoin bool) error {
 	c.mu.Lock()
 	c.parties[p-1] = lp
 	c.mu.Unlock()
-	opts := ServeOptions{Rejoin: rejoin, calls: lp.calls, deadline: c.deadlineFor}
+	opts := ServeOptions{Rejoin: rejoin, calls: lp.calls}
 	go func() {
 		defer close(lp.done)
 		lp.err = ServeParty(ctx, ts, opts)
+		if lp.err != nil {
+			// Kill and Close report it too, but only when they run.
+			log.Printf("core: party %d stopped: %v", p, lp.err)
+		}
 	}()
 	return nil
 }

@@ -232,17 +232,19 @@ func (r *Run) logitsFor(ctx context.Context, images []mnist.Image) (protocol.Mat
 	// three parties may leave them with different masks cached, so it
 	// ends the epoch.
 	session := nn.WithMaskEpoch(r.c.nextSession("infer"), r.maskEpoch.Load())
-	if deadline, ok := ctx.Deadline(); ok {
-		r.c.setPassDeadline(session, deadline)
-		defer r.c.dataRouter.SetDeadline(time.Time{})
-	}
+	// The deadline caps the data owner's waits here and travels to each
+	// party in the pass's command (stepWithDeadline). The serving layer
+	// runs one pass at a time per cluster, so the data owner keeps one.
+	deadline, _ := ctx.Deadline()
+	r.c.dataRouter.SetDeadline(deadline)
+	defer r.c.dataRouter.SetDeadline(time.Time{})
 	complete := false
 	defer func() {
 		if !complete {
 			r.renewMaskEpoch()
 		}
 	}()
-	if err := r.c.distribute(session, "x", x); err != nil {
+	if err := r.c.distribute(session, stepWithDeadline("x", deadline), x); err != nil {
 		return protocol.Mat{}, err
 	}
 	logits, delivered, err := r.c.decideAtDataOwner(ctx, session, "logits")

@@ -108,11 +108,9 @@ type ServeOptions struct {
 	// ignores traffic it has no state for instead of dying on it.
 	Rejoin bool
 
-	// calls and deadline connect a party to the Cluster that hosts it
-	// (Cluster.onParty, Cluster.deadlineFor); a party in a process of
-	// its own has neither.
-	calls    <-chan func(*servedParty)
-	deadline func(session string) time.Time
+	// calls connects a party to the Cluster that hosts it
+	// (Cluster.onParty); a party in a process of its own has none.
+	calls <-chan func(*servedParty)
 }
 
 // servedParty is the state of one party's command loop.
@@ -135,14 +133,15 @@ func (s *servedParty) handle(msg transport.Message) error {
 		what string
 		run  func(transport.Message) error
 	)
+	step, deadline := cutDeadline(msg.Step)
 	switch {
-	case strings.HasPrefix(msg.Session, "init/") && (protocol.IsKeys(msg) || msg.Step == "arch") && fromOwner(msg.From):
+	case strings.HasPrefix(msg.Session, "init/") && (protocol.IsKeys(msg) || step == "arch") && fromOwner(msg.From):
 		what, run = "init", s.init
-	case strings.HasPrefix(msg.Session, "train/") && msg.Step == "x" && msg.From == transport.DataOwner:
+	case strings.HasPrefix(msg.Session, "train/") && step == "x" && msg.From == transport.DataOwner:
 		what, run = "train", s.train
-	case strings.HasPrefix(msg.Session, "infer/") && msg.Step == "x" && msg.From == transport.DataOwner:
+	case strings.HasPrefix(msg.Session, "infer/") && step == "x" && msg.From == transport.DataOwner:
 		what, run = "infer", s.infer
-	case (msg.Step == stepRevealWeights || msg.Step == stepRevealCkpt) && fromOwner(msg.From):
+	case (step == stepRevealWeights || step == stepRevealCkpt) && fromOwner(msg.From):
 		what, run = "reveal", s.reveal
 	default:
 		// Protocol traffic outside a command: a peer that got a pass's
@@ -153,8 +152,17 @@ func (s *servedParty) handle(msg transport.Message) error {
 	}
 	s.op, _ = opNumber(msg.Session)
 	s.early.begin(s.ctx.Router, s.op)
-	if s.opts.deadline != nil {
-		s.ctx.SetDeadline(s.opts.deadline(msg.Session))
+	// The pass deadline caps every wait of this command, and a command
+	// without one clears the last one's. A command that arrives past
+	// its deadline (this party fell behind, and the driver has already
+	// given its pass up) is dropped before it asks for a deal or sends
+	// anything: running it would only wait out the receive timers on
+	// peers that have moved on, and flag them.
+	s.ctx.SetDeadline(deadline)
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		log.Printf("core: serve party %d: dropping %s %q: its deadline passed %s ago", s.ctx.Index, what, msg.Session, time.Since(deadline).Round(time.Millisecond))
+		msg.Release()
+		return nil
 	}
 	if what != "init" && s.net == nil {
 		// A rejoining party sees in-flight traffic before its re-init
@@ -263,6 +271,33 @@ func (e *earlyTraffic) begin(r *party.Router, op int) {
 	}
 	clear(e.msgs[len(kept):])
 	e.msgs = kept
+}
+
+// A pass deadline travels in the step of its command, the way the
+// learning rate travels in a training session's label:
+// "x@<unix-milliseconds>" carries the absolute deadline, a plain "x"
+// none. Only the command carries it, so the pass's other messages keep
+// their bytes, and a party in a process of its own reads it as a
+// hosted one does (against its own clock).
+func stepWithDeadline(step string, t time.Time) string {
+	if t.IsZero() {
+		return step
+	}
+	return step + "@" + strconv.FormatInt(t.UnixMilli(), 10)
+}
+
+// cutDeadline splits a command step into its name and the deadline it
+// carries, the zero time when it carries none.
+func cutDeadline(step string) (string, time.Time) {
+	name, ms, ok := strings.Cut(step, "@")
+	if !ok {
+		return step, time.Time{}
+	}
+	n, err := strconv.ParseInt(ms, 10, 64)
+	if err != nil {
+		return step, time.Time{} // not a command this loop knows
+	}
+	return name, time.UnixMilli(n)
 }
 
 // opNumber parses the driver's operation number from a session: the n

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -26,10 +29,16 @@ func startServedParties(t *testing.T, netw transport.Network, commitment bool) {
 	startServedPartiesTimed(t, netw, commitment, 60*time.Second)
 }
 
-func startServedPartiesTimed(t *testing.T, netw transport.Network, commitment bool, timeout time.Duration) {
+// startServedPartiesTimed is startServedParties with the given receive
+// timer. It returns kill, which closes party p's endpoint as a crash
+// would and returns what ended p's loop; the parties not killed stop at
+// cleanup, which reports what ended theirs.
+func startServedPartiesTimed(t *testing.T, netw transport.Network, commitment bool, timeout time.Duration) (kill func(p int) error) {
 	t.Helper()
-	done := make(chan error, sharing.NumParties)
-	stops := make([]*protocol.Ctx, 0, sharing.NumParties)
+	var (
+		eps  [sharing.NumParties]transport.Endpoint
+		done [sharing.NumParties]chan error
+	)
 	for i := 1; i <= sharing.NumParties; i++ {
 		ep, err := netw.Endpoint(i)
 		if err != nil {
@@ -39,29 +48,40 @@ func startServedPartiesTimed(t *testing.T, netw transport.Network, commitment bo
 		if err != nil {
 			t.Fatal(err)
 		}
-		stops = append(stops, ctx)
-		go func(ctx *protocol.Ctx) {
-			done <- ServeParty(ctx, nn.OwnerSource{Ctx: ctx}, ServeOptions{})
-		}(ctx)
+		eps[i-1], done[i-1] = ep, make(chan error, 1)
+		go func() { done[i-1] <- ServeParty(ctx, nn.OwnerSource{Ctx: ctx}, ServeOptions{}) }()
+	}
+	var killed [sharing.NumParties]bool
+	wait := func(p int) error {
+		select {
+		case err := <-done[p-1]:
+			return err
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("served party %d did not stop", p)
+		}
 	}
 	t.Cleanup(func() {
-		for _, ctx := range stops {
-			// Each served party stops on its shutdown command; any
-			// endpoint may deliver it.
-			_ = ctx.Router.Send(ctx.Index, "", StepShutdown, nil)
+		for p := 1; p <= sharing.NumParties; p++ {
+			if !killed[p-1] {
+				// Each served party stops on its shutdown command; any
+				// endpoint may deliver it.
+				_ = eps[p-1].Send(transport.Message{To: p, Step: StepShutdown})
+			}
 		}
-		for range stops {
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Errorf("served party: %v", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Error("served party did not stop")
-				return
+		for p := 1; p <= sharing.NumParties; p++ {
+			if killed[p-1] {
+				continue
+			}
+			if err := wait(p); err != nil {
+				t.Errorf("served party: %v", err)
 			}
 		}
 	})
+	return func(p int) error {
+		killed[p-1] = true
+		_ = eps[p-1].Close()
+		return wait(p)
+	}
 }
 
 func TestServedPartiesTrainAndInfer(t *testing.T) {
@@ -125,27 +145,32 @@ func TestServedPartiesTrainAndInfer(t *testing.T) {
 	}
 }
 
-// lateCommand is a channel network whose data owner, while late is on,
-// delivers an inference pass's input share to one party after its
-// peers have begun the pass.
-type lateCommand struct {
+// interceptedActor is a channel network on which one actor sends
+// through the given interceptor.
+type interceptedActor struct {
 	*transport.ChanNetwork
-	late  *byzantine.Gate
-	to    int
-	delay time.Duration
+	actor int
+	fn    transport.SendInterceptor
 }
 
-func (n lateCommand) Endpoint(actor int) (transport.Endpoint, error) {
+func (n interceptedActor) Endpoint(actor int) (transport.Endpoint, error) {
 	ep, err := n.ChanNetwork.Endpoint(actor)
-	if err != nil || actor != transport.DataOwner {
+	if err != nil || actor != n.actor {
 		return ep, err
 	}
-	return transport.Intercepted(ep, func(msg transport.Message) *transport.Message {
-		if n.late.On() && msg.To == n.to && msg.Step == "x" && strings.HasPrefix(msg.Session, "infer/") {
-			msg.DelayBy = n.delay
+	return transport.Intercepted(ep, n.fn), nil
+}
+
+// lateCommand makes the data owner, while late is on, deliver an
+// inference pass's input share to party to after its peers have begun
+// the pass.
+func lateCommand(late *byzantine.Gate, to int, delay time.Duration) transport.SendInterceptor {
+	return func(msg transport.Message) *transport.Message {
+		if late.On() && msg.To == to && msg.Step == "x" && strings.HasPrefix(msg.Session, "infer/") {
+			msg.DelayBy = delay
 		}
 		return &msg
-	}), nil
+	}
 }
 
 // TestServedPartyKeepsEarlyPeerTraffic: party 2 receives a pass's
@@ -157,7 +182,7 @@ func (n lateCommand) Endpoint(actor int) (transport.Endpoint, error) {
 func TestServedPartyKeepsEarlyPeerTraffic(t *testing.T) {
 	const timeout = 5 * time.Second
 	var late byzantine.Gate
-	netw := lateCommand{ChanNetwork: transport.NewChanNetwork(), late: &late, to: transport.Party2, delay: 300 * time.Millisecond}
+	netw := interceptedActor{ChanNetwork: transport.NewChanNetwork(), actor: transport.DataOwner, fn: lateCommand(&late, transport.Party2, 300*time.Millisecond)}
 	t.Cleanup(func() { _ = netw.Close() })
 	startServedPartiesTimed(t, netw, true, timeout)
 	c := newTestCluster(t, Config{Mode: Malicious, Seed: 5, Net: netw, Timeout: timeout, RemoteParties: true})
@@ -190,6 +215,93 @@ func TestServedPartyKeepsEarlyPeerTraffic(t *testing.T) {
 	}
 	if ev := c.Suspicions().Evidence; len(ev) != 0 {
 		t.Errorf("evidence recorded against honest parties: %+v", ev)
+	}
+}
+
+// TestStalledPartySkipsAbandonedPasses: party 1 stalls every send for
+// longer than the receive timer while passes with a 200 ms deadline
+// fail around it, then catches up on their commands. Each command
+// carries its pass's deadline, so party 1 drops the ones already past
+// it instead of running them against peers that moved on (waiting out
+// its receive timers, flagging both peers and ending its loop on "no
+// unflagged reconstruction pair"). The next pass answers without
+// waiting out a receive timer, and party 1's loop is still serving
+// when it is killed. Hosted parties and parties served next to a
+// RemoteParties cluster follow the one rule.
+func TestStalledPartySkipsAbandonedPasses(t *testing.T) {
+	for _, remote := range []bool{false, true} {
+		name := "hosted"
+		if remote {
+			name = "remote"
+		}
+		t.Run(name, func(t *testing.T) { testStalledPartySkipsAbandonedPasses(t, remote) })
+	}
+}
+
+func testStalledPartySkipsAbandonedPasses(t *testing.T, remote bool) {
+	const timeout = 2 * time.Second
+	var stall byzantine.Gate
+	stallP1 := byzantine.StallWhile(&stall, "")
+	cfg := Config{Mode: Malicious, Seed: 17, Timeout: timeout}
+	var kill func(p int) error
+	if remote {
+		netw := interceptedActor{ChanNetwork: transport.NewChanNetwork(), actor: transport.Party1, fn: stallP1}
+		t.Cleanup(func() { _ = netw.Close() })
+		kill = startServedPartiesTimed(t, netw, true, timeout)
+		cfg.Net, cfg.RemoteParties = netw, true
+	} else {
+		cfg.Interceptors = map[int]transport.SendInterceptor{transport.Party1: stallP1}
+	}
+	c := newTestCluster(t, cfg)
+	if !remote {
+		kill = c.Kill
+	}
+	run, err := c.NewRun(paperWeights(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := mnist.Synthetic(17, 1).Images[0]
+	want, err := run.Infer(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The stall outlasts the receive timer, so a party that waited on
+	// it instead of on the pass deadline would flag the stalled peer.
+	stall.Set(true)
+	defer stall.Set(false) // a failed check must not leave party 1 stalled for the cleanup
+	for begin := time.Now(); time.Since(begin) < timeout*3/2; {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		_, err := run.InferBatch(ctx, []mnist.Image{img})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("pass with party 1 stalled returned %v, want a deadline error", err)
+		}
+	}
+	stall.Set(false)
+
+	// One receive timer is what a party that ran the abandoned passes
+	// would spend on the first of them alone.
+	limit := timeout
+	if raceEnabled {
+		limit = 3 * timeout
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	got, err := run.InferBatch(ctx, []mnist.Image{img})
+	took := time.Since(start)
+	if err != nil {
+		t.Fatalf("pass after the stall: %v", err)
+	}
+	if got[0] != want {
+		t.Fatalf("label %d after the stall, %d before", got[0], want)
+	}
+	if took > limit {
+		t.Errorf("the pass after the stall took %v, want under %v", took, limit)
+	}
+	if err := kill(transport.Party1); err != nil {
+		t.Errorf("party 1 stopped on a fault: %v", err)
 	}
 }
 

@@ -110,9 +110,8 @@ type Router struct {
 	// deadline, when nonzero (unix nanos), caps every receive wait: a
 	// wait that would outlive it is shortened, and once it has passed
 	// Expect returns a DeadlineError instead of blocking for the
-	// per-message timer. It is atomic because the pass driver sets it
-	// from its own goroutine before the party goroutines start (and a
-	// previous pass's unwinding goroutine may still be mid-wait).
+	// per-message timer. It is atomic so that a deadline set on one
+	// goroutine is seen by a wait on another.
 	deadline atomic.Int64
 
 	// OnSpoof, when non-nil, observes each attribution fault as it is
@@ -140,8 +139,9 @@ func (r *Router) Timeout() time.Duration { return r.timeout }
 // deadline: the per-message timer still applies, but no wait extends
 // past the deadline, and a wait entered after it returns a
 // DeadlineError immediately. A zero time clears the cap. The pass
-// driver (core) sets it from the serving request's context so a stalled
-// committee fails the pass in bounded time instead of hanging.
+// driver (core) sets it from the serving request's context, and each
+// party from its pass's command, so a stalled committee fails the pass
+// in bounded time instead of hanging.
 func (r *Router) SetDeadline(t time.Time) {
 	if t.IsZero() {
 		r.deadline.Store(0)

@@ -147,12 +147,12 @@ func (ctx *Ctx) Obs() *obs.Registry { return ctx.obs }
 
 // SetDeadline caps every receive wait this party performs — commitment
 // and opening gathers, owner triple/delegation responses — by an
-// absolute deadline (zero clears it). The pass driver sets it from the
-// serving request's context before the party goroutines start, so a
-// stalled or crashed peer makes the pass fail within the request
-// deadline instead of wedging the committee. Waits abandoned this way
-// return party.DeadlineError, which the suspicion machinery ignores by
-// construction: the caller gave up, nobody failed to deliver.
+// absolute deadline (zero clears it). A served party sets it from the
+// deadline its pass's command carries, so a stalled or crashed peer
+// makes the pass fail within the request deadline instead of wedging
+// the committee. Waits abandoned this way return party.DeadlineError,
+// which the suspicion machinery ignores by construction: the caller
+// gave up, nobody failed to deliver.
 func (ctx *Ctx) SetDeadline(t time.Time) { ctx.Router.SetDeadline(t) }
 
 // obsStart returns a phase start time, or the zero time when metrics
